@@ -15,12 +15,16 @@ keys are errors rather than silently ignored, to protect assurance
 documents from typos. ``serialize`` emits the canonical byte form, and
 ``parse(serialize(t))`` reproduces ``t`` exactly, including child order.
 
-Parsing enforces the rules without which no tree can be built at all
-(kinds, nesting, unique ids, a single root claim). Document-level rules
-that a representable tree can still break, such as argument arity or a
-misplaced side-claim flag, are left to ``check_well_formed`` so that
-checking tools can report them as findings instead of refusing to read
-the document.
+``parse`` rejects lines that do not lex, bad indentation, unknown kinds,
+unknown or repeated attributes, a digest without a ref, invalid or
+duplicate ids, and any document that does not hold exactly one root claim.
+It also rejects, at the offending child's line, a node that breaks the
+child rule: evidence is a leaf, no claim sits directly under a claim, no
+argument sits under an argument, and a claim has at most one argument.
+That rule is stated once, in ``cae_model.misplaced_child``, which
+``check_well_formed`` applies too. The remaining rules, argument arity and
+side-claim placement, are left to ``check_well_formed`` so that checking
+tools can report them as findings instead of refusing to read the document.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .cae_model import (
     ID_PATTERN,
     Node,
     NotEvidenceError,
+    misplaced_child,
 )
 from .determinism import file_sha256
 from .linefmt import Attr, LexedLine, ParseError, ParseFailure, QString, SourceSpan, Token, lex, quote
@@ -57,19 +62,14 @@ __all__ = [
 
 _ARGUMENT_KINDS = {k.value: k for k in ArgumentKind}
 _EVIDENCE_KINDS = {k.value: k for k in EvidenceKind}
-KINDS = frozenset({"claim", "side-claim"} | set(_ARGUMENT_KINDS) | set(_EVIDENCE_KINDS))
-
-_CLAIM = "claim"
-_ARGUMENT = "argument"
-_EVIDENCE = "evidence"
-
-
-def _category(kind: str) -> str:
-    if kind in ("claim", "side-claim"):
-        return _CLAIM
-    if kind in _ARGUMENT_KINDS:
-        return _ARGUMENT
-    return _EVIDENCE
+# kind token -> the class of node it declares
+_NODE_CLASS = {
+    "claim": ClaimNode,
+    "side-claim": ClaimNode,
+    **dict.fromkeys(_ARGUMENT_KINDS, ArgumentNode),
+    **dict.fromkeys(_EVIDENCE_KINDS, EvidenceNode),
+}
+KINDS = frozenset(_NODE_CLASS)
 
 
 def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str]) -> Node:
@@ -102,7 +102,7 @@ def _shape_of(line: LexedLine, errors: list[ParseError]) -> tuple[str, str, dict
         return None
     text = rest[1].text
 
-    allowed = {"ref", "digest", "tag"} if _category(kind) == _EVIDENCE else {"tag"}
+    allowed = {"ref", "digest", "tag"} if _NODE_CLASS[kind] is EvidenceNode else {"tag"}
     attrs: dict[str, str] = {}
     ok = True
     for atom in rest[2:]:
@@ -145,27 +145,25 @@ def parse(text: str) -> CaeTree:
     children: dict[str, list[str]] = {}
     side: set[str] = set()
     root_id: str | None = None
-    # stack frames: [level, category or None, node_id or None, saw_argument]
+    # stack frames: [level, node class or None, node_id or None, saw_argument]
     stack: list[list] = []
 
     for line in lines:
         while stack and stack[-1][0] >= line.level:
             stack.pop()
 
-        if line.kind is None:
-            stack.append([line.level, None, None, False])
-            continue
-        if line.kind not in KINDS:
-            errors.append(ParseError(line.span, "BadKind", f"unknown kind {line.kind!r}"))
+        node_class = _NODE_CLASS.get(line.kind)
+        if node_class is None:
+            if line.kind is not None:  # None: the line failed to lex and is already reported
+                errors.append(ParseError(line.span, "BadKind", f"unknown kind {line.kind!r}"))
             stack.append([line.level, None, None, False])
             continue
 
         shape = _shape_of(line, errors)
         if shape is None:
-            stack.append([line.level, _category(line.kind), None, False])
+            stack.append([line.level, node_class, None, False])
             continue
         node_id, node_text, attrs = shape
-        category = _category(line.kind)
 
         attach = True
         if line.level == 0:
@@ -174,55 +172,24 @@ def parse(text: str) -> CaeTree:
                     ParseError(line.span, "ChildRuleViolation", "a document holds a single root claim")
                 )
                 attach = False
-            elif category != _CLAIM:
+            elif node_class is not ClaimNode:
                 errors.append(ParseError(line.span, "ChildRuleViolation", "the root node must be a claim"))
                 attach = False
-        else:
-            if not stack or stack[-1][0] != line.level - 1:
-                errors.append(
-                    ParseError(line.span, "BadIndent", "no line at the enclosing indentation level")
-                )
+        elif not stack or stack[-1][0] != line.level - 1:
+            errors.append(ParseError(line.span, "BadIndent", "no line at the enclosing indentation level"))
+            attach = False
+        elif stack[-1][1] is not None:  # a parent line that failed is not checked again
+            parent = stack[-1]
+            misplaced = misplaced_child(parent[1], node_class, parent[3])
+            if misplaced is not None:
+                errors.append(ParseError(line.span, "ChildRuleViolation", misplaced.value))
                 attach = False
-            else:
-                parent = stack[-1]
-                if parent[1] == _EVIDENCE:
-                    errors.append(
-                        ParseError(line.span, "ChildRuleViolation", "evidence lines cannot have children")
-                    )
-                    attach = False
-                elif parent[1] == _CLAIM:
-                    if category == _CLAIM:
-                        errors.append(
-                            ParseError(
-                                line.span, "ChildRuleViolation", "a claim cannot sit directly under a claim"
-                            )
-                        )
-                        attach = False
-                    elif category == _ARGUMENT:
-                        if parent[3]:
-                            errors.append(
-                                ParseError(
-                                    line.span,
-                                    "ChildRuleViolation",
-                                    "a claim is refined by at most one argument",
-                                )
-                            )
-                            attach = False
-                        else:
-                            parent[3] = True
-                elif parent[1] == _ARGUMENT:
-                    if category == _ARGUMENT:
-                        errors.append(
-                            ParseError(
-                                line.span, "ChildRuleViolation", "an argument cannot sit under an argument"
-                            )
-                        )
-                        attach = False
-                # parent[1] is None: parent line already failed, accept silently
+            elif node_class is ArgumentNode:
+                parent[3] = True
 
         if node_id in nodes:
             errors.append(ParseError(line.span, "DuplicateId", f"duplicate node id {node_id!r}"))
-            stack.append([line.level, category, None, False])
+            stack.append([line.level, node_class, None, False])
             continue
 
         node = _build_node(line.kind, node_id, node_text, attrs)
@@ -237,7 +204,7 @@ def parse(text: str) -> CaeTree:
                 parent_id = stack[-1][2]
                 if parent_id is not None:
                     children[parent_id].append(node_id)
-        stack.append([line.level, category, node_id, False])
+        stack.append([line.level, node_class, node_id, False])
 
     if root_id is None and not errors:
         errors.append(ParseError(SourceSpan(1, 1), "ChildRuleViolation", "document has no root claim"))
@@ -284,7 +251,7 @@ def serialize(tree: CaeTree) -> str:
     return "".join(out)
 
 
-_FILL = {_CLAIM: "lightblue", _ARGUMENT: "gold", _EVIDENCE: "palegreen"}
+_FILL = {ClaimNode: "lightblue", ArgumentNode: "gold", EvidenceNode: "palegreen"}
 _LABEL_PREFIX = {
     ArgumentKind.DECOMPOSITION: "Decomposition",
     ArgumentKind.SUBSTITUTION: "Substitution",
@@ -310,14 +277,9 @@ def to_dot(tree: CaeTree) -> str:
         node = tree.nodes[nid]
         if isinstance(node, ClaimNode):
             label = f"{nid}\\n{_dot_escape(node.text)}"
-            fill = _FILL[_CLAIM]
-        elif isinstance(node, ArgumentNode):
-            label = f"{nid}\\n{_LABEL_PREFIX[node.kind]}: {_dot_escape(node.text)}"
-            fill = _FILL[_ARGUMENT]
         else:
             label = f"{nid}\\n{_LABEL_PREFIX[node.kind]}: {_dot_escape(node.text)}"
-            fill = _FILL[_EVIDENCE]
-        lines.append(f'  "{_dot_escape(nid)}" [label="{label}", style=filled, fillcolor={fill}]')
+        lines.append(f'  "{_dot_escape(nid)}" [label="{label}", style=filled, fillcolor={_FILL[type(node)]}]')
     for nid in order:
         for child in tree.nodes[nid].children:
             lines.append(f'  "{_dot_escape(nid)}" -> "{_dot_escape(child)}"')

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-ID_PATTERN = re.compile(r"^[A-Za-z0-9.'\-_]+$")
+ID_PATTERN = re.compile(r"\A[A-Za-z0-9.'\-_]+\Z")
 
 
 class ArgumentKind(enum.Enum):
@@ -169,9 +169,45 @@ class Violation:
     message: str
 
 
-def _require_valid_id(node_id: str) -> None:
-    if not ID_PATTERN.match(node_id or ""):
-        raise InvalidIdError(f"invalid node id {node_id!r}")
+class Misplacement(enum.Enum):
+    """The cases of the child rule; each value states its case."""
+
+    EVIDENCE_LEAF = "evidence cannot have children"
+    CLAIM_UNDER_CLAIM = "a claim cannot sit directly under a claim"
+    ARGUMENT_UNDER_ARGUMENT = "an argument cannot sit under an argument"
+    SECOND_ARGUMENT = "a claim is refined by at most one argument"
+
+
+def misplaced_child(parent: type[Node], child: type[Node], parent_has_argument: bool) -> Misplacement | None:
+    """The child rule: which case, if any, a ``child`` node under ``parent`` breaks.
+
+    Both arguments are node classes. ``parent_has_argument`` says whether an
+    earlier child of the parent is an argument. This is the one statement of
+    where a node may sit; ``parse`` and ``check_well_formed`` both apply it.
+    """
+    if parent is EvidenceNode:
+        return Misplacement.EVIDENCE_LEAF
+    if child is ClaimNode:
+        return Misplacement.CLAIM_UNDER_CLAIM if parent is ClaimNode else None
+    if child is ArgumentNode:
+        if parent is ArgumentNode:
+            return Misplacement.ARGUMENT_UNDER_ARGUMENT
+        if parent_has_argument:
+            return Misplacement.SECOND_ARGUMENT
+    return None
+
+
+# check_well_formed rule -> the exception build_tree raises for it; build_tree's
+# own checks rule out every StructureRule finding
+_RULE_ERRORS: dict[str, type[CaeError]] = {
+    "RootRule": ChildRuleError,
+    "IdRule": InvalidIdError,
+    "ChildRuleViolation": ChildRuleError,
+    "MultipleArguments": MultipleArgumentsError,
+    "ArityViolation": ArityError,
+    "DigestRule": DigestError,
+    "SideFlagViolation": SideFlagError,
+}
 
 
 def build_tree(
@@ -182,17 +218,17 @@ def build_tree(
     """Assemble a tree from a root claim and (parent id, node) pairs.
 
     Insertion order of the pairs becomes child order. The ``children`` field
-    of the supplied nodes is ignored and rebuilt from the pairs. Raises a
-    ``CaeError`` subclass on the first structural violation, so any tree this
-    function returns passes ``check_well_formed`` with no findings.
+    of the supplied nodes is ignored and rebuilt from the pairs. A duplicate
+    id, an unknown parent, a node named as its own parent or a child under
+    evidence cannot be put into a ``CaeTree`` and raise at once. Every other
+    structural rule is left to ``check_well_formed`` on the assembled tree;
+    its first violation raises the matching ``CaeError`` subclass, so any
+    tree this function returns passes ``check_well_formed`` with no findings.
     """
-    _require_valid_id(root.id)
     table: dict[str, Node] = {root.id: root}
     children: dict[str, list[str]] = {root.id: []}
-    has_argument: set[str] = set()
 
     for parent_id, node in entries:
-        _require_valid_id(node.id)
         if node.id in table:
             raise DuplicateIdError(f"duplicate node id {node.id!r}")
         if parent_id == node.id:
@@ -202,50 +238,20 @@ def build_tree(
             raise UnknownParentError(f"parent {parent_id!r} of {node.id!r} is not in the tree")
         if isinstance(parent, EvidenceNode):
             raise ChildRuleError(f"evidence {parent_id!r} cannot have children ({node.id!r})")
-        if isinstance(parent, ClaimNode):
-            if isinstance(node, ClaimNode):
-                raise ChildRuleError(f"claim {node.id!r} cannot sit directly under claim {parent_id!r}")
-            if isinstance(node, ArgumentNode):
-                if parent_id in has_argument:
-                    raise MultipleArgumentsError(f"claim {parent_id!r} already has an argument child")
-                has_argument.add(parent_id)
-        else:  # ArgumentNode parent
-            if isinstance(node, ArgumentNode):
-                raise ChildRuleError(f"argument {node.id!r} cannot sit under argument {parent_id!r}")
-        if isinstance(node, EvidenceNode) and node.digest is not None and node.reference is None:
-            raise DigestError(f"evidence {node.id!r} carries a digest but no reference")
         table[node.id] = node
         children[node.id] = []
         children[parent_id].append(node.id)
-
-    side = frozenset(side_flags)
-    parent_of = {c: p for p, kids in children.items() for c in kids}
-    for flagged in sorted(side):
-        node = table.get(flagged)
-        if node is None:
-            raise SideFlagError(f"side flag names unknown node {flagged!r}")
-        if not isinstance(node, ClaimNode):
-            raise SideFlagError(f"side-flagged node {flagged!r} is not a claim")
-        parent = table.get(parent_of.get(flagged, ""))
-        if not isinstance(parent, ArgumentNode):
-            raise SideFlagError(f"side-claim {flagged!r} must sit under an argument")
-
-    for nid, node in table.items():
-        if isinstance(node, ArgumentNode):
-            subclaims = sum(
-                1 for c in children[nid] if isinstance(table[c], ClaimNode) and c not in side
-            )
-            needed = 2 if node.kind is ArgumentKind.DECOMPOSITION else 1
-            if subclaims < needed:
-                raise ArityError(
-                    f"{node.kind.value} argument {nid!r} needs at least {needed} subclaim(s), has {subclaims}"
-                )
 
     nodes = {
         nid: (node if isinstance(node, EvidenceNode) else replace(node, children=tuple(children[nid])))
         for nid, node in table.items()
     }
-    return CaeTree(root=root.id, nodes=nodes, side_flags=side)
+    tree = CaeTree(root=root.id, nodes=nodes, side_flags=frozenset(side_flags))
+    violations = check_well_formed(tree)
+    if violations:
+        first = violations[0]
+        raise _RULE_ERRORS[first.rule](f"{first.node_id!r}: {first.message}")
+    return tree
 
 
 def check_well_formed(tree: CaeTree) -> list[Violation]:
@@ -255,65 +261,73 @@ def check_well_formed(tree: CaeTree) -> list[Violation]:
     can list all of them (the checking command relies on that).
     """
     out: list[Violation] = []
-    root_node = tree.nodes.get(tree.root)
+    nodes = tree.nodes
+    root_node = nodes.get(tree.root)
     if root_node is None:
         out.append(Violation(tree.root, "RootRule", "root id is not present in the node map"))
         return out
     if not isinstance(root_node, ClaimNode):
         out.append(Violation(tree.root, "RootRule", "root node must be a claim"))
 
-    for nid in tree.nodes:
+    for nid in nodes:
         if not ID_PATTERN.match(nid or ""):
             out.append(Violation(nid, "IdRule", f"node id {nid!r} is not a valid token"))
 
-    parents: dict[str, list[str]] = {}
-    for nid, node in tree.nodes.items():
+    parent_of: dict[str, str] = {}  # each child's first parent
+    parent_count: dict[str, int] = {}  # only children with more than one parent
+    for nid, node in nodes.items():
         for child in node.children:
-            if child not in tree.nodes:
+            if child not in nodes:
                 out.append(Violation(nid, "StructureRule", f"child {child!r} is not in the node map"))
-                continue
-            parents.setdefault(child, []).append(nid)
+            elif child in parent_of:
+                parent_count[child] = parent_count.get(child, 1) + 1
+            else:
+                parent_of[child] = nid
 
-    for child, ps in parents.items():
-        if len(ps) > 1:
-            out.append(Violation(child, "StructureRule", f"node has {len(ps)} parents"))
-    if tree.root in parents:
+    for child in parent_of:
+        if child in parent_count:
+            out.append(Violation(child, "StructureRule", f"node has {parent_count[child]} parents"))
+    if tree.root in parent_of:
         out.append(Violation(tree.root, "StructureRule", "root node has a parent"))
 
     reachable = set()
     stack = [tree.root]
     while stack:
         nid = stack.pop()
-        if nid in reachable or nid not in tree.nodes:
+        if nid in reachable or nid not in nodes:
             continue
         reachable.add(nid)
-        stack.extend(tree.nodes[nid].children)
-    for nid in tree.nodes:
+        stack.extend(nodes[nid].children)
+    for nid in nodes:
         if nid not in reachable:
             out.append(Violation(nid, "StructureRule", "node is not reachable from the root"))
 
-    for nid, node in tree.nodes.items():
-        kids = [tree.nodes[c] for c in node.children if c in tree.nodes]
-        if isinstance(node, ClaimNode):
-            arguments = 0
-            for kid in kids:
-                if isinstance(kid, ClaimNode):
-                    out.append(
-                        Violation(nid, "ChildRuleViolation", f"claim {kid.id!r} sits directly under claim {nid!r}")
-                    )
-                elif isinstance(kid, ArgumentNode):
-                    arguments += 1
-            if arguments > 1:
-                out.append(Violation(nid, "MultipleArguments", f"claim has {arguments} argument children"))
-        elif isinstance(node, ArgumentNode):
-            subclaims = 0
-            for kid in kids:
-                if isinstance(kid, ArgumentNode):
-                    out.append(
-                        Violation(nid, "ChildRuleViolation", f"argument {kid.id!r} sits under argument {nid!r}")
-                    )
-                elif isinstance(kid, ClaimNode) and kid.id not in tree.side_flags:
-                    subclaims += 1
+    for nid, node in nodes.items():
+        if isinstance(node, EvidenceNode):
+            if node.digest is not None and node.reference is None:
+                out.append(Violation(nid, "DigestRule", "evidence carries a digest but no reference"))
+            continue
+        parent_kind = type(node)
+        arguments = subclaims = extra_arguments = 0
+        for kid in [nodes[c] for c in node.children if c in nodes]:
+            misplaced = misplaced_child(parent_kind, type(kid), arguments > 0)
+            if misplaced is Misplacement.CLAIM_UNDER_CLAIM:
+                out.append(
+                    Violation(nid, "ChildRuleViolation", f"claim {kid.id!r} sits directly under claim {nid!r}")
+                )
+            elif misplaced is Misplacement.ARGUMENT_UNDER_ARGUMENT:
+                out.append(
+                    Violation(nid, "ChildRuleViolation", f"argument {kid.id!r} sits under argument {nid!r}")
+                )
+            elif misplaced is Misplacement.SECOND_ARGUMENT:
+                extra_arguments += 1
+            if isinstance(kid, ArgumentNode):
+                arguments += 1
+            elif isinstance(kid, ClaimNode) and kid.id not in tree.side_flags:
+                subclaims += 1
+        if extra_arguments:
+            out.append(Violation(nid, "MultipleArguments", f"claim has {arguments} argument children"))
+        if isinstance(node, ArgumentNode):
             needed = 2 if node.kind is ArgumentKind.DECOMPOSITION else 1
             if subclaims < needed:
                 out.append(
@@ -323,20 +337,16 @@ def check_well_formed(tree: CaeTree) -> list[Violation]:
                         f"{node.kind.value} argument needs at least {needed} subclaim(s), has {subclaims}",
                     )
                 )
-        else:
-            if node.digest is not None and node.reference is None:
-                out.append(Violation(nid, "DigestRule", "evidence carries a digest but no reference"))
 
-    parent_of = {c: ps[0] for c, ps in parents.items() if ps}
     for flagged in sorted(tree.side_flags):
-        node = tree.nodes.get(flagged)
+        node = nodes.get(flagged)
         if node is None:
             out.append(Violation(flagged, "SideFlagViolation", "side flag names a node that does not exist"))
             continue
         if not isinstance(node, ClaimNode):
             out.append(Violation(flagged, "SideFlagViolation", "side-flagged node is not a claim"))
             continue
-        parent = tree.nodes.get(parent_of.get(flagged, ""))
+        parent = nodes.get(parent_of.get(flagged, ""))
         if not isinstance(parent, ArgumentNode):
             out.append(Violation(flagged, "SideFlagViolation", "side-claim does not sit under an argument"))
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, eov_sim, policy_analysis
 from .cae_dsl import link_evidence, parse, serialize, to_dot, verify_links
-from .cae_model import check_well_formed, node_status
+from .cae_model import assumptions_of, check_well_formed, node_status
 from .linefmt import ParseFailure
 from .risk_ledger import coverage_check, parse_registry
 
@@ -28,17 +29,20 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _print_parse_failure(path: str, failure: ParseFailure) -> int:
-    for error in failure.errors:
-        print(f"{path}:{error}", file=sys.stderr)
-    return PARSE_ERROR
+class _FileParseFailure(Exception):
+    """Raised as (path, ParseFailure) for one input file; ``main`` prints it and exits 2."""
+
+
+def _parse_file(parser, path: str):
+    """Read and parse one input file with ``parser`` (``parse`` or ``parse_registry``)."""
+    try:
+        return parser(_read_text(path))
+    except ParseFailure as failure:
+        raise _FileParseFailure(path, failure) from None
 
 
 def cmd_cae_check(args) -> int:
-    try:
-        tree = parse(_read_text(args.file))
-    except ParseFailure as failure:
-        return _print_parse_failure(args.file, failure)
+    tree = _parse_file(parse, args.file)
     violations = check_well_formed(tree)
     for violation in violations:
         print(f"{violation.node_id}: {violation.rule}: {violation.message}")
@@ -48,22 +52,14 @@ def cmd_cae_check(args) -> int:
 
 
 def cmd_cae_render(args) -> int:
-    try:
-        tree = parse(_read_text(args.file))
-    except ParseFailure as failure:
-        return _print_parse_failure(args.file, failure)
+    tree = _parse_file(parse, args.file)
     Path(args.out).write_text(to_dot(tree), encoding="utf-8")
     print(f"wrote {args.out}")
     return OK
 
 
 def cmd_cae_status(args) -> int:
-    try:
-        tree = parse(_read_text(args.file))
-    except ParseFailure as failure:
-        return _print_parse_failure(args.file, failure)
-    from .cae_model import assumptions_of
-
+    tree = _parse_file(parse, args.file)
     print(f"root {tree.root}: {node_status(tree, tree.root).name.capitalize()}")
     assumptions = assumptions_of(tree, tree.root)
     if assumptions:
@@ -76,14 +72,8 @@ def cmd_cae_status(args) -> int:
 
 
 def cmd_risk_coverage(args) -> int:
-    try:
-        registry = parse_registry(_read_text(args.registry))
-    except ParseFailure as failure:
-        return _print_parse_failure(args.registry, failure)
-    try:
-        tree = parse(_read_text(args.cae))
-    except ParseFailure as failure:
-        return _print_parse_failure(args.cae, failure)
+    registry = _parse_file(parse_registry, args.registry)
+    tree = _parse_file(parse, args.cae)
 
     report = coverage_check(registry, tree)
     for entry in report.entries:
@@ -106,8 +96,6 @@ def cmd_sim_run(args) -> int:
     try:
         config = eov_sim.parse_scenario(_read_text(args.scenario))
         if args.seed is not None:
-            from dataclasses import replace
-
             config = replace(config, seed=args.seed)
             eov_sim.validate_config(config)
     except eov_sim.ConfigInvalid as exc:
@@ -191,8 +179,6 @@ def cmd_policy_campaign(args) -> int:
     try:
         if args.scenario:
             base = eov_sim.parse_scenario(_read_text(args.scenario))
-            from dataclasses import replace
-
             base = replace(base, policy=policy)
             eov_sim.validate_config(base)
         else:
@@ -216,10 +202,7 @@ def cmd_policy_campaign(args) -> int:
             print(f"--link takes <cae-file>:<evidence-id>, got {args.link!r}", file=sys.stderr)
             return PARSE_ERROR
         cae_path = Path(cae_path_text)
-        try:
-            tree = parse(cae_path.read_text(encoding="utf-8"))
-        except ParseFailure as failure:
-            return _print_parse_failure(cae_path_text, failure)
+        tree = _parse_file(parse, cae_path_text)
         try:
             reference = str(Path(args.out).resolve().relative_to(cae_path.parent.resolve()))
         except ValueError:
@@ -290,6 +273,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _FileParseFailure as exc:
+        path, failure = exc.args
+        for error in failure.errors:
+            print(f"{path}:{error}", file=sys.stderr)
+        return PARSE_ERROR
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return IO_ERROR

@@ -5,9 +5,6 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-CAE_FILES = ("fig2.cae", "fig3.cae", "fig4.cae", "fig5.cae", "fig6.cae")
-RISK_FILES = ("endorser_risks.risk",)
-
 
 def corpus_path(name: str) -> Path:
     """Filesystem path of a bundled corpus file."""

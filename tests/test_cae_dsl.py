@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blockcase import corpus_text
 from blockcase.cae_dsl import (
@@ -14,6 +17,8 @@ from blockcase.cae_dsl import (
 )
 from blockcase.cae_model import (
     ArgumentNode,
+    CaeTree,
+    ClaimNode,
     EvidenceNode,
     NotEvidenceError,
     check_well_formed,
@@ -177,6 +182,59 @@ def test_round_trip_reproduces_the_tree(tree):
 def test_serialize_is_a_fixpoint(tree):
     once = serialize(tree)
     assert serialize(parse(once)) == once
+
+
+def test_a_tree_whose_text_does_not_parse_is_not_called_clean():
+    # an id with a trailing newline serializes to two lines that parse rejects
+    tree = CaeTree(root="C0\n", nodes={"C0\n": ClaimNode("C0\n", "root")})
+    with pytest.raises(ParseFailure):
+        parse(serialize(tree))
+    assert [v.rule for v in check_well_formed(tree)] == ["IdRule"]
+
+
+@st.composite
+def misplaced_trees(draw):
+    """A well-formed tree with one claim or argument moved under a parent it may not sit under.
+
+    Returns (moved id, new parent id, tree). The move appends the node as the
+    parent's last child: a claim under a claim, an argument under an
+    argument, or an argument under a claim that already has one.
+    """
+    tree = draw(cae_trees())
+    parent_of = tree.parent_map()
+    moves: dict[str, list[tuple[str, str]]] = {}  # broken case -> (moved id, new parent id)
+    for moved, node in tree.nodes.items():
+        if moved == tree.root or isinstance(node, EvidenceNode):
+            continue
+        subtree = set(tree.preorder(moved))
+        for parent, host in tree.nodes.items():
+            if parent in subtree or parent == parent_of[moved]:
+                continue
+            if isinstance(node, ClaimNode) and isinstance(host, ClaimNode):
+                moves.setdefault("claim under claim", []).append((moved, parent))
+            elif isinstance(node, ArgumentNode) and isinstance(host, ArgumentNode):
+                moves.setdefault("argument under argument", []).append((moved, parent))
+            elif isinstance(node, ArgumentNode) and any(isinstance(tree.nodes[c], ArgumentNode) for c in host.children):
+                moves.setdefault("second argument", []).append((moved, parent))
+    assume(moves)
+    moved, parent = draw(st.sampled_from(moves[draw(st.sampled_from(sorted(moves)))]))
+    old_parent = parent_of[moved]
+    nodes = dict(tree.nodes)
+    kept = tuple(c for c in nodes[old_parent].children if c != moved)
+    nodes[old_parent] = dataclasses.replace(nodes[old_parent], children=kept)
+    nodes[parent] = dataclasses.replace(nodes[parent], children=nodes[parent].children + (moved,))
+    return moved, parent, CaeTree(root=tree.root, nodes=nodes, side_flags=tree.side_flags)
+
+
+@settings(max_examples=80, deadline=None)
+@given(misplaced_trees())
+def test_parse_and_the_checker_agree_on_the_child_rule(case):
+    moved, parent, tree = case
+    text = serialize(tree)
+    line = next(n for n, row in enumerate(text.splitlines(), start=1) if row.split()[1] == moved)
+    assert [(e.code, e.span.line) for e in errors_of(text)] == [("ChildRuleViolation", line)]
+    rules = {v.rule for v in check_well_formed(tree) if v.node_id == parent}
+    assert rules & {"ChildRuleViolation", "MultipleArguments"}
 
 
 class TestToDot:

@@ -13,11 +13,14 @@ from blockcase.cae_model import (
     ChildRuleError,
     ClaimNode,
     CycleError,
+    DigestError,
     DuplicateIdError,
     EmptyCriteriaError,
     EvidenceKind,
     EvidenceNode,
+    InvalidIdError,
     MultipleArgumentsError,
+    SideFlagError,
     Status,
     UnknownNodeError,
     UnknownParentError,
@@ -105,6 +108,29 @@ class TestBuildTree:
                     ("A0", ClaimNode("C1", "only one")),
                 ],
             )
+
+    @pytest.mark.parametrize(
+        ("root", "entries", "side_flags", "error"),
+        [
+            pytest.param(ClaimNode("C 0", "root"), [], (), InvalidIdError, id="space-in-root-id"),
+            pytest.param(ClaimNode("C0\n", "root"), [], (), InvalidIdError, id="trailing-newline-root-id"),
+            pytest.param(ClaimNode("C0", "root"), [("C0", proof("P0\n"))], (), InvalidIdError, id="trailing-newline-id"),
+            pytest.param(
+                ClaimNode("C0", "root"),
+                [("C0", EvidenceNode("P0", EvidenceKind.PROOF, "x", digest="9f"))],
+                (),
+                DigestError,
+                id="digest-without-reference",
+            ),
+            pytest.param(ClaimNode("C0", "root"), [("C0", proof("P0"))], ("S0",), SideFlagError, id="flag-on-unknown-id"),
+            pytest.param(ClaimNode("C0", "root"), [("C0", proof("P0"))], ("P0",), SideFlagError, id="flag-on-evidence"),
+            pytest.param(ClaimNode("C0", "root"), [], ("C0",), SideFlagError, id="flagged-claim-not-under-argument"),
+            pytest.param(proof("P0"), [], (), ChildRuleError, id="evidence-root"),
+        ],
+    )
+    def test_rule_break_raises_its_error(self, root, entries, side_flags, error):
+        with pytest.raises(error):
+            build_tree(root, entries, side_flags)
 
     def test_substitution_subtree_shape(self):
         # the ordering-service substitution pattern: a substituted claim plus

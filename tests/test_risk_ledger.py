@@ -70,6 +70,13 @@ class TestParseRegistry:
     def test_missing_attributes(self):
         assert registry_errors('risk R1 "a" events="ValidRejected"\n')[0].code == "BadAttribute"
 
+    def test_evidence_id_with_an_escaped_newline_rejected(self):
+        text = (
+            'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
+            '  mitigation tolerance evidence="P1\\n"\n'
+        )
+        assert [e.code for e in registry_errors(text)] == ["BadAttribute"]
+
     def test_nested_too_deep(self):
         text = (
             'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
