@@ -269,9 +269,11 @@ def check_well_formed(tree: CaeTree) -> list[Violation]:
     if not isinstance(root_node, ClaimNode):
         out.append(Violation(tree.root, "RootRule", "root node must be a claim"))
 
-    for nid in nodes:
+    for nid, node in nodes.items():
         if not ID_PATTERN.match(nid or ""):
             out.append(Violation(nid, "IdRule", f"node id {nid!r} is not a valid token"))
+        elif node.id != nid:
+            out.append(Violation(nid, "IdRule", f"node id {node.id!r} differs from its key {nid!r}"))
 
     parent_of: dict[str, str] = {}  # each child's first parent
     parent_count: dict[str, int] = {}  # only children with more than one parent

@@ -25,8 +25,15 @@ PARSE_ERROR = 2
 IO_ERROR = 3
 
 
+class _NotText(Exception):
+    """An input file is not UTF-8 text; ``main`` prints the message and exits 2."""
+
+
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _NotText(f"{path}: {exc}") from None
 
 
 class _FileParseFailure(Exception):
@@ -277,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         path, failure = exc.args
         for error in failure.errors:
             print(f"{path}:{error}", file=sys.stderr)
+        return PARSE_ERROR
+    except _NotText as exc:
+        print(exc, file=sys.stderr)
         return PARSE_ERROR
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)

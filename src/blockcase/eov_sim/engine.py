@@ -15,16 +15,13 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from ..determinism import canonical_json_bytes
-from ..policy_analysis import (
+from ..policy import EndorsementPolicy, eval_policy
+from ..risk_ledger import FearedEvent
+from .scenario import (
     CENSORING,
     CRASHED,
     DOSED,
     FRAUDULENT,
-    EndorsementPolicy,
-    eval_policy,
-)
-from ..risk_ledger import FearedEvent
-from .scenario import (
     EndorserBehavior,
     HONEST_BEHAVIOR,
     ScenarioConfig,

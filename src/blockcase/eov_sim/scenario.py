@@ -12,19 +12,14 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from ..determinism import MASK64, canonical_json_bytes, sha256_hex
-from ..policy_analysis import (
-    CENSORING,
-    CRASHED,
-    DOSED,
-    FRAUDULENT,
-    HONEST,
-    EndorsementPolicy,
-    identities,
-    parse_policy,
-    serialize_policy,
-)
-from .state import ChaincodeOp
+from ..policy import EndorsementPolicy, identities, parse_policy, serialize_policy
+from .state import ChaincodeOp, json_int
 
+HONEST = "honest"
+FRAUDULENT = "fraudulent"
+CENSORING = "censoring"
+CRASHED = "crashed"
+DOSED = "dosed"
 BEHAVIOR_MODES = frozenset({HONEST, FRAUDULENT, CENSORING, CRASHED, DOSED})
 
 
@@ -56,7 +51,8 @@ class EndorserBehavior:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EndorserBehavior":
-        return cls(data.get("mode", HONEST), data.get("from_step"), data.get("to_step"))
+        window = (None if data.get(key) is None else json_int(data[key]) for key in ("from_step", "to_step"))
+        return cls(data.get("mode", HONEST), *window)
 
 
 HONEST_BEHAVIOR = EndorserBehavior(HONEST)
@@ -85,7 +81,7 @@ class TxProposal:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TxProposal":
-        return cls(data["tx_id"], data["client_id"], int(data["nonce"]), ChaincodeOp.from_dict(data["op"]))
+        return cls(data["tx_id"], data["client_id"], json_int(data["nonce"]), ChaincodeOp.from_dict(data["op"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,9 +100,9 @@ class OrdererConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "OrdererConfig":
         return cls(
-            int(data["n"]),
-            int(data.get("batch_size", 10)),
-            tuple((int(step), int(index)) for step, index in data.get("crash_schedule", [])),
+            json_int(data["n"]),
+            json_int(data.get("batch_size", 10)),
+            tuple((json_int(step), json_int(index)) for step, index in data.get("crash_schedule", [])),
         )
 
 
@@ -186,15 +182,15 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             },
             policy=parse_policy(data["policy"]),
             orderers=OrdererConfig.from_dict(data["orderers"]),
-            peers=int(peers["count"]),
-            skip_v7_peers=frozenset(int(p) for p in peers.get("skip_v7", [])),
-            workload=tuple((int(step), TxProposal.from_dict(p)) for step, p in data.get("workload", [])),
-            horizon=int(data["horizon"]),
-            seed=int(data.get("seed", 0)),
+            peers=json_int(peers["count"]),
+            skip_v7_peers=frozenset(json_int(p) for p in peers.get("skip_v7", [])),
+            workload=tuple((json_int(step), TxProposal.from_dict(p)) for step, p in data.get("workload", [])),
+            horizon=json_int(data["horizon"]),
+            seed=json_int(data.get("seed", 0)),
         )
     except ConfigInvalid:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed scenario document: {exc}") from exc
 
 

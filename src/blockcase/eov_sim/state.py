@@ -16,6 +16,13 @@ from ..determinism import canonical_json_bytes, sha256_hex
 VERSION_ZERO = (0, 0)  # committed blocks start at 1, so (0, 0) marks "never written"
 
 
+def json_int(value) -> int:
+    """``int(value)`` for a document field, except that a JSON boolean is not read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {str(value).lower()}")
+    return int(value)
+
+
 class AppFailure(Exception):
     """The business rule of an operation is violated (a validity failure)."""
 
@@ -98,9 +105,9 @@ class ChaincodeOp:
         kind = data.get("kind")
         valid = bool(data.get("ground_truth_valid", True))
         if kind == SET:
-            return cls.set(data["key"], int(data["value"]), valid=valid)
+            return cls.set(data["key"], json_int(data["value"]), valid=valid)
         if kind == TRANSFER:
-            return cls.transfer(data["from_key"], data["to_key"], int(data["amount"]), valid=valid)
+            return cls.transfer(data["from_key"], data["to_key"], json_int(data["amount"]), valid=valid)
         if kind == NOOP:
             return cls.noop(valid=valid)
         raise ValueError(f"unknown op kind {kind!r}")

@@ -190,10 +190,6 @@ def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
                 value, i = scanned
                 atoms.append(Attr(word, value, col))
                 continue
-            if word == "":
-                errors.append(ParseError(SourceSpan(line_no, col), "BadKind", f"unexpected character {ch!r}"))
-                bad = True
-                break
             atoms.append(Token(word, col))
             i = j
 

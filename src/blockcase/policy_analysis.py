@@ -1,9 +1,4 @@
-"""Endorsement-policy algebra, exact tolerance analysis and campaigns.
-
-Policies are monotone boolean expressions over endorser identities:
-leaves ``Sig(id)``, conjunctions, disjunctions and k-of-n thresholds. The
-text form is ``E1``, ``and(E1,E2)``, ``or(E1,and(E2,E3))``,
-``outof(2,E1,E2,E3)`` with ``all``/``any`` accepted as sugar.
+"""Exact endorsement-policy tolerance analysis and Monte Carlo campaigns.
 
 Exact analysis enumerates signer subsets (bounded at 20 identities, kept
 fast with a vectorized truth table) to find minimal satisfying sets,
@@ -17,30 +12,36 @@ produce byte-equal reports.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import __version__, eov_sim
 from .determinism import CounterRng, canonical_json_bytes, sha256_hex
+from .eov_sim.scenario import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST
+from .policy import (  # the whole algebra, which callers may also import from here
+    And,
+    EndorsementPolicy,
+    Or,
+    OutOf,
+    PolicyError,
+    Sig,
+    all_of,
+    any_of,
+    eval_policy,
+    identities,
+    out_of,
+    parse_policy,
+    policy_digest,
+    serialize_policy,
+)
 
 MAX_IDENTITIES = 20
 
-HONEST = "honest"
-FRAUDULENT = "fraudulent"
-CENSORING = "censoring"
-CRASHED = "crashed"
-DOSED = "dosed"
 LABEL_MODES = frozenset({HONEST, FRAUDULENT, CENSORING, CRASHED})
 FAULT_MODES = (CENSORING, CRASHED, DOSED, FRAUDULENT)  # draw order for campaigns
-
-_IDENT = re.compile(r"[A-Za-z0-9_.\-']+")
-
-
-class PolicyError(ValueError):
-    """Malformed policy expression or identity set."""
 
 
 class TooManyIdentitiesError(PolicyError):
@@ -53,169 +54,6 @@ class BadProbabilityError(ValueError):
 
 class IoFailure(Exception):
     """Evidence report could not be written."""
-
-
-@dataclass(frozen=True, slots=True)
-class Sig:
-    identity: str
-
-    def __post_init__(self):
-        if not _IDENT.fullmatch(self.identity):
-            raise PolicyError(f"invalid identity {self.identity!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class And:
-    children: tuple["EndorsementPolicy", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise PolicyError("and() needs at least two children")
-
-
-@dataclass(frozen=True, slots=True)
-class Or:
-    children: tuple["EndorsementPolicy", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise PolicyError("or() needs at least two children")
-
-
-@dataclass(frozen=True, slots=True)
-class OutOf:
-    k: int
-    children: tuple["EndorsementPolicy", ...]
-
-    def __post_init__(self):
-        if not 1 <= self.k <= len(self.children):
-            raise PolicyError(f"outof threshold {self.k} out of range for {len(self.children)} children")
-
-
-EndorsementPolicy = Sig | And | Or | OutOf
-
-
-def all_of(identities: Sequence[str]) -> EndorsementPolicy:
-    leaves = tuple(Sig(i) for i in identities)
-    return leaves[0] if len(leaves) == 1 else And(leaves)
-
-
-def any_of(identities: Sequence[str]) -> EndorsementPolicy:
-    leaves = tuple(Sig(i) for i in identities)
-    return leaves[0] if len(leaves) == 1 else Or(leaves)
-
-
-def out_of(k: int, identities: Sequence[str]) -> EndorsementPolicy:
-    return OutOf(k, tuple(Sig(i) for i in identities))
-
-
-def identities(policy: EndorsementPolicy) -> frozenset[str]:
-    if isinstance(policy, Sig):
-        return frozenset((policy.identity,))
-    out: set[str] = set()
-    for child in policy.children:
-        out |= identities(child)
-    return frozenset(out)
-
-
-def eval_policy(policy: EndorsementPolicy, signers: Iterable[str]) -> bool:
-    """Whether the signer set satisfies the policy."""
-    present = signers if isinstance(signers, (set, frozenset)) else set(signers)
-
-    def walk(node: EndorsementPolicy) -> bool:
-        if isinstance(node, Sig):
-            return node.identity in present
-        if isinstance(node, And):
-            return all(walk(c) for c in node.children)
-        if isinstance(node, Or):
-            return any(walk(c) for c in node.children)
-        hits = 0
-        for child in node.children:
-            if walk(child):
-                hits += 1
-                if hits >= node.k:
-                    return True
-        return False
-
-    return walk(policy)
-
-
-def serialize_policy(policy: EndorsementPolicy) -> str:
-    """Canonical text form (child order preserved)."""
-    if isinstance(policy, Sig):
-        return policy.identity
-    parts = ",".join(serialize_policy(c) for c in policy.children)
-    if isinstance(policy, And):
-        return f"and({parts})"
-    if isinstance(policy, Or):
-        return f"or({parts})"
-    return f"outof({policy.k},{parts})"
-
-
-def policy_digest(policy: EndorsementPolicy) -> str:
-    return sha256_hex(serialize_policy(policy).encode("utf-8"))
-
-
-def parse_policy(text: str) -> EndorsementPolicy:
-    """Parse the policy expression grammar; '#' starts a comment."""
-    source = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(source) and source[pos].isspace():
-            pos += 1
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(source) or source[pos] != ch:
-            raise PolicyError(f"expected {ch!r} at offset {pos}")
-        pos += 1
-
-    def ident() -> str:
-        nonlocal pos
-        skip_ws()
-        m = _IDENT.match(source, pos)
-        if not m:
-            raise PolicyError(f"expected an identifier at offset {pos}")
-        pos = m.end()
-        return m.group(0)
-
-    def expr() -> EndorsementPolicy:
-        nonlocal pos
-        word = ident()
-        skip_ws()
-        if pos < len(source) and source[pos] == "(":
-            if word not in ("and", "or", "outof", "all", "any"):
-                raise PolicyError(f"unknown operator {word!r}")
-            pos += 1
-            if word == "outof":
-                k_text = ident()
-                if not k_text.isdigit():
-                    raise PolicyError(f"outof needs an integer threshold, got {k_text!r}")
-                expect(",")
-            args = [expr()]
-            skip_ws()
-            while pos < len(source) and source[pos] == ",":
-                pos += 1
-                args.append(expr())
-                skip_ws()
-            expect(")")
-            if word == "outof":
-                return OutOf(int(k_text), tuple(args))
-            if word in ("all", "any") and len(args) == 1:
-                return args[0]  # sugar forms collapse a singleton
-            if word in ("and", "all"):
-                return And(tuple(args))
-            return Or(tuple(args))
-        return Sig(word)
-
-    result = expr()
-    skip_ws()
-    if pos != len(source):
-        raise PolicyError(f"trailing content at offset {pos}")
-    return result
 
 
 def _bounded_identities(policy: EndorsementPolicy) -> list[str]:
@@ -358,20 +196,7 @@ class CampaignReport:
     tool: str
 
     def to_dict(self) -> dict:
-        return {
-            "policy_digest": self.policy_digest,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "n_runs": self.n_runs,
-            "fault_probabilities": dict(self.fault_probabilities),
-            "fraud_successes": self.fraud_successes,
-            "censorship_successes": self.censorship_successes,
-            "fraud_success_rate": self.fraud_success_rate,
-            "censorship_success_rate": self.censorship_success_rate,
-            "fraud_ci95_halfwidth": self.fraud_ci95_halfwidth,
-            "censorship_ci95_halfwidth": self.censorship_ci95_halfwidth,
-            "tool": self.tool,
-        }
+        return asdict(self)
 
     def to_json_bytes(self) -> bytes:
         return canonical_json_bytes(self.to_dict())
@@ -427,8 +252,6 @@ def monte_carlo_campaign(
     (endorsement refusals or a policy shortfall). Deterministic in
     (base_config, fault_probabilities, n_runs, seed).
     """
-    from . import eov_sim  # imported here: eov_sim depends on the policy algebra above
-
     if n_runs < 1:
         raise BadProbabilityError("n_runs must be at least 1")
     probs = _normalize_probabilities(fault_probabilities)
@@ -469,14 +292,8 @@ def monte_carlo_campaign(
         censorship_success_rate=censorship_rate,
         fraud_ci95_halfwidth=_ci95_halfwidth(fraud_rate, n_runs),
         censorship_ci95_halfwidth=_ci95_halfwidth(censorship_rate, n_runs),
-        tool=_tool_version(),
+        tool=f"blockcase {__version__}",
     )
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return f"blockcase {__version__}"
 
 
 def emit_evidence_report(report: CampaignReport | Mapping, path: Path | str) -> tuple[int, str]:

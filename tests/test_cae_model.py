@@ -183,6 +183,10 @@ class TestCheckWellFormed:
         )
         assert any(v.rule == "StructureRule" for v in check_well_formed(tree))
 
+    def test_node_id_that_differs_from_its_key_reports_id_rule(self):
+        tree = CaeTree(root="C0", nodes={"C0": ClaimNode("X", "root")})
+        assert [(v.node_id, v.rule) for v in check_well_formed(tree)] == [("C0", "IdRule")]
+
     def test_build_tree_output_always_passes(self):
         assert check_well_formed(minimal_decomposition()) == []
 

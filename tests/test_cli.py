@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
@@ -235,3 +236,50 @@ class TestPolicyCommands:
         report.unlink()
         code, out, _ = run(capsys, "risk", "coverage", str(workdir / "endorser_risks.risk"), str(cae))
         assert code == FINDINGS and "missing-file" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cae", "check", "{bad}"],
+        ["risk", "coverage", "{bad}", "{cae}"],
+        ["risk", "coverage", "{reg}", "{bad}"],
+        ["sim", "run", "{bad}"],
+        ["policy", "tolerance", "{bad}"],
+        ["policy", "campaign", "{bad}", "--out", "{out}"],
+        ["policy", "campaign", "{policy}", "--scenario", "{bad}", "--out", "{out}"],
+    ],
+)
+def test_input_that_is_not_utf8_is_a_parse_error(capsys, workdir, argv):
+    bad = workdir / "latin1.txt"
+    bad.write_bytes("claim C0 \"caf\xe9\"\n".encode("latin-1"))
+    policy = workdir / "policy.txt"
+    policy.write_text("E1")
+    paths = {"bad": bad, "cae": workdir / "fig5.cae", "reg": workdir / "endorser_risks.risk",
+             "policy": policy, "out": workdir / "out.json"}
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == PARSE_ERROR
+    assert err.startswith(f"{bad}: ") and "Traceback" not in err
+    assert not (workdir / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(endorser_behaviors=[]), "malformed scenario document"),
+        (lambda doc: doc["peers"].update(count=2, skip_v7=[True]), "expected an integer, got true"),
+        (lambda doc: doc["workload"][0].__setitem__(0, False), "expected an integer, got false"),
+        (lambda doc: doc.update(endorser_behaviors={"E1": {"mode": "dosed", "from_step": "0", "to_step": "x"}}),
+         "malformed scenario document"),
+    ],
+    ids=["behaviors-not-an-object", "skip_v7-true", "workload-step-false", "dos-window-not-a-number"],
+)
+def test_scenario_with_wrongly_typed_fields_is_a_parse_error(capsys, tmp_path, edit, message):
+    config = basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))])
+    doc = sim.scenario_to_dict(config)
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sim", "run", str(path))
+    assert (code, out) == (PARSE_ERROR, "")
+    assert err.startswith(f"{path}: ") and message in err
