@@ -103,7 +103,9 @@ class ChaincodeOp:
     @classmethod
     def from_dict(cls, data: dict) -> "ChaincodeOp":
         kind = data.get("kind")
-        valid = bool(data.get("ground_truth_valid", True))
+        valid = data.get("ground_truth_valid", True)
+        if not isinstance(valid, bool):
+            raise ValueError(f"ground_truth_valid must be true or false, got {valid!r}")
         if kind == SET:
             return cls.set(data["key"], json_int(data["value"]), valid=valid)
         if kind == TRANSFER:

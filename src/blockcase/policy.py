@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .determinism import sha256_hex
 
 _IDENT = re.compile(r"[A-Za-z0-9_.\-']+")
+MAX_POLICY_DEPTH = 100  # operators nested inside one another; bounds every recursive walk of a parsed policy
 
 
 class PolicyError(ValueError):
@@ -123,7 +124,10 @@ def policy_digest(policy: EndorsementPolicy) -> str:
 
 
 def parse_policy(text: str) -> EndorsementPolicy:
-    """Parse the policy expression grammar; '#' starts a comment."""
+    """Parse the policy expression grammar; '#' starts a comment.
+
+    Nesting deeper than ``MAX_POLICY_DEPTH`` operators is a ``PolicyError``.
+    """
     source = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     pos = 0
 
@@ -148,24 +152,26 @@ def parse_policy(text: str) -> EndorsementPolicy:
         pos = m.end()
         return m.group(0)
 
-    def expr() -> EndorsementPolicy:
+    def expr(depth: int) -> EndorsementPolicy:
         nonlocal pos
         word = ident()
         skip_ws()
         if pos < len(source) and source[pos] == "(":
             if word not in ("and", "or", "outof", "all", "any"):
                 raise PolicyError(f"unknown operator {word!r}")
+            if depth == MAX_POLICY_DEPTH:
+                raise PolicyError(f"policy nests deeper than {MAX_POLICY_DEPTH} operators")
             pos += 1
             if word == "outof":
                 k_text = ident()
                 if not k_text.isdigit():
                     raise PolicyError(f"outof needs an integer threshold, got {k_text!r}")
                 expect(",")
-            args = [expr()]
+            args = [expr(depth + 1)]
             skip_ws()
             while pos < len(source) and source[pos] == ",":
                 pos += 1
-                args.append(expr())
+                args.append(expr(depth + 1))
                 skip_ws()
             expect(")")
             if word == "outof":
@@ -177,7 +183,7 @@ def parse_policy(text: str) -> EndorsementPolicy:
             return Or(tuple(args))
         return Sig(word)
 
-    result = expr()
+    result = expr(0)
     skip_ws()
     if pos != len(source):
         raise PolicyError(f"trailing content at offset {pos}")

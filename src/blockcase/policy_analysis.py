@@ -3,15 +3,16 @@
 Exact analysis enumerates signer subsets (bounded at 20 identities, kept
 fast with a vectorized truth table) to find minimal satisfying sets,
 minimal blocking sets and the fraud/censorship tolerance of a policy. The
-Monte Carlo campaign samples endorser fault assignments, replays each one
-through the pipeline simulator, and reports feared-event success rates
-with normal-approximation confidence intervals; equal inputs always
-produce byte-equal reports.
+Monte Carlo campaign samples endorser fault assignments, replays each
+distinct one once through the pipeline simulator, and reports feared-event
+success rates with normal-approximation confidence intervals; equal inputs
+always produce byte-equal reports.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -244,12 +245,15 @@ def monte_carlo_campaign(
     n_runs: int,
     seed: int,
 ) -> CampaignReport:
-    """Sample endorser fault assignments and replay each through the simulator.
+    """Sample endorser fault assignments and replay them through the simulator.
 
     A run counts as a fraud success when it commits a transaction that is
     invalid against the ground truth, and as a censorship success when some
     ground-truth-valid transaction never reaches the ordering service
-    (endorsement refusals or a policy shortfall). Deterministic in
+    (endorsement refusals or a policy shortfall). The simulator is a pure
+    function of the configuration, so each distinct assignment is simulated
+    once and its outcome counted for every run that drew it; the report is
+    the same as replaying every run. Deterministic in
     (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
@@ -260,23 +264,24 @@ def monte_carlo_campaign(
     endorsers = sorted(base_config.msp_endorsers)
     valid_tx_ids = {p.tx_id for _, p in base_config.workload if p.op.ground_truth_valid}
 
+    assignments = Counter(
+        tuple(draw_behavior_modes(endorsers, probs, seed, run_index).values()) for run_index in range(n_runs)
+    )
     fraud_hits = 0
     censorship_hits = 0
-    for run_index in range(n_runs):
-        modes = draw_behavior_modes(endorsers, probs, seed, run_index)
+    for assignment, runs in assignments.items():
         behaviors = {
             endorser: eov_sim.behavior_from_mode(mode, horizon=base_config.horizon)
-            for endorser, mode in modes.items()
+            for endorser, mode in zip(endorsers, assignment)
             if mode != HONEST
         }
         result = eov_sim.simulate(
             base_config.with_behaviors(behaviors), config_digest=config_digest, check=False
         )
-        counts = result.report.feared_event_counts
-        if counts[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
-            fraud_hits += 1
+        if result.report.feared_event_counts[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
+            fraud_hits += runs
         if valid_tx_ids - result.submitted_tx_ids:
-            censorship_hits += 1
+            censorship_hits += runs
 
     fraud_rate = fraud_hits / n_runs
     censorship_rate = censorship_hits / n_runs

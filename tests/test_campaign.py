@@ -1,22 +1,33 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from blockcase import eov_sim as sim
+from blockcase import __version__, eov_sim as sim
 from blockcase.policy_analysis import (
     BadProbabilityError,
     CENSORING,
+    CRASHED,
+    DOSED,
     FRAUDULENT,
     HONEST,
+    CampaignReport,
     IoFailure,
+    _ci95_halfwidth,
+    _normalize_probabilities,
     all_of,
     any_of,
     censorship_possible,
+    draw_behavior_modes,
     emit_evidence_report,
     fraud_possible,
     monte_carlo_campaign,
     out_of,
+    parse_policy,
+    policy_digest,
 )
+from simgen import random_scenario
 
 E3 = ["E1", "E2", "E3"]
 HONEST_E3 = {e: HONEST for e in E3}
@@ -70,6 +81,75 @@ class TestCampaign:
         assert report.policy_digest and report.config_digest
         assert report.n_runs == 50 and report.seed == 3
         assert report.tool.startswith("blockcase ")
+
+
+def run_by_run_campaign(base, fault_probabilities, n_runs, seed):
+    """Oracle: one simulation per run, with no sharing between runs."""
+    probs = _normalize_probabilities(fault_probabilities)
+    endorsers = sorted(base.msp_endorsers)
+    valid_tx_ids = {p.tx_id for _, p in base.workload if p.op.ground_truth_valid}
+    fraud_hits = censorship_hits = 0
+    for run_index in range(n_runs):
+        modes = draw_behavior_modes(endorsers, probs, seed, run_index)
+        behaviors = {
+            endorser: sim.behavior_from_mode(mode, horizon=base.horizon)
+            for endorser, mode in modes.items()
+            if mode != HONEST
+        }
+        result = sim.simulate(base.with_behaviors(behaviors))
+        fraud_hits += result.report.feared_event_counts[sim.FearedEvent.INVALID_ACCEPTED] > 0
+        censorship_hits += bool(valid_tx_ids - result.submitted_tx_ids)
+    fraud_rate, censorship_rate = fraud_hits / n_runs, censorship_hits / n_runs
+    return CampaignReport(
+        policy_digest=policy_digest(base.policy),
+        config_digest=sim.scenario_digest(base),
+        seed=seed,
+        n_runs=n_runs,
+        fault_probabilities=probs,
+        fraud_successes=fraud_hits,
+        censorship_successes=censorship_hits,
+        fraud_success_rate=fraud_rate,
+        censorship_success_rate=censorship_rate,
+        fraud_ci95_halfwidth=_ci95_halfwidth(fraud_rate, n_runs),
+        censorship_ci95_halfwidth=_ci95_halfwidth(censorship_rate, n_runs),
+        tool=f"blockcase {__version__}",
+    )
+
+
+def campaign_base(scenario_seed, policy_text):
+    """A random scenario under the given policy, plus one guard-violating transfer."""
+    base = random_scenario(scenario_seed)
+    invalid = sim.TxProposal("bad", sorted(base.msp_emitters)[0], 999,
+                             sim.ChaincodeOp.transfer("unfunded", "sink", 5, valid=False))
+    return replace(base, policy=parse_policy(policy_text), workload=base.workload + ((0, invalid),))
+
+
+ALL_FAULTS = {FRAUDULENT: 0.15, CENSORING: 0.1, CRASHED: 0.1, DOSED: 0.1}
+# asymmetric policies, so that a memo that lost track of which endorser drew which mode would miscount;
+# scenario seeds 1 and 3 draw 3 endorsers, 0 and 4 draw 5
+ORACLE_CASES = [
+    (1, "or(E1,and(E2,E3))"),
+    (3, "outof(2,E1,E2,E3)"),
+    (0, "outof(2,E1,and(E2,E3),or(E4,E5))"),
+    (4, "and(E5,outof(2,E1,E2,E3,E4))"),
+]
+
+
+class TestCampaignMatchesRunByRunOracle:
+    @pytest.mark.parametrize("scenario_seed, policy_text", ORACLE_CASES)
+    @pytest.mark.parametrize("campaign_seed", [0, 7])
+    def test_counts_and_bytes_match(self, scenario_seed, policy_text, campaign_seed):
+        base = campaign_base(scenario_seed, policy_text)
+        report = monte_carlo_campaign(base, ALL_FAULTS, 150, campaign_seed)
+        oracle = run_by_run_campaign(base, ALL_FAULTS, 150, campaign_seed)
+        assert (report.fraud_successes, report.censorship_successes) == (
+            oracle.fraud_successes, oracle.censorship_successes
+        )
+        assert report.to_json_bytes() == oracle.to_json_bytes()
+        assert 0 < oracle.fraud_successes < 150 and 0 < oracle.censorship_successes < 150  # neither is constant
+
+    def test_the_cases_cover_both_policy_sizes(self):
+        assert {len(campaign_base(seed, text).msp_endorsers) for seed, text in ORACLE_CASES} == {3, 5}
 
 
 class TestAnalyzerSimulatorAgreement:

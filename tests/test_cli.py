@@ -271,8 +271,15 @@ def test_input_that_is_not_utf8_is_a_parse_error(capsys, workdir, argv):
         (lambda doc: doc["workload"][0].__setitem__(0, False), "expected an integer, got false"),
         (lambda doc: doc.update(endorser_behaviors={"E1": {"mode": "dosed", "from_step": "0", "to_step": "x"}}),
          "malformed scenario document"),
+        (lambda doc: doc["workload"][0][1]["op"].update(ground_truth_valid="false"),
+         "ground_truth_valid must be true or false"),
+        (lambda doc: doc["workload"][0][1]["op"].update(ground_truth_valid=0),
+         "ground_truth_valid must be true or false"),
+        (lambda doc: doc["workload"][0][1]["op"].update(ground_truth_valid=1),
+         "ground_truth_valid must be true or false"),
     ],
-    ids=["behaviors-not-an-object", "skip_v7-true", "workload-step-false", "dos-window-not-a-number"],
+    ids=["behaviors-not-an-object", "skip_v7-true", "workload-step-false", "dos-window-not-a-number",
+         "ground-truth-string", "ground-truth-zero", "ground-truth-one"],
 )
 def test_scenario_with_wrongly_typed_fields_is_a_parse_error(capsys, tmp_path, edit, message):
     config = basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))])
@@ -283,3 +290,37 @@ def test_scenario_with_wrongly_typed_fields_is_a_parse_error(capsys, tmp_path, e
     code, out, err = run(capsys, "sim", "run", str(path))
     assert (code, out) == (PARSE_ERROR, "")
     assert err.startswith(f"{path}: ") and message in err
+
+
+def nested_policy(depth):
+    """``and(and(...(E1,E2)...),E3)`` with ``depth`` operators nested inside one another."""
+    text = "and(E1,E2)"
+    for _ in range(depth - 1):
+        text = f"and({text},E3)"
+    return text
+
+
+@pytest.mark.parametrize("command", ["tolerance", "campaign", "sim-run"])
+@pytest.mark.parametrize("depth, accepted", [(100, True), (101, False)])
+def test_policy_nesting_is_bounded_at_100_operators(capsys, tmp_path, command, depth, accepted):
+    policy = tmp_path / "policy.txt"
+    policy.write_text(nested_policy(depth))
+    out = tmp_path / "out.json"
+    if command == "tolerance":
+        argv = ["policy", "tolerance", str(policy)]
+    elif command == "campaign":
+        argv = ["policy", "campaign", str(policy), "--runs", "20", "--out", str(out)]
+    else:
+        doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
+        doc["policy"] = nested_policy(depth)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        argv = ["sim", "run", str(scenario)]
+    code, _, err = run(capsys, *argv)
+    assert "Traceback" not in err
+    if accepted:
+        assert code == OK, err
+    else:
+        assert code == PARSE_ERROR
+        assert "policy nests deeper than 100 operators" in err
+        assert not out.exists()

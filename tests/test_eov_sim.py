@@ -371,6 +371,57 @@ class TestRunScenario:
                     assert state == oracle, f"seed {seed} peer {peer}"
 
 
+def own_digests(config, result):
+    """Each peer's state digest after each block, from that peer's own validation chain."""
+    digests = {}
+    for peer in range(config.peers):
+        state = sim.KvStore()
+        for block in result.blocks:
+            _, state = sim.validate_block(
+                state, block, config.msp_endorsers, config.policy, peer in config.skip_v7_peers
+            )
+            digests[peer, block.block_no] = state.digest()
+    return digests
+
+
+class TestPeerDigests:
+    def conflicting_writes(self, skip):
+        """Same-key writes in one block, so a skip_v7 peer applies what the others refuse."""
+        return basic_config(
+            [
+                (0, proposal("t1", sim.ChaincodeOp.set("k", 1), nonce=1)),
+                (0, proposal("t2", sim.ChaincodeOp.set("k", 2), nonce=2)),
+                (1, proposal("t3", sim.ChaincodeOp.set("j", 3), nonce=3)),
+                (2, proposal("t4", sim.ChaincodeOp.set("j", 4), nonce=4)),
+                (2, proposal("t5", sim.ChaincodeOp.set("j", 5), nonce=5)),
+            ],
+            peers=4,
+            skip=skip,
+        )
+
+    def assert_every_digest_is_the_peers_own(self, config):
+        result = sim.simulate(config)
+        expected = own_digests(config, result)
+        reported = result.report.per_peer_state_digest
+        assert len(reported) == len(expected)
+        for record in reported:
+            assert record.digest == expected[record.peer, record.block_height], record
+        return reported
+
+    @pytest.mark.parametrize("skip", [{1}, {0}, {3}, {1, 2}, {0, 2}])
+    def test_a_diverging_peer_never_reports_a_neighbours_digest(self, skip):
+        reported = self.assert_every_digest_is_the_peers_own(self.conflicting_writes(skip=frozenset(skip)))
+        by_height: dict[int, set[str]] = {}
+        for record in reported:
+            by_height.setdefault(record.block_height, set()).add(record.digest)
+        assert any(len(digests) > 1 for digests in by_height.values())  # the peers did diverge
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_runs_with_an_interior_skip_v7_peer(self, seed):
+        config = random_scenario(seed, peers_range=(4, 4), skip_v7=frozenset({1}))
+        self.assert_every_digest_is_the_peers_own(config)
+
+
 class TestOrderingLiveness:
     def workload(self, steps):
         return [
