@@ -239,15 +239,13 @@ def _attr_pairs(node: Node) -> list[tuple[str, str]]:
 def serialize(tree: CaeTree) -> str:
     """Canonical text form: stable bytes for equal trees, LF line endings."""
     out: list[str] = []
-
-    def emit(nid: str, level: int) -> None:
+    stack = [(tree.root, 0)]
+    while stack:
+        nid, level = stack.pop()
         node = tree.nodes[nid]
         attrs = "".join(f" {k}={quote(v)}" for k, v in _attr_pairs(node))
         out.append(f"{'  ' * level}{_kind_token(tree, node)} {nid} {quote(node.text)}{attrs}\n")
-        for child in node.children:
-            emit(child, level + 1)
-
-    emit(tree.root, 0)
+        stack.extend((child, level + 1) for child in reversed(node.children))
     return "".join(out)
 
 

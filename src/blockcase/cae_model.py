@@ -364,23 +364,16 @@ def node_status(tree: CaeTree, node_id: str) -> Status:
     children, side-claims included.
     """
     tree.node(node_id)
-    memo: dict[str, Status] = {}
-
-    def walk(nid: str) -> Status:
-        cached = memo.get(nid)
-        if cached is not None:
-            return cached
+    status: dict[str, Status] = {}
+    for nid in reversed(list(tree.preorder(node_id))):  # children before their parent
         node = tree.nodes[nid]
         if isinstance(node, EvidenceNode):
-            status = Status.SUPPORTED if node.kind is EvidenceKind.PROOF else Status.ASSUMED
+            status[nid] = Status.SUPPORTED if node.kind is EvidenceKind.PROOF else Status.ASSUMED
         elif not node.children:
-            status = Status.UNDEVELOPED
+            status[nid] = Status.UNDEVELOPED
         else:
-            status = min(walk(child) for child in node.children)
-        memo[nid] = status
-        return status
-
-    return walk(node_id)
+            status[nid] = min(status[child] for child in node.children)
+    return status[node_id]
 
 
 def assumptions_of(tree: CaeTree, node_id: str) -> list[str]:

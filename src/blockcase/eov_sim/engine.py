@@ -22,6 +22,7 @@ from .scenario import (
     CRASHED,
     DOSED,
     FRAUDULENT,
+    HONEST,
     EndorserBehavior,
     HONEST_BEHAVIOR,
     ScenarioConfig,
@@ -80,7 +81,7 @@ def endorse(
     if mode == DOSED:
         if behavior.from_step <= step <= behavior.to_step:
             return NO_RESPONSE
-        mode = "honest"
+        mode = HONEST
     if mode == CENSORING:
         return Refusal(None, "censorship")
 
@@ -159,27 +160,15 @@ def ordering_step(
     leader = cluster.leader
     ready_at = cluster.leader_ready_at
     if leader is not None and leader in crashed:
-        successor = None
-        for offset in range(1, cluster.n + 1):
-            candidate = (leader + offset) % cluster.n
-            if candidate not in crashed:
-                successor = candidate
-                break
-        leader = successor
+        order = ((leader + offset) % cluster.n for offset in range(1, cluster.n + 1))
+        leader = next((index for index in order if index not in crashed), None)
         ready_at = step + 1
 
-    blocks: list[Block] = []
-    next_no = cluster.next_block_no
-    alive = cluster.n - len(crashed)
-    if alive >= cluster.n // 2 + 1 and leader is not None and step >= ready_at and pending:
-        batch = tuple(pending.popleft() for _ in range(min(cluster.batch_size, len(pending))))
-        blocks.append(Block(next_no, batch))
-        next_no += 1
-
-    updated = replace(
-        cluster, crashed=crashed, leader=leader, leader_ready_at=ready_at, next_block_no=next_no
-    )
-    return blocks, updated
+    updated = replace(cluster, crashed=crashed, leader=leader, leader_ready_at=ready_at)
+    if not (updated.live and leader is not None and step >= ready_at and pending):
+        return [], updated
+    batch = tuple(pending.popleft() for _ in range(min(cluster.batch_size, len(pending))))
+    return [Block(cluster.next_block_no, batch)], replace(updated, next_block_no=cluster.next_block_no + 1)
 
 
 def validate_block(

@@ -1,8 +1,11 @@
 """Scenario configuration: topology, faults, workload, and its canonical file form.
 
-A scenario file is a JSON document with sorted keys; its canonical bytes
-feed the config digest echoed in every run report, so a report can always
-be traced back to the exact configuration that produced it.
+This module owns the scenario document format: ``scenario_to_dict`` writes
+it and ``scenario_from_dict`` reads it, checking every field's JSON type, so
+no other code reads or writes scenario JSON. A scenario file is a JSON
+document with sorted keys; its canonical bytes feed the config digest echoed
+in every run report, so a report can always be traced back to the exact
+configuration that produced it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Mapping
 
 from ..determinism import MASK64, canonical_json_bytes, sha256_hex
 from ..policy import EndorsementPolicy, identities, parse_policy, serialize_policy
-from .state import ChaincodeOp, json_int
+from .state import NOOP, SET, TRANSFER, ChaincodeOp
 
 HONEST = "honest"
 FRAUDULENT = "fraudulent"
@@ -42,18 +45,6 @@ class EndorserBehavior:
         elif self.from_step is not None or self.to_step is not None:
             raise ConfigInvalid(f"behavior {self.mode!r} does not take a step window")
 
-    def to_dict(self) -> dict:
-        out: dict = {"mode": self.mode}
-        if self.mode == DOSED:
-            out["from_step"] = self.from_step
-            out["to_step"] = self.to_step
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EndorserBehavior":
-        window = (None if data.get(key) is None else json_int(data[key]) for key in ("from_step", "to_step"))
-        return cls(data.get("mode", HONEST), *window)
-
 
 HONEST_BEHAVIOR = EndorserBehavior(HONEST)
 
@@ -76,34 +67,12 @@ class TxProposal:
     nonce: int
     op: ChaincodeOp
 
-    def to_dict(self) -> dict:
-        return {"tx_id": self.tx_id, "client_id": self.client_id, "nonce": self.nonce, "op": self.op.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TxProposal":
-        return cls(data["tx_id"], data["client_id"], json_int(data["nonce"]), ChaincodeOp.from_dict(data["op"]))
-
 
 @dataclass(frozen=True, slots=True)
 class OrdererConfig:
     n: int
     batch_size: int = 10
     crash_schedule: tuple[tuple[int, int], ...] = ()  # (step, orderer index)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "batch_size": self.batch_size,
-            "crash_schedule": [list(entry) for entry in self.crash_schedule],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OrdererConfig":
-        return cls(
-            json_int(data["n"]),
-            json_int(data.get("batch_size", 10)),
-            tuple((json_int(step), json_int(index)) for step, index in data.get("crash_schedule", [])),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,40 +127,121 @@ def validate_config(config: ScenarioConfig) -> None:
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
+    """The scenario document; ``scenario_from_dict`` reads it back to an equal config."""
     return {
         "msp_emitters": sorted(config.msp_emitters),
         "msp_endorsers": sorted(config.msp_endorsers),
-        "endorser_behaviors": {e: b.to_dict() for e, b in config.endorser_behaviors.items()},
+        "endorser_behaviors": {
+            e: {"mode": b.mode, **({"from_step": b.from_step, "to_step": b.to_step} if b.mode == DOSED else {})}
+            for e, b in config.endorser_behaviors.items()
+        },
         "policy": serialize_policy(config.policy),
-        "orderers": config.orderers.to_dict(),
+        "orderers": {
+            "n": config.orderers.n,
+            "batch_size": config.orderers.batch_size,
+            "crash_schedule": [list(entry) for entry in config.orderers.crash_schedule],
+        },
         "peers": {"count": config.peers, "skip_v7": sorted(config.skip_v7_peers)},
-        "workload": [[step, proposal.to_dict()] for step, proposal in config.workload],
+        "workload": [
+            [step, {"tx_id": p.tx_id, "client_id": p.client_id, "nonce": p.nonce, "op": {
+                "kind": p.op.kind,
+                "ground_truth_valid": p.op.ground_truth_valid,
+                **{name: getattr(p.op, name) for name in _OP_FIELDS[p.op.kind]},
+            }}]
+            for step, p in config.workload
+        ],
         "horizon": config.horizon,
         "seed": config.seed,
     }
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """Read a scenario document, refusing any field whose JSON type is wrong.
+
+    Optional fields take their defaults and unknown keys are ignored. Raises
+    ``ConfigInvalid`` naming the path of the first bad field.
+    """
     try:
-        peers = data.get("peers", {})
+        behaviors, behaviors_at = _field(data, "endorser_behaviors", "", dict, {})
+        orderers, orderers_at = _field(data, "orderers", "", dict)
+        crashes, crashes_at = _field(orderers, "crash_schedule", orderers_at, list, [])
+        peers, peers_at = _field(data, "peers", "", dict, {})
+        workload, workload_at = _field(data, "workload", "", list, [])
         return ScenarioConfig(
-            msp_emitters=frozenset(data["msp_emitters"]),
-            msp_endorsers=frozenset(data["msp_endorsers"]),
-            endorser_behaviors={
-                e: EndorserBehavior.from_dict(b) for e, b in data.get("endorser_behaviors", {}).items()
-            },
-            policy=parse_policy(data["policy"]),
-            orderers=OrdererConfig.from_dict(data["orderers"]),
-            peers=json_int(peers["count"]),
-            skip_v7_peers=frozenset(json_int(p) for p in peers.get("skip_v7", [])),
-            workload=tuple((json_int(step), TxProposal.from_dict(p)) for step, p in data.get("workload", [])),
-            horizon=json_int(data["horizon"]),
-            seed=json_int(data.get("seed", 0)),
+            msp_emitters=frozenset(_items(data, "msp_emitters", "", str)),
+            msp_endorsers=frozenset(_items(data, "msp_endorsers", "", str)),
+            endorser_behaviors={e: _read_behavior(*_field(behaviors, e, behaviors_at, dict)) for e in behaviors},
+            policy=parse_policy(_get(data, "policy", "", str)),
+            orderers=OrdererConfig(
+                _get(orderers, "n", orderers_at, int),
+                _get(orderers, "batch_size", orderers_at, int, 10),
+                tuple(tuple(_items(crashes, i, crashes_at, int, size=2)) for i in range(len(crashes))),
+            ),
+            peers=_get(peers, "count", peers_at, int),
+            skip_v7_peers=frozenset(_items(peers, "skip_v7", peers_at, int, [])),
+            workload=tuple(_read_step(*_field(workload, i, workload_at, list, size=2)) for i in range(len(workload))),
+            horizon=_get(data, "horizon", "", int),
+            seed=_get(data, "seed", "", int, 0),
         )
     except ConfigInvalid:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # ChaincodeOp's own checks and parse_policy's PolicyError
         raise ConfigInvalid(f"malformed scenario document: {exc}") from exc
+
+
+def _read_behavior(data: dict, at: str) -> EndorserBehavior:
+    window = (None if data.get(key) is None else _get(data, key, at, int) for key in ("from_step", "to_step"))
+    return EndorserBehavior(_get(data, "mode", at, str, HONEST), *window)
+
+
+def _read_step(entry: list, at: str) -> tuple[int, TxProposal]:
+    step = _get(entry, 0, at, int)
+    proposal, proposal_at = _field(entry, 1, at, dict)
+    op, op_at = _field(proposal, "op", proposal_at, dict)
+    kind = _get(op, "kind", op_at, str)
+    fields = {name: _get(op, name, op_at, json_type) for name, json_type in _OP_FIELDS.get(kind, {}).items()}
+    valid = _get(op, "ground_truth_valid", op_at, bool, True)
+    return step, TxProposal(
+        _get(proposal, "tx_id", proposal_at, str),
+        _get(proposal, "client_id", proposal_at, str),
+        _get(proposal, "nonce", proposal_at, int),
+        ChaincodeOp(kind, ground_truth_valid=valid, **fields),
+    )
+
+
+_ABSENT = object()
+# how an error message states each JSON type a field can be required to have
+_EXPECTED = {int: ": expected an integer", str: ": expected a string", bool: " must be true or false",
+             dict: ": expected an object", list: ": expected a list"}
+# the fields each op kind carries in a document, with their JSON types
+_OP_FIELDS = {SET: {"key": str, "value": int}, TRANSFER: {"from_key": str, "to_key": str, "amount": int}, NOOP: {}}
+
+
+def _field(container, key, where: str, kind: type, default=_ABSENT, size: int | None = None) -> tuple:
+    """Member or item ``key`` of a document object or list and its path, if its JSON type is ``kind``.
+
+    The type must match exactly, so ``true`` is not an integer and neither
+    are ``1.5`` and ``"2"``. ``default`` stands in for an absent member, and
+    ``size`` fixes the length of a list.
+    """
+    path = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
+    value = container.get(key, default) if isinstance(container, dict) else container[key]
+    if type(value) is not kind or (size is not None and len(value) != size):
+        got = "nothing" if value is _ABSENT else "an object" if isinstance(value, dict) else (
+            f"a list of length {len(value)}" if isinstance(value, list) else json.dumps(value))
+        expected = _EXPECTED[kind] + ("" if size is None else f" of length {size}")
+        raise ConfigInvalid(f"malformed scenario document: {path}{expected}, got {got}")
+    return value, path
+
+
+def _get(container, key, where: str, kind: type, default=_ABSENT):
+    return _field(container, key, where, kind, default)[0]
+
+
+def _items(container, key, where: str, kind: type, default=_ABSENT, size: int | None = None) -> list:
+    """A list whose items all have JSON type ``kind``."""
+    items, path = _field(container, key, where, list, default, size)
+    return [_get(items, i, path, kind) for i in range(len(items))]
 
 
 def scenario_bytes(config: ScenarioConfig) -> bytes:
@@ -208,6 +258,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"scenario is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigInvalid("scenario nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("scenario document must be a JSON object")
     config = scenario_from_dict(data)

@@ -16,13 +16,6 @@ from ..determinism import canonical_json_bytes, sha256_hex
 VERSION_ZERO = (0, 0)  # committed blocks start at 1, so (0, 0) marks "never written"
 
 
-def json_int(value) -> int:
-    """``int(value)`` for a document field, except that a JSON boolean is not read as 1 or 0."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {str(value).lower()}")
-    return int(value)
-
-
 class AppFailure(Exception):
     """The business rule of an operation is violated (a validity failure)."""
 
@@ -88,31 +81,6 @@ class ChaincodeOp:
     @classmethod
     def noop(cls, *, valid: bool = True) -> "ChaincodeOp":
         return cls(NOOP, ground_truth_valid=valid)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "ground_truth_valid": self.ground_truth_valid}
-        if self.kind == SET:
-            out["key"] = self.key
-            out["value"] = self.value
-        elif self.kind == TRANSFER:
-            out["from_key"] = self.from_key
-            out["to_key"] = self.to_key
-            out["amount"] = self.amount
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaincodeOp":
-        kind = data.get("kind")
-        valid = data.get("ground_truth_valid", True)
-        if not isinstance(valid, bool):
-            raise ValueError(f"ground_truth_valid must be true or false, got {valid!r}")
-        if kind == SET:
-            return cls.set(data["key"], json_int(data["value"]), valid=valid)
-        if kind == TRANSFER:
-            return cls.transfer(data["from_key"], data["to_key"], json_int(data["amount"]), valid=valid)
-        if kind == NOOP:
-            return cls.noop(valid=valid)
-        raise ValueError(f"unknown op kind {kind!r}")
 
 
 class KvStore:

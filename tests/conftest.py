@@ -92,3 +92,14 @@ def cae_trees(draw) -> object:
     if draw(st.booleans()):
         add_argument(root.id, 0)
     return build_tree(root, entries, side_flags)
+
+
+def deep_cae(claims):
+    """A chain of ``claims`` claims, each substituted by the next, ending in a proof: 2 * claims levels."""
+    lines = []
+    for i in range(claims):
+        lines.append(f'{"  " * (2 * i)}claim C{i} "level {i}"\n')
+        if i < claims - 1:
+            lines.append(f'{"  " * (2 * i + 1)}substitution A{i} "step {i}"\n')
+    lines.append(f'{"  " * (2 * claims - 1)}proof P0 "evidence"\n')
+    return "".join(lines)

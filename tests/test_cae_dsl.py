@@ -24,7 +24,7 @@ from blockcase.cae_model import (
     check_well_formed,
 )
 from blockcase.determinism import sha256_hex
-from conftest import CAE_NAMES, cae_trees
+from conftest import CAE_NAMES, cae_trees, deep_cae
 
 
 def errors_of(text):
@@ -182,6 +182,13 @@ def test_round_trip_reproduces_the_tree(tree):
 def test_serialize_is_a_fixpoint(tree):
     once = serialize(tree)
     assert serialize(parse(once)) == once
+
+
+def test_round_trip_of_a_tree_3000_levels_deep():
+    text = deep_cae(1500)
+    tree = parse(text)
+    assert serialize(tree) == text
+    assert parse(serialize(tree)) == tree
 
 
 def test_a_tree_whose_text_does_not_parse_is_not_called_clean():

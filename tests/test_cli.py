@@ -8,6 +8,7 @@ import pytest
 from blockcase import corpus_path, corpus_text, eov_sim as sim
 from blockcase.cli import FINDINGS, IO_ERROR, OK, PARSE_ERROR, main
 from blockcase.policy_analysis import all_of
+from conftest import deep_cae
 from test_eov_sim import basic_config, proposal
 
 
@@ -277,9 +278,19 @@ def test_input_that_is_not_utf8_is_a_parse_error(capsys, workdir, argv):
          "ground_truth_valid must be true or false"),
         (lambda doc: doc["workload"][0][1]["op"].update(ground_truth_valid=1),
          "ground_truth_valid must be true or false"),
+        (lambda doc: doc["workload"][0][1]["op"].update(key=[1]), "workload[0][1].op.key: expected a string"),
+        (lambda doc: doc.update(msp_emitters="c1"), 'msp_emitters: expected a list, got "c1"'),
+        (lambda doc: doc["workload"][0][1]["op"].update(value=1.5),
+         "workload[0][1].op.value: expected an integer, got 1.5"),
+        (lambda doc: doc.update(horizon="2"), 'horizon: expected an integer, got "2"'),
+        (lambda doc: doc["workload"][0][1].update(tx_id=5), "workload[0][1].tx_id: expected a string, got 5"),
+        (lambda doc: doc.update(policy=5), "policy: expected a string, got 5"),
+        (lambda doc: doc["orderers"].update(crash_schedule=["12"]),
+         'orderers.crash_schedule[0]: expected a list of length 2, got "12"'),
     ],
     ids=["behaviors-not-an-object", "skip_v7-true", "workload-step-false", "dos-window-not-a-number",
-         "ground-truth-string", "ground-truth-zero", "ground-truth-one"],
+         "ground-truth-string", "ground-truth-zero", "ground-truth-one", "op-key-list", "emitters-string",
+         "op-value-float", "horizon-string", "tx_id-number", "policy-number", "crash-entry-string"],
 )
 def test_scenario_with_wrongly_typed_fields_is_a_parse_error(capsys, tmp_path, edit, message):
     config = basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))])
@@ -290,6 +301,13 @@ def test_scenario_with_wrongly_typed_fields_is_a_parse_error(capsys, tmp_path, e
     code, out, err = run(capsys, "sim", "run", str(path))
     assert (code, out) == (PARSE_ERROR, "")
     assert err.startswith(f"{path}: ") and message in err
+
+
+def test_scenario_nested_too_deeply_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"workload": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "sim", "run", str(path))
+    assert (code, out, err) == (PARSE_ERROR, "", f"{path}: scenario nests too deeply to read\n")
 
 
 def nested_policy(depth):
@@ -324,3 +342,20 @@ def test_policy_nesting_is_bounded_at_100_operators(capsys, tmp_path, command, d
         assert code == PARSE_ERROR
         assert "policy nests deeper than 100 operators" in err
         assert not out.exists()
+
+
+def test_status_and_campaign_link_handle_a_tree_3000_levels_deep(capsys, tmp_path):
+    tree = tmp_path / "deep.cae"
+    tree.write_text(deep_cae(1500))
+    policy = tmp_path / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+
+    code, out, err = run(capsys, "cae", "status", str(tree))
+    assert (code, err) == (OK, "")
+    assert "root C0: Supported" in out
+
+    out_path = tmp_path / "campaign.json"
+    code, _, err = run(capsys, "policy", "campaign", str(policy), "--runs", "20", "--out", str(out_path),
+                       "--link", f"{tree}:P0")
+    assert code in (OK, FINDINGS) and "Traceback" not in err
+    assert 'ref="campaign.json"' in tree.read_text()

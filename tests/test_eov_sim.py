@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from blockcase import eov_sim as sim
-from blockcase.policy_analysis import CENSORING, CRASHED, FRAUDULENT, HONEST, all_of, any_of
+from blockcase.policy_analysis import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST, all_of, any_of
 from blockcase.risk_ledger import FearedEvent
 from simgen import random_scenario, replay_committed
 
@@ -460,8 +460,21 @@ class TestOrderingLiveness:
 
 
 class TestScenarioDocuments:
-    def test_round_trip(self):
-        config = random_scenario(5, skip_v7={0})
+    @pytest.mark.parametrize(
+        "seed, options",
+        [
+            (5, {"skip_v7": {0}}),
+            (1, {"behavior_modes": (HONEST, FRAUDULENT, CENSORING, CRASHED, DOSED), "skip_v7": {1}}),
+            (3, {"behavior_modes": (HONEST, DOSED), "peers_range": (3, 5), "skip_v7": {0, 2}}),
+            (8, {"behavior_modes": (HONEST, FRAUDULENT, DOSED), "seed_funds": False}),
+            (13, {"orderer_crashes": False, "behavior_modes": (HONEST, CENSORING)}),
+            (21, {}),
+            (34, {"behavior_modes": (DOSED,), "peers_range": (4, 4), "skip_v7": {3}}),
+        ],
+        ids=["skip_v7", "all-modes", "dos-windows", "unfunded", "no-orderer-crashes", "defaults", "all-dosed"],
+    )
+    def test_round_trip(self, seed, options):
+        config = random_scenario(seed, **options)
         parsed = sim.parse_scenario(sim.scenario_bytes(config).decode("utf-8"))
         assert parsed == config
         assert sim.scenario_digest(parsed) == sim.scenario_digest(config)
