@@ -183,13 +183,17 @@ def cmd_policy_campaign(args) -> int:
         print(f"{args.policy}: {exc}", file=sys.stderr)
         return PARSE_ERROR
 
-    try:
-        if args.scenario:
+    if args.scenario:
+        try:
             base = eov_sim.parse_scenario(_read_text(args.scenario))
             base = replace(base, policy=policy)
             eov_sim.validate_config(base)
-        else:
-            base = default_campaign_scenario(policy, seed=args.seed)
+        except eov_sim.ConfigInvalid as exc:
+            print(f"{args.scenario}: {exc}", file=sys.stderr)
+            return PARSE_ERROR
+    else:
+        base = default_campaign_scenario(policy, seed=args.seed)
+    try:
         probs = _parse_prob_flags(args.prob)
         report = policy_analysis.monte_carlo_campaign(base, probs, args.runs, args.seed)
     except (eov_sim.ConfigInvalid, policy_analysis.BadProbabilityError, ValueError) as exc:

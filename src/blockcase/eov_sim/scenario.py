@@ -25,6 +25,11 @@ CRASHED = "crashed"
 DOSED = "dosed"
 BEHAVIOR_MODES = frozenset({HONEST, FRAUDULENT, CENSORING, CRASHED, DOSED})
 
+# upper bounds on a scenario's size, so that no document can make a run step for ever
+MAX_HORIZON = 1_000_000
+MAX_PEERS = 1_000
+MAX_ORDERERS = 1_000
+
 
 class ConfigInvalid(ValueError):
     """The scenario violates a structural constraint."""
@@ -99,10 +104,12 @@ def validate_config(config: ScenarioConfig) -> None:
     """Raise ``ConfigInvalid`` on the first structural violation."""
     if not 0 <= config.seed <= MASK64:
         raise ConfigInvalid("seed must be an unsigned 64-bit integer")
-    if config.peers < 1:
-        raise ConfigInvalid("at least one peer is required")
-    if config.orderers.n < 1 or config.orderers.batch_size < 1:
-        raise ConfigInvalid("orderer count and batch size must be at least 1")
+    if not 1 <= config.peers <= MAX_PEERS:
+        raise ConfigInvalid(f"peer count must lie in 1..{MAX_PEERS}")
+    if not 1 <= config.orderers.n <= MAX_ORDERERS:
+        raise ConfigInvalid(f"orderer count must lie in 1..{MAX_ORDERERS}")
+    if config.orderers.batch_size < 1:
+        raise ConfigInvalid("batch size must be at least 1")
     for step, index in config.orderers.crash_schedule:
         if step < 0 or not 0 <= index < config.orderers.n:
             raise ConfigInvalid(f"crash schedule entry ({step}, {index}) is out of range")
@@ -115,8 +122,8 @@ def validate_config(config: ScenarioConfig) -> None:
     outside = identities(config.policy) - config.msp_endorsers
     if outside:
         raise ConfigInvalid(f"policy names identities outside the endorser set: {sorted(outside)}")
-    if config.horizon < 0:
-        raise ConfigInvalid("horizon must not be negative")
+    if not 0 <= config.horizon <= MAX_HORIZON:
+        raise ConfigInvalid(f"horizon must lie in 0..{MAX_HORIZON}")
     tx_ids = set()
     for step, proposal in config.workload:
         if step < 0 or step > config.horizon:

@@ -1,7 +1,7 @@
 """Exact endorsement-policy tolerance analysis and Monte Carlo campaigns.
 
 Exact analysis enumerates signer subsets (bounded at 20 identities, kept
-fast with a vectorized truth table) to find minimal satisfying sets,
+fast with truth tables held as integer bitsets) to find minimal satisfying sets,
 minimal blocking sets and the fraud/censorship tolerance of a policy. The
 Monte Carlo campaign samples endorser fault assignments, replays each
 distinct one once through the pipeline simulator, and reports feared-event
@@ -11,13 +11,13 @@ always produce byte-equal reports.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from . import __version__, eov_sim
 from .determinism import CounterRng, canonical_json_bytes, sha256_hex
@@ -64,72 +64,68 @@ def _bounded_identities(policy: EndorsementPolicy) -> list[str]:
     return idents
 
 
-def _sat_table(policy: EndorsementPolicy, idents: list[str]) -> np.ndarray:
-    """Boolean satisfaction over every signer subset, indexed by bitmask."""
-    index = {ident: i for i, ident in enumerate(idents)}
-    masks = np.arange(1 << len(idents), dtype=np.uint32)
+def _holders(i: int, n: int) -> int:
+    """Bitset of the masks over ``n`` identities that contain identity ``i``."""
+    width = 1 << i
+    t = ((1 << width) - 1) << width  # 2^i ones above 2^i zeros
+    width <<= 1
+    while width < 1 << n:
+        t |= t << width
+        width <<= 1
+    return t
 
-    def walk(node: EndorsementPolicy) -> np.ndarray:
+
+def _sat_table(policy: EndorsementPolicy, idents: list[str]) -> int:
+    """Satisfaction over every signer subset: bit ``m`` is set when mask ``m`` satisfies."""
+    index = {ident: i for i, ident in enumerate(idents)}
+
+    def walk(node: EndorsementPolicy) -> int:
         if isinstance(node, Sig):
-            return ((masks >> index[node.identity]) & 1).astype(bool)
+            return _holders(index[node.identity], len(idents))
         tables = [walk(c) for c in node.children]
         if isinstance(node, And):
-            out = tables[0].copy()
-            for t in tables[1:]:
-                out &= t
-            return out
+            return functools.reduce(operator.and_, tables)
         if isinstance(node, Or):
-            out = tables[0].copy()
-            for t in tables[1:]:
-                out |= t
-            return out
-        total = np.zeros(len(masks), dtype=np.int16)
+            return functools.reduce(operator.or_, tables)
+        at_least = [-1] + [0] * node.k  # at_least[j]: masks where at least j children hold
         for t in tables:
-            total += t
-        return total >= node.k
+            for j in range(node.k, 0, -1):
+                at_least[j] |= at_least[j - 1] & t
+        return at_least[node.k]
 
     return walk(policy)
 
 
-def _minimal_masks(good: np.ndarray, n: int) -> np.ndarray:
-    """Masks in ``good`` none of whose one-smaller subsets are also good.
+def _minimal_masks(policy: EndorsementPolicy, *, blocking: bool) -> tuple[list[int], list[str]]:
+    """Inclusion-minimal satisfying (or blocking) signer masks, and the identities they index.
 
-    Valid for monotone predicates, where local minimality equals inclusion
-    minimality.
+    A mask is minimal when none of its one-smaller subsets is also good;
+    for monotone predicates that equals inclusion minimality.
     """
-    masks = np.arange(len(good), dtype=np.uint32)
-    minimal = good.copy()
+    idents = _bounded_identities(policy)
+    n = len(idents)
+    good = _sat_table(policy, idents)
+    if blocking:  # m blocks when full ^ m does not satisfy: the table read backwards, negated
+        good = ~int(format(good, f"0{1 << n}b")[::-1], 2) & ((1 << (1 << n)) - 1)
+    minimal = good
     for b in range(n):
-        has_bit = ((masks >> b) & 1).astype(bool)
-        minimal &= ~(has_bit & good[masks ^ np.uint32(1 << b)])
-    return np.flatnonzero(minimal)
+        minimal &= ~(_holders(b, n) & (good << (1 << b)))
+    return [m for m, bit in enumerate(format(minimal, "b")[::-1]) if bit == "1"], idents
 
 
-def _mask_to_set(mask: int, idents: list[str]) -> frozenset[str]:
-    return frozenset(idents[b] for b in range(len(idents)) if mask >> b & 1)
-
-
-def _canonical_sets(masks: np.ndarray, idents: list[str]) -> list[frozenset[str]]:
-    sets = [_mask_to_set(int(m), idents) for m in masks]
+def _canonical_sets(masks: list[int], idents: list[str]) -> list[frozenset[str]]:
+    sets = [frozenset(idents[b] for b in range(len(idents)) if m >> b & 1) for m in masks]
     return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def min_satisfying_sets(policy: EndorsementPolicy) -> list[frozenset[str]]:
     """All inclusion-minimal signer sets that satisfy the policy."""
-    idents = _bounded_identities(policy)
-    sat = _sat_table(policy, idents)
-    return _canonical_sets(_minimal_masks(sat, len(idents)), idents)
+    return _canonical_sets(*_minimal_masks(policy, blocking=False))
 
 
 def min_blocking_sets(policy: EndorsementPolicy) -> list[frozenset[str]]:
     """All inclusion-minimal identity sets whose removal unsatisfies the policy."""
-    idents = _bounded_identities(policy)
-    n = len(idents)
-    sat = _sat_table(policy, idents)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    full = np.uint32((1 << n) - 1)
-    blocking = ~sat[full ^ masks]
-    return _canonical_sets(_minimal_masks(blocking, n), idents)
+    return _canonical_sets(*_minimal_masks(policy, blocking=True))
 
 
 def _check_labeling(policy: EndorsementPolicy, labeling: Mapping[str, str]) -> None:
@@ -166,12 +162,12 @@ def censorship_possible(policy: EndorsementPolicy, labeling: Mapping[str, str]) 
 
 def fraud_tolerance(policy: EndorsementPolicy) -> int:
     """Largest f such that any f fraudulent endorsers cannot commit fraud."""
-    return min(len(s) for s in min_satisfying_sets(policy)) - 1
+    return min(m.bit_count() for m in _minimal_masks(policy, blocking=False)[0]) - 1
 
 
 def censorship_tolerance(policy: EndorsementPolicy) -> int:
     """Largest c such that removing any c endorsers keeps the policy satisfiable."""
-    return min(len(s) for s in min_blocking_sets(policy)) - 1
+    return min(m.bit_count() for m in _minimal_masks(policy, blocking=True)[0]) - 1
 
 
 def max_byzantine(n: int) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from blockcase import corpus_path, corpus_text, eov_sim as sim
 from blockcase.cli import FINDINGS, IO_ERROR, OK, PARSE_ERROR, main
+from blockcase.eov_sim.scenario import MAX_HORIZON, MAX_ORDERERS, MAX_PEERS
 from blockcase.policy_analysis import all_of
 from conftest import deep_cae
 from test_eov_sim import basic_config, proposal
@@ -359,3 +360,71 @@ def test_status_and_campaign_link_handle_a_tree_3000_levels_deep(capsys, tmp_pat
                        "--link", f"{tree}:P0")
     assert code in (OK, FINDINGS) and "Traceback" not in err
     assert 'ref="campaign.json"' in tree.read_text()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(horizon=2**70), f"horizon must lie in 0..{MAX_HORIZON}"),
+        (lambda doc: doc.update(horizon=MAX_HORIZON + 1), f"horizon must lie in 0..{MAX_HORIZON}"),
+        (lambda doc: doc["peers"].update(count=MAX_PEERS + 1), f"peer count must lie in 1..{MAX_PEERS}"),
+        (lambda doc: doc["orderers"].update(n=MAX_ORDERERS + 1), f"orderer count must lie in 1..{MAX_ORDERERS}"),
+    ],
+    ids=["horizon-2**70", "horizon-over", "peers-over", "orderers-over"],
+)
+def test_oversized_scenario_is_refused_before_any_simulation(capsys, monkeypatch, tmp_path, edit, message):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(sim, "simulate", no_simulation)
+    monkeypatch.setattr(sim, "run_scenario", no_simulation)
+    doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(sim.ConfigInvalid) as refused:
+        sim.parse_scenario(path.read_text())
+    assert str(refused.value) == message
+
+    policy = tmp_path / "policy.txt"
+    policy.write_text("any(E1,E2,E3)")
+    out = tmp_path / "out.json"
+    for argv in (["sim", "run", str(path)],
+                 ["policy", "campaign", str(policy), "--scenario", str(path), "--out", str(out)]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err) == (PARSE_ERROR, "", f"{path}: {message}\n")
+    assert not out.exists()
+
+
+def test_scenario_at_the_size_bounds_is_accepted():
+    doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
+    doc.update(horizon=MAX_HORIZON)
+    doc["peers"].update(count=MAX_PEERS)
+    doc["orderers"].update(n=MAX_ORDERERS)
+    config = sim.parse_scenario(json.dumps(doc))
+    assert (config.horizon, config.peers, config.orderers.n) == (MAX_HORIZON, MAX_PEERS, MAX_ORDERERS)
+
+
+def test_campaign_names_the_scenario_file_it_refuses(capsys, tmp_path):
+    doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
+    doc.update(horizon="2")
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    policy = tmp_path / "policy.txt"
+    policy.write_text("any(E1,E2,E3)")
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, "policy", "campaign", str(policy), "--scenario", str(scenario),
+                            "--out", str(out))
+    assert (code, stdout) == (PARSE_ERROR, "")
+    assert err == f'{scenario}: malformed scenario document: horizon: expected an integer, got "2"\n'
+
+    scenario.write_text(json.dumps(dict(doc, horizon=4)))
+    policy.write_text("any(E1,E9)")  # the scenario's endorsers do not include E9
+    code, _, err = run(capsys, "policy", "campaign", str(policy), "--scenario", str(scenario), "--out", str(out))
+    assert (code, err) == (PARSE_ERROR, f"{scenario}: policy names identities outside the endorser set: ['E9']\n")
+
+    policy.write_text("any(E1,E2,E3)")  # a --prob error is not the scenario's and keeps no prefix
+    code, _, err = run(capsys, "policy", "campaign", str(policy), "--scenario", str(scenario),
+                       "--prob", "fraudulent=2", "--out", str(out))
+    assert (code, err) == (PARSE_ERROR, "probability for 'fraudulent' must lie in [0, 1]\n")
+    assert not out.exists()

@@ -1,4 +1,4 @@
-"""Imports inside the package run one way.
+"""Imports inside the package run one way, and the package runs without numpy.
 
 Every ``blockcase`` module is read with ``ast``. The imports between package
 modules, function-level ones included, must form an acyclic graph, and no
@@ -10,9 +10,13 @@ and submodules may read ``__version__`` from it.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import blockcase
+from blockcase.cli import main
 
 PACKAGE_DIR = Path(blockcase.__file__).parent
 ROOT = "blockcase"
@@ -111,3 +115,28 @@ def test_the_cycle_finder_names_a_cycle():
     graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}
     assert _find_cycle(graph) == ["a", "b", "c", "a"]
     assert _find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+def _python(tmp_path, code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's ``blockcase``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, cwd=tmp_path, env=env, timeout=60)
+
+
+def test_the_package_runs_with_numpy_blocked(tmp_path, capsys):
+    policy = tmp_path / "policy.txt"
+    policy.write_text("or(outof(2,E1,E2,E3),and(E4,outof(2,E5,E5,E6)))\n")
+    assert main(["policy", "tolerance", str(policy)]) == 0
+    in_process = capsys.readouterr().out.encode("utf-8")
+    blocked = _python(tmp_path, (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+        "import blockcase, blockcase.cli\n"
+        "sys.exit(blockcase.cli.main(['policy', 'tolerance', sys.argv[1]]))\n"
+    ), str(policy))
+    assert (blocked.returncode, blocked.stderr, blocked.stdout) == (0, b"", in_process)
+
+
+def test_importing_the_package_does_not_load_numpy(tmp_path):
+    plain = _python(tmp_path, "import sys, blockcase, blockcase.cli; print('numpy' in sys.modules)")
+    assert (plain.returncode, plain.stdout) == (0, b"False\n")

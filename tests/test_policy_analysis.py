@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockcase.determinism import CounterRng
 from blockcase.policy_analysis import (
@@ -38,18 +41,27 @@ E3 = ["E1", "E2", "E3"]
 
 # -- brute-force oracles, kept independent of the library's enumeration path --
 
+def all_subsets(idents):
+    return [frozenset(combo) for size in range(len(idents) + 1) for combo in itertools.combinations(idents, size)]
+
+
+def inclusion_minimal(sets):
+    """The sets that contain no other one, smallest first and in canonical order."""
+    minimal = []
+    for s in sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))):
+        if not any(t <= s for t in minimal):
+            minimal.append(s)
+    return minimal
+
+
 def brute_min_satisfying(policy):
     idents = sorted(identities(policy))
-    satisfying = [
-        frozenset(combo)
-        for size in range(len(idents) + 1)
-        for combo in itertools.combinations(idents, size)
-        if eval_policy(policy, frozenset(combo))
-    ]
-    return sorted(
-        (s for s in satisfying if not any(t < s for t in satisfying)),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+    return inclusion_minimal(s for s in all_subsets(idents) if eval_policy(policy, s))
+
+
+def brute_min_blocking(policy):
+    idents = frozenset(identities(policy))
+    return inclusion_minimal(s for s in all_subsets(sorted(idents)) if not eval_policy(policy, idents - s))
 
 
 def brute_fraud_tolerance(policy):
@@ -90,6 +102,21 @@ def random_policy(rng: CounterRng, idents):
     if shape == 4 and len(idents) >= 3:
         return And((Sig(idents[0]), Or(tuple(Sig(i) for i in idents[1:]))))
     return OutOf(1 + rng.randrange(len(idents)), tuple(Sig(i) for i in idents))
+
+
+@st.composite
+def nested_policies(draw, max_depth=4):
+    """A policy up to ``max_depth`` operators deep over 1-10 identities, which may repeat."""
+    idents = [f"E{i}" for i in range(1, draw(st.integers(1, 10)) + 1)]
+
+    def node(depth):
+        if depth == max_depth or draw(st.integers(0, 2)) == 0:
+            return Sig(draw(st.sampled_from(idents)))
+        children = tuple(node(depth + 1) for _ in range(draw(st.integers(2, 3))))
+        kind = draw(st.sampled_from((And, Or, OutOf)))
+        return OutOf(draw(st.integers(1, len(children))), children) if kind is OutOf else kind(children)
+
+    return node(0)
 
 
 class TestEval:
@@ -220,6 +247,26 @@ class TestTolerances:
             frozenset({"E1", "E3"}),
             frozenset({"E2", "E3"}),
         ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_policies())
+@example(parse_policy("outof(2,E1,E1,E2)"))
+@example(parse_policy("and(or(E1,outof(2,E2,E2,and(E3,E1))),or(E4,and(E5,outof(1,E6,E6))))"))
+def test_nested_policies_match_brute_force(policy):
+    assert min_satisfying_sets(policy) == brute_min_satisfying(policy)
+    assert min_blocking_sets(policy) == brute_min_blocking(policy)
+    assert fraud_tolerance(policy) == brute_fraud_tolerance(policy)
+    assert censorship_tolerance(policy) == brute_censorship_tolerance(policy)
+
+
+@pytest.mark.parametrize("k", [1, 3, 18, 20])
+def test_threshold_over_twenty_identities_has_closed_forms(k):
+    policy = out_of(k, [f"E{i}" for i in range(1, 21)])
+    satisfying, blocking = min_satisfying_sets(policy), min_blocking_sets(policy)
+    assert len(satisfying) == math.comb(20, k) and {len(s) for s in satisfying} == {k}
+    assert len(blocking) == math.comb(20, 21 - k) and {len(s) for s in blocking} == {21 - k}
+    assert (fraud_tolerance(policy), censorship_tolerance(policy)) == (k - 1, 20 - k)
 
 
 class TestMaxByzantine:
