@@ -3,7 +3,8 @@
 Exit codes separate findings from tool faults so CI gates can tell an
 assurance regression apart from a broken invocation: 0 success, 1 findings
 (violations, uncovered risks, feared events), 2 usage or parse errors,
-3 I/O errors. Every command is deterministic given its inputs and flags.
+3 I/O errors, 4 internal errors (an unexpected exception, never a finding).
+Every command is deterministic given its inputs and flags.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ OK = 0
 FINDINGS = 1
 PARSE_ERROR = 2
 IO_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class _NotText(Exception):
@@ -153,6 +155,8 @@ def _parse_prob_flags(pairs: list[str]) -> dict[str, float]:
         mode, _, value = pair.partition("=")
         if not value:
             raise policy_analysis.BadProbabilityError(f"--prob takes mode=value, got {pair!r}")
+        if mode in probs:
+            raise policy_analysis.BadProbabilityError(f"--prob gives mode {mode!r} more than once")
         probs[mode] = float(value)
     return probs
 
@@ -298,6 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, policy_analysis.IoFailure) as exc:
         print(str(exc), file=sys.stderr)
         return IO_ERROR
+    except Exception as exc:  # a crash must not read as a finding; argparse's SystemExit is no Exception
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 Exact analysis enumerates signer subsets (bounded at 20 identities, kept
 fast with truth tables held as integer bitsets) to find minimal satisfying sets,
 minimal blocking sets and the fraud/censorship tolerance of a policy. The
-Monte Carlo campaign samples endorser fault assignments, replays each
-distinct one once through the pipeline simulator, and reports feared-event
-success rates with normal-approximation confidence intervals; equal inputs
-always produce byte-equal reports.
+Monte Carlo campaign samples endorser fault assignments and reports
+feared-event success rates with normal-approximation confidence intervals.
+It maps each drawn assignment onto one representative of its symmetry class
+(endorsers the policy cannot tell apart, found from its syntax, trade modes
+freely) and replays each distinct representative once through the pipeline
+simulator. Equal inputs always produce byte-equal reports.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__, eov_sim
 from .determinism import CounterRng, canonical_json_bytes, sha256_hex
@@ -199,6 +201,32 @@ class CampaignReport:
         return canonical_json_bytes(self.to_dict())
 
 
+def symmetry_classes(policy: EndorsementPolicy, msp_endorsers: Iterable[str]) -> list[tuple[str, ...]]:
+    """Classes of MSP endorsers that the policy's syntax makes interchangeable.
+
+    Identities that each occur exactly once in the policy, as plain ``Sig``
+    children of the same operator, form one class: every operator is
+    symmetric in its children, so swapping two of them leaves the policy
+    unchanged. MSP endorsers the policy never names form one more class. An
+    identity that occurs more than once belongs to no class. Only classes of
+    two or more endorsers are returned, each sorted, in sorted order.
+    """
+    msp = frozenset(msp_endorsers)
+    occurrences: Counter[str] = Counter()
+    sibling_groups: list[list[str]] = []
+    stack = [policy]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sig):
+            occurrences[node.identity] += 1
+            continue
+        sibling_groups.append([c.identity for c in node.children if isinstance(c, Sig)])
+        stack.extend(node.children)
+    groups = [[i for i in group if occurrences[i] == 1 and i in msp] for group in sibling_groups]
+    groups.append(list(msp - occurrences.keys()))
+    return sorted(tuple(sorted(group)) for group in groups if len(group) >= 2)
+
+
 def _ci95_halfwidth(rate: float, n: int) -> float:
     return 1.96 * math.sqrt(rate * (1.0 - rate) / n)
 
@@ -248,8 +276,17 @@ def monte_carlo_campaign(
     ground-truth-valid transaction never reaches the ordering service
     (endorsement refusals or a policy shortfall). The simulator is a pure
     function of the configuration, so each distinct assignment is simulated
-    once and its outcome counted for every run that drew it; the report is
-    the same as replaying every run. Deterministic in
+    once and its outcome counted for every run that drew it.
+
+    Before counting, each run's modes are put in canonical form: within each
+    of the policy's ``symmetry_classes``, the class's modes are sorted onto
+    its sorted endorsers. This is sound because the engine treats MSP
+    endorsers alike except through the policy, which a swap within a class
+    leaves unchanged; endorser order only decides which endorsement is
+    ``endorsements[0]``, and validation reads that only after V6 has found
+    all endorsements equal. A swapped run's refusal records name other
+    endorsers, but the campaign reads only its two outcome bits, so the
+    report equals replaying every run. Deterministic in
     (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
@@ -259,9 +296,16 @@ def monte_carlo_campaign(
     config_digest = eov_sim.scenario_digest(base_config)
     endorsers = sorted(base_config.msp_endorsers)
     valid_tx_ids = {p.tx_id for _, p in base_config.workload if p.op.ground_truth_valid}
+    classes = symmetry_classes(base_config.policy, endorsers)
+
+    def canonical(modes: dict[str, str]) -> tuple[str, ...]:
+        for cls in classes:
+            for endorser, mode in zip(cls, sorted([modes[e] for e in cls])):
+                modes[endorser] = mode
+        return tuple(modes.values())
 
     assignments = Counter(
-        tuple(draw_behavior_modes(endorsers, probs, seed, run_index).values()) for run_index in range(n_runs)
+        canonical(draw_behavior_modes(endorsers, probs, seed, run_index)) for run_index in range(n_runs)
     )
     fraud_hits = 0
     censorship_hits = 0

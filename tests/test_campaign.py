@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcase import __version__, eov_sim as sim
 from blockcase.policy_analysis import (
@@ -22,12 +25,16 @@ from blockcase.policy_analysis import (
     draw_behavior_modes,
     emit_evidence_report,
     fraud_possible,
+    identities,
     monte_carlo_campaign,
     out_of,
     parse_policy,
     policy_digest,
+    serialize_policy,
+    symmetry_classes,
 )
 from simgen import random_scenario
+from test_policy_analysis import nested_policies
 
 E3 = ["E1", "E2", "E3"]
 HONEST_E3 = {e: HONEST for e in E3}
@@ -150,6 +157,80 @@ class TestCampaignMatchesRunByRunOracle:
 
     def test_the_cases_cover_both_policy_sizes(self):
         assert {len(campaign_base(seed, text).msp_endorsers) for seed, text in ORACLE_CASES} == {3, 5}
+
+
+class TestSymmetryClasses:
+    @pytest.mark.parametrize("policy_text, classes", [
+        ("outof(3,E1,E2,E3,E4,E5)", [("E1", "E2", "E3", "E4", "E5")]),
+        ("or(E1,and(E2,E3))", [("E2", "E3")]),
+        ("outof(2,E1,and(E2,E3),or(E4,E5))", [("E2", "E3"), ("E4", "E5")]),
+        ("or(and(E1,E2),and(E1,E3))", []),  # E1 repeats; E2 and E3 have different parents
+        ("and(E1,E1,E2,E3)", [("E2", "E3")]),
+        ("E1", []),
+    ])
+    def test_named_shapes(self, policy_text, classes):
+        policy = parse_policy(policy_text)
+        assert symmetry_classes(policy, identities(policy)) == classes
+
+    def test_endorsers_the_policy_never_names_form_one_class(self):
+        policy = parse_policy("or(E1,and(E2,E3))")
+        assert symmetry_classes(policy, ["E1", "E2", "E3", "E4", "E5", "E6"]) == [
+            ("E2", "E3"), ("E4", "E5", "E6")
+        ]
+        assert symmetry_classes(policy, ["E1", "E2", "E3", "E4"]) == [("E2", "E3")]  # a class of one is no class
+
+
+@st.composite
+def campaign_cases(draw):
+    """A random base whose policy is nested, may repeat identities and may leave MSP endorsers unnamed."""
+    scenario_seed = draw(st.integers(0, 15))
+    endorsers = sorted(random_scenario(scenario_seed).msp_endorsers)
+    named = endorsers[: draw(st.integers(1, len(endorsers)))]
+    policy = draw(nested_policies(max_depth=3, idents=named))
+    return campaign_base(scenario_seed, serialize_policy(policy)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=25, deadline=None)
+@given(campaign_cases())
+def test_symmetry_reduced_campaign_matches_the_oracle(case):
+    base, campaign_seed = case
+    report = monte_carlo_campaign(base, ALL_FAULTS, 60, campaign_seed)
+    assert report.to_json_bytes() == run_by_run_campaign(base, ALL_FAULTS, 60, campaign_seed).to_json_bytes()
+
+
+class TestSimulationsPerCampaign:
+    def count_simulations(self, monkeypatch, base, n_runs):
+        """The configs one campaign simulates, and the distinct ordered assignments its runs draw."""
+        oracle = run_by_run_campaign(base, ALL_FAULTS, n_runs, 11)
+        calls = []
+        real = sim.simulate
+
+        def counting(config, **kwargs):
+            calls.append(config)
+            return real(config, **kwargs)
+
+        monkeypatch.setattr(sim, "simulate", counting)
+        assert monte_carlo_campaign(base, ALL_FAULTS, n_runs, seed=11).to_json_bytes() == oracle.to_json_bytes()
+        endorsers, probs = sorted(base.msp_endorsers), _normalize_probabilities(ALL_FAULTS)
+        ordered = {tuple(draw_behavior_modes(endorsers, probs, 11, run).items()) for run in range(n_runs)}
+        return calls, ordered
+
+    def test_a_threshold_simulates_one_assignment_per_multiset_of_modes(self, monkeypatch):
+        base = campaign_base(0, "outof(3,E1,E2,E3,E4,E5)")
+        calls, ordered = self.count_simulations(monkeypatch, base, 500)
+        assert len(calls) <= math.comb(9, 4)  # multisets of 5 modes over 5 endorsers
+        assert len(calls) < len(ordered)
+
+    def test_without_interchangeable_endorsers_every_ordered_assignment_is_simulated(self, monkeypatch):
+        base = campaign_base(1, "or(and(E1,E2),and(E1,E3))")
+        assert len(base.msp_endorsers) == 3
+        calls, ordered = self.count_simulations(monkeypatch, base, 300)
+        simulated = {
+            tuple((e, config.endorser_behaviors[e].mode if e in config.endorser_behaviors else HONEST)
+                  for e in sorted(base.msp_endorsers))
+            for config in calls
+        }
+        assert len(calls) == len(simulated) and simulated == ordered
 
 
 class TestAnalyzerSimulatorAgreement:

@@ -6,7 +6,8 @@ import shutil
 import pytest
 
 from blockcase import corpus_path, corpus_text, eov_sim as sim
-from blockcase.cli import FINDINGS, IO_ERROR, OK, PARSE_ERROR, main
+from blockcase import cli
+from blockcase.cli import FINDINGS, INTERNAL_ERROR, IO_ERROR, OK, PARSE_ERROR, main
 from blockcase.eov_sim.scenario import MAX_HORIZON, MAX_ORDERERS, MAX_PEERS
 from blockcase.policy_analysis import all_of
 from conftest import deep_cae
@@ -207,6 +208,14 @@ class TestPolicyCommands:
                          "--prob", "fraudulent=0.5", "--out", str(b))
         assert code_a == code_b == FINDINGS
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_repeated_prob_mode_is_a_parse_error(self, capsys, tmp_path):
+        path = self.policy_file(tmp_path, "outof(2,E1,E2,E3)")
+        out_path = tmp_path / "evidence.json"
+        code, out, err = run(capsys, "policy", "campaign", str(path), "--prob", "fraudulent=0.9",
+                             "--prob", "fraudulent=0.1", "--out", str(out_path))
+        assert (code, out, err) == (PARSE_ERROR, "", "--prob gives mode 'fraudulent' more than once\n")
+        assert not out_path.exists()
 
     def test_campaign_accepts_a_base_scenario_file(self, capsys, tmp_path):
         config = basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))])
@@ -428,3 +437,20 @@ def test_campaign_names_the_scenario_file_it_refuses(capsys, tmp_path):
                        "--prob", "fraudulent=2", "--out", str(out))
     assert (code, err) == (PARSE_ERROR, "probability for 'fraudulent' must lie in [0, 1]\n")
     assert not out.exists()
+
+
+def test_an_unexpected_exception_is_an_internal_error_not_a_finding(capsys, monkeypatch, tmp_path):
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_policy_tolerance", crash)
+    policy = tmp_path / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+    code, out, err = run(capsys, "policy", "tolerance", str(policy))
+    assert (code, out, err) == (INTERNAL_ERROR, "", "internal error: RuntimeError: boom second line\n")
+
+
+def test_argparse_exits_are_left_alone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["policy", "campaign"])  # --out is required
+    assert exit_info.value.code == 2

@@ -105,9 +105,10 @@ def random_policy(rng: CounterRng, idents):
 
 
 @st.composite
-def nested_policies(draw, max_depth=4):
-    """A policy up to ``max_depth`` operators deep over 1-10 identities, which may repeat."""
-    idents = [f"E{i}" for i in range(1, draw(st.integers(1, 10)) + 1)]
+def nested_policies(draw, max_depth=4, idents=None):
+    """A policy up to ``max_depth`` operators deep over ``idents`` (default 1-10 identities), which may repeat."""
+    if idents is None:
+        idents = [f"E{i}" for i in range(1, draw(st.integers(1, 10)) + 1)]
 
     def node(depth):
         if depth == max_depth or draw(st.integers(0, 2)) == 0:
