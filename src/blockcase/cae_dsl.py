@@ -39,13 +39,13 @@ from .cae_model import (
     ClaimNode,
     EvidenceKind,
     EvidenceNode,
-    ID_PATTERN,
     Node,
     NotEvidenceError,
     misplaced_child,
+    with_children,
 )
 from .determinism import file_sha256
-from .linefmt import Attr, LexedLine, ParseError, ParseFailure, QString, SourceSpan, Token, lex, quote
+from .linefmt import ParseError, ParseFailure, SourceSpan, lex, quote, read_node_line
 
 __all__ = [
     "SourceSpan",
@@ -70,6 +70,8 @@ _NODE_CLASS = {
     **dict.fromkeys(_EVIDENCE_KINDS, EvidenceNode),
 }
 KINDS = frozenset(_NODE_CLASS)
+# node class -> the attribute keys its lines may carry
+_ATTRS = {ClaimNode: {"tag"}, ArgumentNode: {"tag"}, EvidenceNode: {"ref", "digest", "tag"}}
 
 
 def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str]) -> Node:
@@ -81,56 +83,6 @@ def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str]) -> No
             node_id, _EVIDENCE_KINDS[kind], text, reference=attrs.get("ref"), digest=attrs.get("digest"), tag=tag
         )
     return ClaimNode(node_id, text, tag=tag)
-
-
-def _shape_of(line: LexedLine, errors: list[ParseError]) -> tuple[str, str, dict[str, str]] | None:
-    """Validate ``kind id "text" attrs...`` and return (id, text, attrs)."""
-    atoms = list(line.atoms)
-    kind = line.kind or ""
-    rest = atoms[1:]
-    if not rest or not isinstance(rest[0], Token):
-        errors.append(ParseError(line.span, "BadKind", f"{kind} line needs a node id"))
-        return None
-    node_id = rest[0].text
-    if not ID_PATTERN.match(node_id):
-        errors.append(
-            ParseError(SourceSpan(line.span.line, rest[0].column), "BadKind", f"invalid node id {node_id!r}")
-        )
-        return None
-    if len(rest) < 2 or not isinstance(rest[1], QString):
-        errors.append(ParseError(line.span, "BadKind", f"{kind} {node_id} needs a quoted text"))
-        return None
-    text = rest[1].text
-
-    allowed = {"ref", "digest", "tag"} if _NODE_CLASS[kind] is EvidenceNode else {"tag"}
-    attrs: dict[str, str] = {}
-    ok = True
-    for atom in rest[2:]:
-        if not isinstance(atom, Attr):
-            errors.append(
-                ParseError(
-                    SourceSpan(line.span.line, getattr(atom, "column", line.span.column)),
-                    "BadKind",
-                    "unexpected trailing content after the node text",
-                )
-            )
-            ok = False
-            continue
-        span = SourceSpan(line.span.line, atom.column)
-        if atom.key not in allowed:
-            errors.append(ParseError(span, "BadAttribute", f"attribute {atom.key!r} is not allowed on {kind}"))
-            ok = False
-        elif atom.key in attrs:
-            errors.append(ParseError(span, "BadAttribute", f"attribute {atom.key!r} appears twice"))
-            ok = False
-        else:
-            attrs[atom.key] = atom.value
-    if not ok:
-        return None
-    if "digest" in attrs and "ref" not in attrs:
-        errors.append(ParseError(line.span, "BadAttribute", "digest requires a ref attribute"))
-        return None
-    return node_id, text, attrs
 
 
 def parse(text: str) -> CaeTree:
@@ -159,7 +111,10 @@ def parse(text: str) -> CaeTree:
             stack.append([line.level, None, None, False])
             continue
 
-        shape = _shape_of(line, errors)
+        shape = read_node_line(line, _ATTRS[node_class], errors)
+        if shape is not None and "digest" in shape[2] and "ref" not in shape[2]:
+            errors.append(ParseError(line.span, "BadAttribute", "digest requires a ref attribute"))
+            shape = None
         if shape is None:
             stack.append([line.level, node_class, None, False])
             continue
@@ -211,11 +166,7 @@ def parse(text: str) -> CaeTree:
     if errors:
         raise ParseFailure(errors)
 
-    assembled = {
-        nid: (node if isinstance(node, EvidenceNode) else replace(node, children=tuple(children[nid])))
-        for nid, node in nodes.items()
-    }
-    return CaeTree(root=root_id, nodes=assembled, side_flags=frozenset(side))
+    return CaeTree(root=root_id, nodes=with_children(nodes, children), side_flags=frozenset(side))
 
 
 def _kind_token(tree: CaeTree, node: Node) -> str:

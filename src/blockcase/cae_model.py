@@ -12,11 +12,10 @@ proofs (demonstrated facts); the distinction drives status evaluation.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-ID_PATTERN = re.compile(r"\A[A-Za-z0-9.'\-_]+\Z")
+from .linefmt import ID_PATTERN
 
 
 class ArgumentKind(enum.Enum):
@@ -210,6 +209,14 @@ _RULE_ERRORS: dict[str, type[CaeError]] = {
 }
 
 
+def with_children(nodes: dict[str, Node], children: dict[str, list[str]]) -> dict[str, Node]:
+    """The node map with each claim and argument rebuilt to hold its child ids, in order."""
+    return {
+        nid: (node if isinstance(node, EvidenceNode) else replace(node, children=tuple(children[nid])))
+        for nid, node in nodes.items()
+    }
+
+
 def build_tree(
     root: ClaimNode,
     entries: Sequence[tuple[str, Node]],
@@ -242,11 +249,7 @@ def build_tree(
         children[node.id] = []
         children[parent_id].append(node.id)
 
-    nodes = {
-        nid: (node if isinstance(node, EvidenceNode) else replace(node, children=tuple(children[nid])))
-        for nid, node in table.items()
-    }
-    tree = CaeTree(root=root.id, nodes=nodes, side_flags=frozenset(side_flags))
+    tree = CaeTree(root=root.id, nodes=with_children(table, children), side_flags=frozenset(side_flags))
     violations = check_well_formed(tree)
     if violations:
         first = violations[0]

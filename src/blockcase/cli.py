@@ -134,9 +134,6 @@ def cmd_policy_tolerance(args) -> int:
         policy = policy_analysis.parse_policy(_read_text(args.policy))
         satisfying = policy_analysis.min_satisfying_sets(policy)
         blocking = policy_analysis.min_blocking_sets(policy)
-    except policy_analysis.TooManyIdentitiesError as exc:
-        print(str(exc), file=sys.stderr)
-        return PARSE_ERROR
     except policy_analysis.PolicyError as exc:
         print(f"{args.policy}: {exc}", file=sys.stderr)
         return PARSE_ERROR

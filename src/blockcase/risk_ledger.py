@@ -1,7 +1,7 @@
 """Risk registry: feared events, fault classes, mitigations and coverage.
 
-The registry is a flat document in the same line grammar as the tree
-format, with kinds ``risk``, ``mitigation`` and ``accept``::
+The registry is a flat document in the tree format's line grammar: a
+``risk`` is a node line, with ``mitigation`` and ``accept`` lines under it::
 
     risk R3 "Crashes of endorser peers" criticality="Medium" events="ValidRejected" likelihood="Possible"
       mitigation tolerance evidence="P1c.1.3"
@@ -14,10 +14,10 @@ coverage check reports which of the two holds (or fails) for each risk.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .cae_model import CaeTree, EvidenceNode, ID_PATTERN
-from .linefmt import Attr, ParseError, ParseFailure, QString, SourceSpan, Token, lex, quote
+from .cae_model import CaeTree, EvidenceNode
+from .linefmt import ID_PATTERN, Attr, LexedLine, ParseError, ParseFailure, QString, Token, lex, quote, read_node_line
 
 
 class FearedEvent(enum.Enum):
@@ -68,35 +68,15 @@ class RiskRegistry:
         return len(self.risks)
 
 
-def _parse_risk_line(atoms: tuple, span: SourceSpan, errors: list[ParseError]):
-    rest = list(atoms[1:])
-    if not rest or not isinstance(rest[0], Token) or not ID_PATTERN.match(rest[0].text):
-        errors.append(ParseError(span, "BadKind", "risk line needs an id token"))
-        return None
-    if len(rest) < 2 or not isinstance(rest[1], QString):
-        errors.append(ParseError(span, "BadKind", "risk line needs a quoted description"))
-        return None
-    risk_id, description = rest[0].text, rest[1].text
+_RISK_ATTRS = ("criticality", "events", "likelihood")
 
-    attrs: dict[str, str] = {}
-    ok = True
-    for atom in rest[2:]:
-        if not isinstance(atom, Attr) or atom.key not in ("criticality", "events", "likelihood"):
-            errors.append(ParseError(span, "BadAttribute", "risk attributes are criticality, events and likelihood"))
-            ok = False
-            continue
-        if atom.key in attrs:
-            errors.append(ParseError(span, "BadAttribute", f"attribute {atom.key!r} appears twice"))
-            ok = False
-            continue
-        attrs[atom.key] = atom.value
-    for key in ("criticality", "events", "likelihood"):
-        if key not in attrs:
-            errors.append(ParseError(span, "BadAttribute", f"risk {risk_id} is missing the {key} attribute"))
-            ok = False
-    if not ok:
-        return None
 
+def _read_risk_line(line: LexedLine, errors: list[ParseError]) -> Risk | None:
+    shape = read_node_line(line, _RISK_ATTRS, errors, required=_RISK_ATTRS)
+    if shape is None:
+        return None
+    risk_id, description, attrs = shape
+    span = line.span
     events: set[FearedEvent] = set()
     for name in attrs["events"].split(","):
         event = _EVENT_BY_NAME.get(name.strip())
@@ -113,15 +93,17 @@ def _parse_risk_line(atoms: tuple, span: SourceSpan, errors: list[ParseError]):
     if attrs["likelihood"] not in LIKELIHOOD_LEVELS:
         errors.append(ParseError(span, "BadAttribute", f"likelihood must be one of {LIKELIHOOD_LEVELS}"))
         return None
-    return risk_id, description, frozenset(events), attrs["criticality"], attrs["likelihood"]
+    return Risk(risk_id, description, frozenset(events), attrs["criticality"], attrs["likelihood"])
 
 
 def parse_registry(text: str) -> RiskRegistry:
     """Parse a registry document, preserving risk order; raises ParseFailure."""
     lines, errors = lex(text)
 
-    risks: list[dict] = []
+    risks: list[Risk] = []
     seen_ids: set[str] = set()
+    opened = False  # a risk line has been read, so child lines have somewhere to sit
+    current: Risk | None = None  # the last risk line's risk; None when that line was bad
     for line in lines:
         if line.kind is None:
             continue
@@ -129,37 +111,24 @@ def parse_registry(text: str) -> RiskRegistry:
             if line.kind != "risk":
                 errors.append(ParseError(line.span, "BadKind", "top-level lines must be risks"))
                 continue
-            parsed = _parse_risk_line(line.atoms, line.span, errors)
-            if parsed is None:
-                risks.append({"bad": True})
+            opened = True
+            current = _read_risk_line(line, errors)
+            if current is None:
                 continue
-            risk_id, description, events, criticality, likelihood = parsed
-            if risk_id in seen_ids:
-                errors.append(ParseError(line.span, "DuplicateId", f"duplicate risk id {risk_id!r}"))
-                risks.append({"bad": True})
+            if current.id in seen_ids:
+                errors.append(ParseError(line.span, "DuplicateId", f"duplicate risk id {current.id!r}"))
+                current = None
                 continue
-            seen_ids.add(risk_id)
-            risks.append(
-                {
-                    "bad": False,
-                    "id": risk_id,
-                    "description": description,
-                    "events": events,
-                    "criticality": criticality,
-                    "likelihood": likelihood,
-                    "mitigations": [],
-                    "accept": None,
-                }
-            )
+            seen_ids.add(current.id)
+            risks.append(current)
             continue
 
-        if line.level != 1 or not risks:
+        if line.level != 1 or not opened:
             errors.append(ParseError(line.span, "ChildRuleViolation", "mitigation and accept lines sit under a risk"))
             continue
-        current = risks[-1]
-        if current.get("bad"):
+        if current is None:
             continue
-        rest = list(line.atoms[1:])
+        rest = line.atoms[1:]
         if line.kind == "mitigation":
             if not rest or not isinstance(rest[0], Token):
                 errors.append(ParseError(line.span, "BadCategory", "mitigation line needs a category token"))
@@ -168,42 +137,29 @@ def parse_registry(text: str) -> RiskRegistry:
             if category is None:
                 errors.append(ParseError(line.span, "BadCategory", f"unknown mitigation category {rest[0].text!r}"))
                 continue
-            attrs = [a for a in rest[1:] if isinstance(a, Attr)]
-            if len(attrs) != len(rest) - 1 or len(attrs) != 1 or attrs[0].key != "evidence":
+            if len(rest) != 2 or not isinstance(rest[1], Attr) or rest[1].key != "evidence":
                 errors.append(ParseError(line.span, "BadAttribute", "mitigation takes exactly one evidence attribute"))
                 continue
-            if not ID_PATTERN.match(attrs[0].value):
-                errors.append(ParseError(line.span, "BadAttribute", f"invalid evidence id {attrs[0].value!r}"))
+            if not ID_PATTERN.match(rest[1].value):
+                errors.append(ParseError(line.span, "BadAttribute", f"invalid evidence id {rest[1].value!r}"))
                 continue
-            current["mitigations"].append(Mitigation(category, attrs[0].value))
+            current = replace(current, mitigations=current.mitigations + (Mitigation(category, rest[1].value),))
         elif line.kind == "accept":
             if len(rest) != 1 or not isinstance(rest[0], QString):
                 errors.append(ParseError(line.span, "BadKind", "accept line carries a single quoted justification"))
                 continue
-            if current["accept"] is not None:
+            if current.accepted_as_is is not None:
                 errors.append(ParseError(line.span, "ChildRuleViolation", "a risk carries at most one accept line"))
                 continue
-            current["accept"] = rest[0].text
+            current = replace(current, accepted_as_is=rest[0].text)
         else:
             errors.append(ParseError(line.span, "BadKind", f"unknown kind {line.kind!r} under a risk"))
+            continue
+        risks[-1] = current
 
     if errors:
         raise ParseFailure(errors)
-    return RiskRegistry(
-        tuple(
-            Risk(
-                id=r["id"],
-                description=r["description"],
-                feared_events=r["events"],
-                criticality=r["criticality"],
-                likelihood=r["likelihood"],
-                mitigations=tuple(r["mitigations"]),
-                accepted_as_is=r["accept"],
-            )
-            for r in risks
-            if not r["bad"]
-        )
-    )
+    return RiskRegistry(tuple(risks))
 
 
 def serialize_registry(registry: RiskRegistry) -> str:

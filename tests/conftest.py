@@ -28,10 +28,11 @@ def endorser_registry():
     return parse_registry(corpus_text("endorser_risks.risk"))
 
 
-# Text that survives the one-line quoted form: everything except the exotic
-# line separators (\n, \t and \r carry escapes in the format).
+# Any text survives the one-line quoted form: \n, \t and \r carry escapes,
+# and every other character is written as it is, the separators that
+# str.splitlines also breaks at included. Surrogates are not drawn.
 node_texts = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from('"\\\n\t\r'),
+    alphabet=st.characters() | st.sampled_from('"\\\n\t\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'),
     max_size=16,
 )
 _opt_text = st.none() | node_texts

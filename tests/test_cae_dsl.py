@@ -22,6 +22,7 @@ from blockcase.cae_model import (
     EvidenceNode,
     NotEvidenceError,
     check_well_formed,
+    instantiate_template,
 )
 from blockcase.determinism import sha256_hex
 from conftest import CAE_NAMES, cae_trees, deep_cae
@@ -159,6 +160,11 @@ class TestSerialize:
         line = serialize(tree).splitlines()[1]
         assert line == f'  proof P0 "x" digest="{"a" * 64}" ref="f" tag="t"'
 
+    def test_line_separators_in_text_round_trip(self):
+        # str.splitlines breaks at \x85, which quote writes as it is
+        tree = instantiate_template("demo\x85app", ["v"], ["c"], False)
+        assert parse(serialize(tree)) == tree
+
     def test_escapes_round_trip(self):
         tricky = 'quote " backslash \\ newline \n tab \t end'
         tree = parse(serialize(parse(f"claim C0 {_quote(tricky)}\n")))
@@ -238,7 +244,7 @@ def misplaced_trees(draw):
 def test_parse_and_the_checker_agree_on_the_child_rule(case):
     moved, parent, tree = case
     text = serialize(tree)
-    line = next(n for n, row in enumerate(text.splitlines(), start=1) if row.split()[1] == moved)
+    line = next(n for n, row in enumerate(text.split("\n"), start=1) if row.split()[1] == moved)
     assert [(e.code, e.span.line) for e in errors_of(text)] == [("ChildRuleViolation", line)]
     rules = {v.rule for v in check_well_formed(tree) if v.node_id == parent}
     assert rules & {"ChildRuleViolation", "MultipleArguments"}

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcase import corpus_path, corpus_text, eov_sim as sim
 from blockcase import cli
@@ -188,6 +194,11 @@ class TestPolicyCommands:
     def test_tolerance_identity_bound(self, capsys, tmp_path):
         path = self.policy_file(tmp_path, "any(" + ",".join(f"E{i}" for i in range(25)) + ")")
         assert run(capsys, "policy", "tolerance", str(path))[0] == PARSE_ERROR
+
+    def test_tolerance_identity_bound_names_the_file(self, capsys, tmp_path):
+        path = self.policy_file(tmp_path, "any(" + ",".join(f"E{i}" for i in range(1, 22)) + ")")
+        code, out, err = run(capsys, "policy", "tolerance", str(path))
+        assert (code, out, err) == (PARSE_ERROR, "", f"{path}: policy has 21 identities, the exact bound is 20\n")
 
     def test_zero_probability_campaign_exits_zero(self, capsys, tmp_path):
         path = self.policy_file(tmp_path, "outof(2,E1,E2,E3)")
@@ -454,3 +465,58 @@ def test_argparse_exits_are_left_alone(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["policy", "campaign"])  # --out is required
     assert exit_info.value.code == 2
+
+
+# characters that matter to the line grammar, then any other character
+_FUZZ_CHARS = st.sampled_from(' \t"\\=#\n\r\x0c\x85\u2028') | st.characters()
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with one to four characters or lines inserted, deleted or duplicated."""
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.split("\n")
+        edit = draw(st.sampled_from(("insert char", "delete char", "duplicate char", "insert line",
+                                     "delete line", "duplicate line")))
+        if edit.endswith("char"):
+            at = draw(st.integers(0, max(len(text) - 1, 0)))
+            if edit == "insert char":
+                text = text[:at] + draw(_FUZZ_CHARS) + text[at:]
+            elif edit == "delete char":
+                text = text[:at] + text[at + 1:]
+            else:
+                text = text[:at] + text[at:at + 1] + text[at:]
+        else:
+            at = draw(st.integers(0, len(lines) - 1))
+            if edit == "insert line":
+                lines.insert(at, draw(st.text(_FUZZ_CHARS, max_size=12)))
+            elif edit == "delete line":
+                del lines[at]
+            else:
+                lines.insert(at, lines[at])
+            text = "\n".join(lines)
+    return text
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# the registry is sometimes left intact, so that risk coverage reads a mutated tree
+@settings(max_examples=100, deadline=None)
+@given(mutated(corpus_text("fig5.cae")), mutated(corpus_text("endorser_risks.risk")) | st.just(None))
+def test_mutated_line_format_documents_exit_cleanly_and_deterministically(cae_text, risk_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cae, risk, dot = Path(tmp, "tree.cae"), Path(tmp, "risks.risk"), Path(tmp, "tree.dot")
+        cae.write_bytes(cae_text.encode("utf-8"))
+        risk.write_bytes((corpus_text("endorser_risks.risk") if risk_text is None else risk_text).encode("utf-8"))
+        for argv in (["cae", "check", str(cae)], ["cae", "status", str(cae)],
+                     ["cae", "render", str(cae), "--out", str(dot)], ["risk", "coverage", str(risk), str(cae)]):
+            first = _main_output(argv)
+            code, _, err = first
+            assert code in (OK, FINDINGS, PARSE_ERROR), (argv, first)
+            assert "internal error" not in err
+            assert _main_output(argv)[:2] == first[:2]

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcase import corpus_text
 from blockcase.cae_model import ClaimNode, EvidenceKind, EvidenceNode, build_tree
@@ -20,6 +24,7 @@ from blockcase.risk_ledger import (
     parse_registry,
     serialize_registry,
 )
+from conftest import node_texts
 
 
 def registry_errors(text):
@@ -85,6 +90,26 @@ class TestParseRegistry:
         )
         assert registry_errors(text)[0].code == "ChildRuleViolation"
 
+    @pytest.mark.parametrize(
+        ("line", "error"),
+        [
+            ('risk "a"', (1, "BadKind", "risk line needs a node id")),
+            ('risk R/1 "a"', (6, "BadKind", "invalid node id 'R/1'")),
+            ("risk R1 a", (1, "BadKind", "risk R1 needs a quoted text")),
+            ('risk R1 "a" RISK', (13, "BadKind", "unexpected trailing content after the node text")),
+            ('risk R1 "a" owner="me"', (13, "BadAttribute", "attribute 'owner' is not allowed on risk")),
+            ('risk R1 "a" likelihood="Rare"', (72, "BadAttribute", "attribute 'likelihood' appears twice")),
+        ],
+    )
+    def test_risk_lines_share_the_node_line_errors(self, line, error):
+        text = f'{line} criticality="Low" events="ValidRejected" likelihood="Rare"\n'
+        assert [(e.span.column, e.code, e.message) for e in registry_errors(text)] == [error]
+
+    def test_each_missing_attribute_is_reported_after_a_bad_one(self):
+        errors = registry_errors('risk R1 "a" owner="me"\n')
+        assert [(e.span.column, e.code) for e in errors] == [(13, "BadAttribute")] + [(1, "BadAttribute")] * 3
+        assert errors[-1].message == "risk R1 is missing the likelihood attribute"
+
     def test_accept_line(self):
         text = (
             'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
@@ -118,6 +143,18 @@ class TestSerializeRegistry:
         )
         line = serialize_registry(RiskRegistry((risk,))).splitlines()[0]
         assert 'events="InvalidAccepted,ValidRejected"' in line
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(node_texts, st.none() | node_texts), max_size=4))
+def test_registry_round_trip_keeps_any_text(rows):
+    registry = RiskRegistry(
+        tuple(
+            dataclasses.replace(make_risk(f"R{i}", accept=accept), description=description)
+            for i, (description, accept) in enumerate(rows)
+        )
+    )
+    assert parse_registry(serialize_registry(registry)) == registry
 
 
 class TestCoverage:
