@@ -27,31 +27,45 @@ IO_ERROR = 3
 INTERNAL_ERROR = 4
 
 
-class _NotText(Exception):
-    """An input file is not UTF-8 text; ``main`` prints the message and exits 2."""
+class _Refused(Exception):
+    """Raised as (exit code, *stderr lines) for an input or output the CLI cannot use."""
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, reader):
+    """Read ``path`` as UTF-8 text, a leading byte-order mark dropped, and apply ``reader`` to it.
+
+    Every refusal names the file: a missing one exits 3, text that is not
+    UTF-8 or that ``reader`` rejects exits 2.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _NotText(f"{path}: {exc}") from None
-
-
-class _FileParseFailure(Exception):
-    """Raised as (path, ParseFailure) for one input file; ``main`` prints it and exits 2."""
-
-
-def _parse_file(parser, path: str):
-    """Read and parse one input file with ``parser`` (``parse`` or ``parse_registry``)."""
-    try:
-        return parser(_read_text(path))
+        return reader(Path(path).read_text(encoding="utf-8-sig"))
+    except FileNotFoundError as exc:
+        raise _Refused(IO_ERROR, f"file not found: {exc.filename}") from None
     except ParseFailure as failure:
-        raise _FileParseFailure(path, failure) from None
+        raise _Refused(PARSE_ERROR, *(f"{path}:{error}" for error in failure.errors)) from None
+    except (UnicodeDecodeError, eov_sim.ConfigInvalid, policy_analysis.PolicyError) as exc:
+        raise _Refused(PARSE_ERROR, f"{path}: {exc}") from None
+
+
+def _write(path: str, data: str | bytes) -> None:
+    """Write ``data`` to ``path``, text as UTF-8; a failure names the path and exits 3."""
+    try:
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as exc:
+        raise _Refused(IO_ERROR, f"cannot write {path}: {exc}") from None
+
+
+def _scenario_reader(**changes):
+    """A reader of scenario documents that applies ``changes`` and checks the result again."""
+    def read(text: str):
+        config = replace(eov_sim.parse_scenario(text), **changes)
+        eov_sim.validate_config(config)
+        return config
+    return read
 
 
 def cmd_cae_check(args) -> int:
-    tree = _parse_file(parse, args.file)
+    tree = _load(args.file, parse)
     violations = check_well_formed(tree)
     for violation in violations:
         print(f"{violation.node_id}: {violation.rule}: {violation.message}")
@@ -61,14 +75,14 @@ def cmd_cae_check(args) -> int:
 
 
 def cmd_cae_render(args) -> int:
-    tree = _parse_file(parse, args.file)
-    Path(args.out).write_text(to_dot(tree), encoding="utf-8")
+    tree = _load(args.file, parse)
+    _write(args.out, to_dot(tree))
     print(f"wrote {args.out}")
     return OK
 
 
 def cmd_cae_status(args) -> int:
-    tree = _parse_file(parse, args.file)
+    tree = _load(args.file, parse)
     print(f"root {tree.root}: {node_status(tree, tree.root).name.capitalize()}")
     assumptions = assumptions_of(tree, tree.root)
     if assumptions:
@@ -81,8 +95,8 @@ def cmd_cae_status(args) -> int:
 
 
 def cmd_risk_coverage(args) -> int:
-    registry = _parse_file(parse_registry, args.registry)
-    tree = _parse_file(parse, args.cae)
+    registry = _load(args.registry, parse_registry)
+    tree = _load(args.cae, parse)
 
     report = coverage_check(registry, tree)
     for entry in report.entries:
@@ -102,19 +116,11 @@ def cmd_risk_coverage(args) -> int:
 
 
 def cmd_sim_run(args) -> int:
-    try:
-        config = eov_sim.parse_scenario(_read_text(args.scenario))
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-            eov_sim.validate_config(config)
-    except eov_sim.ConfigInvalid as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-
+    config = _load(args.scenario, eov_sim.parse_scenario if args.seed is None else _scenario_reader(seed=args.seed))
     report = eov_sim.run_scenario(config)
     payload = report.to_json_bytes()
     if args.out:
-        Path(args.out).write_bytes(payload)
+        _write(args.out, payload)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(payload.decode("utf-8"))
@@ -130,13 +136,11 @@ def _format_sets(sets) -> str:
 
 
 def cmd_policy_tolerance(args) -> int:
-    try:
-        policy = policy_analysis.parse_policy(_read_text(args.policy))
-        satisfying = policy_analysis.min_satisfying_sets(policy)
-        blocking = policy_analysis.min_blocking_sets(policy)
-    except policy_analysis.PolicyError as exc:
-        print(f"{args.policy}: {exc}", file=sys.stderr)
-        return PARSE_ERROR
+    def analyse(text: str):  # the identity bound is checked here, so its error names the file
+        policy = policy_analysis.parse_policy(text)
+        return policy, policy_analysis.min_satisfying_sets(policy), policy_analysis.min_blocking_sets(policy)
+
+    policy, satisfying, blocking = _load(args.policy, analyse)
     print(f"policy: {policy_analysis.serialize_policy(policy)}")
     print(f"identities: {', '.join(sorted(policy_analysis.identities(policy)))}")
     print(f"fraud tolerance: {min(len(s) for s in satisfying) - 1}")
@@ -178,20 +182,9 @@ def default_campaign_scenario(policy, *, seed: int = 0) -> "eov_sim.ScenarioConf
 
 
 def cmd_policy_campaign(args) -> int:
-    try:
-        policy = policy_analysis.parse_policy(_read_text(args.policy))
-    except policy_analysis.PolicyError as exc:
-        print(f"{args.policy}: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-
+    policy = _load(args.policy, policy_analysis.parse_policy)
     if args.scenario:
-        try:
-            base = eov_sim.parse_scenario(_read_text(args.scenario))
-            base = replace(base, policy=policy)
-            eov_sim.validate_config(base)
-        except eov_sim.ConfigInvalid as exc:
-            print(f"{args.scenario}: {exc}", file=sys.stderr)
-            return PARSE_ERROR
+        base = _load(args.scenario, _scenario_reader(policy=policy))
     else:
         base = default_campaign_scenario(policy, seed=args.seed)
     try:
@@ -214,13 +207,13 @@ def cmd_policy_campaign(args) -> int:
             print(f"--link takes <cae-file>:<evidence-id>, got {args.link!r}", file=sys.stderr)
             return PARSE_ERROR
         cae_path = Path(cae_path_text)
-        tree = _parse_file(parse, cae_path_text)
+        tree = _load(cae_path_text, parse)
         try:
             reference = str(Path(args.out).resolve().relative_to(cae_path.parent.resolve()))
         except ValueError:
             reference = str(Path(args.out).resolve())
         tree = link_evidence(tree, evidence_id, reference, digest)
-        cae_path.write_text(serialize(tree), encoding="utf-8")
+        _write(cae_path_text, serialize(tree))
         print(f"linked {evidence_id} in {cae_path}")
 
     return OK if report.fraud_successes == 0 and report.censorship_successes == 0 else FINDINGS
@@ -285,17 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _FileParseFailure as exc:
-        path, failure = exc.args
-        for error in failure.errors:
-            print(f"{path}:{error}", file=sys.stderr)
-        return PARSE_ERROR
-    except _NotText as exc:
-        print(exc, file=sys.stderr)
-        return PARSE_ERROR
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc.filename}", file=sys.stderr)
-        return IO_ERROR
+    except _Refused as refusal:
+        code, *lines = refusal.args
+        print("\n".join(lines), file=sys.stderr)
+        return code
     except (OSError, policy_analysis.IoFailure) as exc:
         print(str(exc), file=sys.stderr)
         return IO_ERROR

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -285,6 +287,49 @@ def test_input_that_is_not_utf8_is_a_parse_error(capsys, workdir, argv):
     assert not (workdir / "out.json").exists()
 
 
+def one_tx_scenario(path):
+    path.write_bytes(sim.scenario_bytes(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))])))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, marked",
+    [
+        (["cae", "check", "{cae}"], "cae"),
+        (["risk", "coverage", "{reg}", "{cae}"], "reg"),
+        (["risk", "coverage", "{reg}", "{cae}"], "cae"),
+        (["sim", "run", "{scenario}"], "scenario"),
+        (["policy", "tolerance", "{policy}"], "policy"),
+        (["policy", "campaign", "{policy}", "--runs", "20", "--out", "{out}"], "policy"),
+        (["policy", "campaign", "{policy}", "--scenario", "{scenario}", "--runs", "20", "--out", "{out}"],
+         "scenario"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_read_past(capsys, workdir, argv, marked):
+    policy = workdir / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)\n")
+    paths = {"cae": workdir / "fig5.cae", "reg": workdir / "endorser_risks.risk",
+             "scenario": one_tx_scenario(workdir / "scenario.json"), "policy": policy, "out": workdir / "out.json"}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (OK, "")
+    paths[marked].write_bytes("\ufeff".encode("utf-8") + paths[marked].read_bytes())
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("command", ["cae-render", "sim-run"])
+def test_an_output_path_that_cannot_be_written_is_an_io_error_naming_it(capsys, workdir, command):
+    if command == "cae-render":
+        out = workdir / "missing" / "x.dot"
+        argv = ["cae", "render", str(workdir / "fig5.cae"), "--out", str(out)]
+    else:
+        out = workdir / "missing" / "r.json"
+        argv = ["sim", "run", str(one_tx_scenario(workdir / "scenario.json")), "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (IO_ERROR, "")
+    assert err.startswith(f"cannot write {out}: ") and "file not found" not in err
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -467,7 +512,8 @@ def test_argparse_exits_are_left_alone(capsys):
     assert exit_info.value.code == 2
 
 
-# characters that matter to the line grammar, then any other character
+# characters that matter to the line grammar, then any other character; the fuzz tests write
+# a lone surrogate with "surrogatepass", which gives bytes that are not UTF-8
 _FUZZ_CHARS = st.sampled_from(' \t"\\=#\n\r\x0c\x85\u2028') | st.characters()
 
 
@@ -511,12 +557,103 @@ def _main_output(argv):
 def test_mutated_line_format_documents_exit_cleanly_and_deterministically(cae_text, risk_text):
     with tempfile.TemporaryDirectory() as tmp:
         cae, risk, dot = Path(tmp, "tree.cae"), Path(tmp, "risks.risk"), Path(tmp, "tree.dot")
-        cae.write_bytes(cae_text.encode("utf-8"))
-        risk.write_bytes((corpus_text("endorser_risks.risk") if risk_text is None else risk_text).encode("utf-8"))
+        cae.write_bytes(cae_text.encode("utf-8", "surrogatepass"))
+        risk_text = corpus_text("endorser_risks.risk") if risk_text is None else risk_text
+        risk.write_bytes(risk_text.encode("utf-8", "surrogatepass"))
         for argv in (["cae", "check", str(cae)], ["cae", "status", str(cae)],
                      ["cae", "render", str(cae), "--out", str(dot)], ["risk", "coverage", str(risk), str(cae)]):
             first = _main_output(argv)
             code, _, err = first
             assert code in (OK, FINDINGS, PARSE_ERROR), (argv, first)
             assert "internal error" not in err
+            assert _main_output(argv)[:2] == first[:2]
+
+
+_POLICY = "outof(2,E1,E2,E3)\n"
+_SCENARIO = sim.scenario_to_dict(basic_config(
+    [(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1)),
+     (1, proposal("t2", sim.ChaincodeOp.transfer("a", "b", 1), nonce=2))],
+    behaviors={"E2": sim.EndorserBehavior("censoring")}, peers=2, skip={1},
+    orderers=sim.OrdererConfig(n=3, batch_size=2, crash_schedule=((1, 0),)),
+))
+# these fields bound how long a valid document runs (up to MAX_HORIZON steps), so no edit touches them
+_SIZE_KEYS = ("horizon", "count", "n")
+_SIZE_FIELD = re.compile(r'"(?:%s)": \d+' % "|".join(_SIZE_KEYS))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _containers(value):
+    """Every list and object in a JSON document."""
+    if isinstance(value, (list, dict)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
+@st.composite
+def mutated_scenario(draw):
+    """``_SCENARIO`` with JSON values, then characters, inserted, deleted or duplicated."""
+    doc = copy.deepcopy(_SCENARIO)
+    for _ in range(draw(st.integers(0, 3))):
+        container = draw(st.sampled_from(list(_containers(doc))))
+        edit = draw(st.sampled_from(("insert", "delete", "duplicate")))
+        if isinstance(container, list):
+            at = draw(st.integers(0, len(container)))
+            if edit == "insert":
+                container.insert(at, draw(_JSON_VALUES))
+            elif at < len(container):
+                if edit == "delete":
+                    del container[at]
+                else:
+                    container.insert(at, copy.deepcopy(container[at]))
+            continue
+        keys = sorted(key for key in container if key not in _SIZE_KEYS)
+        if not keys:
+            continue
+        key = draw(st.sampled_from(keys))
+        if edit == "insert":
+            container[key + draw(st.sampled_from(("", "_")))] = draw(_JSON_VALUES)
+        elif edit == "delete":
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(container[draw(st.sampled_from(keys))])
+    text = json.dumps(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        sizes = [match.span() for match in _SIZE_FIELD.finditer(text)]
+        edit = draw(st.sampled_from(("insert", "delete", "duplicate")))
+        last = len(text) if edit == "insert" else len(text) - 1  # an insert may also touch a field's end
+        at = draw(st.sampled_from([i for i in range(last + 1)
+                                   if not any(start <= i < end + (edit == "insert") for start, end in sizes)]))
+        if edit == "insert":
+            text = text[:at] + draw(_FUZZ_CHARS) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + text[at] + text[at:]
+    return text
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated(_POLICY) | st.just(_POLICY), mutated_scenario())
+def test_mutated_policies_and_scenarios_exit_cleanly_and_deterministically(policy_text, scenario_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        policy, scenario, out = Path(tmp, "policy.txt"), Path(tmp, "scenario.json"), Path(tmp, "out.json")
+        policy.write_bytes(policy_text.encode("utf-8", "surrogatepass"))
+        scenario.write_bytes(scenario_text.encode("utf-8", "surrogatepass"))
+        campaign = ["policy", "campaign", str(policy), "--runs", "20", "--prob", "fraudulent=0.3", "--out", str(out)]
+        for argv, inputs in ((["policy", "tolerance", str(policy)], (policy,)),
+                             (campaign, (policy,)),
+                             (campaign + ["--scenario", str(scenario)], (policy, scenario)),
+                             (["sim", "run", str(scenario)], (scenario,))):
+            first = _main_output(argv)
+            code, _, err = first
+            assert code in (OK, FINDINGS, PARSE_ERROR, IO_ERROR), (argv, first)
+            assert "internal error" not in err
+            if code == PARSE_ERROR:
+                assert all(line.startswith(tuple(f"{path}: " for path in inputs))
+                           for line in err.rstrip("\n").split("\n")), (argv, first)
             assert _main_output(argv)[:2] == first[:2]
