@@ -40,7 +40,6 @@ from .cae_model import (
     EvidenceKind,
     EvidenceNode,
     Node,
-    NotEvidenceError,
     misplaced_child,
     with_children,
 )
@@ -241,11 +240,8 @@ def link_evidence(tree: CaeTree, node_id: str, reference: str, digest: str) -> C
 
     Relinking overwrites both fields; every other node is unchanged.
     """
-    node = tree.node(node_id)
-    if not isinstance(node, EvidenceNode):
-        raise NotEvidenceError(f"node {node_id!r} is not evidence")
     nodes = dict(tree.nodes)
-    nodes[node_id] = replace(node, reference=reference, digest=digest)
+    nodes[node_id] = replace(tree.evidence(node_id), reference=reference, digest=digest)
     return CaeTree(root=tree.root, nodes=nodes, side_flags=tree.side_flags)
 
 

@@ -142,6 +142,13 @@ class CaeTree:
         except KeyError:
             raise UnknownNodeError(f"no node with id {node_id!r}") from None
 
+    def evidence(self, node_id: str) -> EvidenceNode:
+        """The evidence node ``node_id``; only evidence can cite a report."""
+        node = self.node(node_id)
+        if not isinstance(node, EvidenceNode):
+            raise NotEvidenceError(f"node {node_id!r} is not evidence")
+        return node
+
     def parent_map(self) -> dict[str, str]:
         parents: dict[str, str] = {}
         for nid, node in self.nodes.items():

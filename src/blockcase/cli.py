@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import __version__, eov_sim, policy_analysis
 from .cae_dsl import link_evidence, parse, serialize, to_dot, verify_links
-from .cae_model import assumptions_of, check_well_formed, node_status
+from .cae_model import CaeError, CaeTree, assumptions_of, check_well_formed, node_status
+from .determinism import sha256_hex
 from .linefmt import ParseFailure
 from .risk_ledger import coverage_check, parse_registry
 
@@ -35,7 +36,9 @@ def _load(path: str, reader):
     """Read ``path`` as UTF-8 text, a leading byte-order mark dropped, and apply ``reader`` to it.
 
     Every refusal names the file: a missing one exits 3, text that is not
-    UTF-8 or that ``reader`` rejects exits 2.
+    UTF-8 or that ``reader`` rejects exits 2. A reader rejects with a parse
+    failure or a scenario, policy or tree error: any ``CaeError``, so that
+    the ``--link`` reader can refuse an id that is unknown or not evidence.
     """
     try:
         return reader(Path(path).read_text(encoding="utf-8-sig"))
@@ -43,7 +46,7 @@ def _load(path: str, reader):
         raise _Refused(IO_ERROR, f"file not found: {exc.filename}") from None
     except ParseFailure as failure:
         raise _Refused(PARSE_ERROR, *(f"{path}:{error}" for error in failure.errors)) from None
-    except (UnicodeDecodeError, eov_sim.ConfigInvalid, policy_analysis.PolicyError) as exc:
+    except (UnicodeDecodeError, eov_sim.ConfigInvalid, policy_analysis.PolicyError, CaeError) as exc:
         raise _Refused(PARSE_ERROR, f"{path}: {exc}") from None
 
 
@@ -132,19 +135,19 @@ def cmd_sim_run(args) -> int:
 
 
 def _format_sets(sets) -> str:
-    return ", ".join("{" + ",".join(sorted(s)) + "}" for s in sets)
+    return ", ".join("{" + ",".join(names) + "}" for names in sets)
 
 
 def cmd_policy_tolerance(args) -> int:
     def analyse(text: str):  # the identity bound is checked here, so its error names the file
         policy = policy_analysis.parse_policy(text)
-        return policy, policy_analysis.min_satisfying_sets(policy), policy_analysis.min_blocking_sets(policy)
+        return policy, policy_analysis.minimal_sets(policy), policy_analysis.minimal_sets(policy, blocking=True)
 
     policy, satisfying, blocking = _load(args.policy, analyse)
     print(f"policy: {policy_analysis.serialize_policy(policy)}")
     print(f"identities: {', '.join(sorted(policy_analysis.identities(policy)))}")
-    print(f"fraud tolerance: {min(len(s) for s in satisfying) - 1}")
-    print(f"censorship tolerance: {min(len(s) for s in blocking) - 1}")
+    print(f"fraud tolerance: {len(satisfying[0]) - 1}")  # the sets come smallest first
+    print(f"censorship tolerance: {len(blocking[0]) - 1}")
     print(f"minimal satisfying sets: {_format_sets(satisfying)}")
     print(f"minimal blocking sets: {_format_sets(blocking)}")
     return OK
@@ -154,11 +157,12 @@ def _parse_prob_flags(pairs: list[str]) -> dict[str, float]:
     probs: dict[str, float] = {}
     for pair in pairs:
         mode, _, value = pair.partition("=")
-        if not value:
-            raise policy_analysis.BadProbabilityError(f"--prob takes mode=value, got {pair!r}")
         if mode in probs:
             raise policy_analysis.BadProbabilityError(f"--prob gives mode {mode!r} more than once")
-        probs[mode] = float(value)
+        try:
+            probs[mode] = float(value)
+        except ValueError:
+            raise policy_analysis.BadProbabilityError(f"--prob takes mode=number, got {pair!r}") from None
     return probs
 
 
@@ -168,17 +172,8 @@ def default_campaign_scenario(policy, *, seed: int = 0) -> "eov_sim.ScenarioConf
     invalid = eov_sim.TxProposal(
         "demo-invalid", "client-1", 2, eov_sim.ChaincodeOp.transfer("unfunded", "sink", 5, valid=False)
     )
-    return eov_sim.ScenarioConfig(
-        msp_emitters=frozenset({"client-1"}),
-        msp_endorsers=frozenset(policy_analysis.identities(policy)),
-        endorser_behaviors={},
-        policy=policy,
-        orderers=eov_sim.OrdererConfig(n=3, batch_size=8),
-        peers=1,
-        workload=((0, valid), (0, invalid)),
-        horizon=2,
-        seed=seed,
-    )
+    orderers = eov_sim.OrdererConfig(n=3, batch_size=8)
+    return eov_sim.standalone_scenario(policy, (valid, invalid), orderers=orderers, horizon=2, seed=seed)
 
 
 def cmd_policy_campaign(args) -> int:
@@ -187,14 +182,25 @@ def cmd_policy_campaign(args) -> int:
         base = _load(args.scenario, _scenario_reader(policy=policy))
     else:
         base = default_campaign_scenario(policy, seed=args.seed)
-    try:
-        probs = _parse_prob_flags(args.prob)
-        report = policy_analysis.monte_carlo_campaign(base, probs, args.runs, args.seed)
-    except (eov_sim.ConfigInvalid, policy_analysis.BadProbabilityError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return PARSE_ERROR
+    if args.link:  # read and checked before the campaign runs, so a refused --link writes nothing
+        cae_path, _, evidence_id = args.link.rpartition(":")
+        if not cae_path or not evidence_id:
+            raise _Refused(PARSE_ERROR, f"--link takes <cae-file>:<evidence-id>, got {args.link!r}")
 
-    _, digest = policy_analysis.emit_evidence_report(report, args.out)
+        def read_tree(text: str) -> CaeTree:  # the evidence rule is checked here, so its error names the file
+            tree = parse(text)
+            tree.evidence(evidence_id)
+            return tree
+
+        tree = _load(cae_path, read_tree)
+    try:
+        report = policy_analysis.monte_carlo_campaign(base, _parse_prob_flags(args.prob), args.runs, args.seed)
+    except (eov_sim.ConfigInvalid, policy_analysis.BadProbabilityError) as exc:
+        raise _Refused(PARSE_ERROR, str(exc)) from None
+
+    payload = report.to_json_bytes()
+    _write(args.out, payload)
+    digest = sha256_hex(payload)
     print(f"wrote {args.out} (sha256 {digest})")
     print(f"fraud: {report.fraud_successes}/{report.n_runs} rate {report.fraud_success_rate:.4f} "
           f"ci95 +/-{report.fraud_ci95_halfwidth:.4f}")
@@ -202,19 +208,12 @@ def cmd_policy_campaign(args) -> int:
           f"ci95 +/-{report.censorship_ci95_halfwidth:.4f}")
 
     if args.link:
-        cae_path_text, _, evidence_id = args.link.rpartition(":")
-        if not cae_path_text or not evidence_id:
-            print(f"--link takes <cae-file>:<evidence-id>, got {args.link!r}", file=sys.stderr)
-            return PARSE_ERROR
-        cae_path = Path(cae_path_text)
-        tree = _load(cae_path_text, parse)
         try:
-            reference = str(Path(args.out).resolve().relative_to(cae_path.parent.resolve()))
+            reference = str(Path(args.out).resolve().relative_to(Path(cae_path).parent.resolve()))
         except ValueError:
             reference = str(Path(args.out).resolve())
-        tree = link_evidence(tree, evidence_id, reference, digest)
-        _write(cae_path_text, serialize(tree))
-        print(f"linked {evidence_id} in {cae_path}")
+        _write(cae_path, serialize(link_evidence(tree, evidence_id, reference, digest)))
+        print(f"linked {evidence_id} in {Path(cae_path)}")
 
     return OK if report.fraud_successes == 0 and report.censorship_successes == 0 else FINDINGS
 
@@ -282,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         code, *lines = refusal.args
         print("\n".join(lines), file=sys.stderr)
         return code
-    except (OSError, policy_analysis.IoFailure) as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return IO_ERROR
     except Exception as exc:  # a crash must not read as a finding; argparse's SystemExit is no Exception

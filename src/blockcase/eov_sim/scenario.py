@@ -274,21 +274,25 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return config
 
 
-def _probe_base(
+def standalone_scenario(
     policy: EndorsementPolicy,
-    behaviors: dict[str, EndorserBehavior],
-    proposal: TxProposal,
-    seed: int,
+    proposals: tuple[TxProposal, ...],
+    behaviors: Mapping[str, EndorserBehavior] | None = None,
+    *,
+    orderers: OrdererConfig = OrdererConfig(n=1, batch_size=4),
+    horizon: int = 1,
+    seed: int = 0,
 ) -> ScenarioConfig:
+    """A scenario around a policy: its identities endorse, one peer validates, every proposal comes at step 0."""
     return ScenarioConfig(
-        msp_emitters=frozenset({proposal.client_id}),
+        msp_emitters=frozenset(p.client_id for p in proposals),
         msp_endorsers=frozenset(identities(policy)),
-        endorser_behaviors=behaviors,
+        endorser_behaviors=dict(behaviors or {}),
         policy=policy,
-        orderers=OrdererConfig(n=1, batch_size=4),
+        orderers=orderers,
         peers=1,
-        workload=((0, proposal),),
-        horizon=1,
+        workload=tuple((0, p) for p in proposals),
+        horizon=horizon,
         seed=seed,
     )
 
@@ -307,7 +311,7 @@ def fraud_probe_scenario(
     proposal = TxProposal(
         "probe-invalid", "probe-client", 1, ChaincodeOp.transfer("unfunded", "sink", 5, valid=False)
     )
-    return _probe_base(policy, behaviors, proposal, seed)
+    return standalone_scenario(policy, (proposal,), behaviors, seed=seed)
 
 
 def censorship_probe_scenario(
@@ -324,4 +328,4 @@ def censorship_probe_scenario(
             continue
         behaviors[endorser] = EndorserBehavior(CENSORING if mode == FRAUDULENT else mode)
     proposal = TxProposal("probe-valid", "probe-client", 1, ChaincodeOp.set("k", 1))
-    return _probe_base(policy, behaviors, proposal, seed)
+    return standalone_scenario(policy, (proposal,), behaviors, seed=seed)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__, eov_sim
-from .determinism import CounterRng, canonical_json_bytes, sha256_hex
+from .determinism import MASK64, CounterRng, canonical_json_bytes, sha256_hex
 from .eov_sim.scenario import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST
 from .policy import (  # the whole algebra, which callers may also import from here
     And,
@@ -52,7 +52,7 @@ class TooManyIdentitiesError(PolicyError):
 
 
 class BadProbabilityError(ValueError):
-    pass
+    """A campaign input is out of range: a probability, the run count or the seed."""
 
 
 class IoFailure(Exception):
@@ -102,11 +102,12 @@ def _minimal_masks(policy: EndorsementPolicy, *, blocking: bool) -> tuple[list[i
     """Inclusion-minimal satisfying (or blocking) signer masks, and the identities they index.
 
     A mask is minimal when none of its one-smaller subsets is also good;
-    for monotone predicates that equals inclusion minimality.
+    for monotone predicates that equals inclusion minimality. Identity ``i``
+    is bit ``n-1-i``.
     """
     idents = _bounded_identities(policy)
     n = len(idents)
-    good = _sat_table(policy, idents)
+    good = _sat_table(policy, idents[::-1])
     if blocking:  # m blocks when full ^ m does not satisfy: the table read backwards, negated
         good = ~int(format(good, f"0{1 << n}b")[::-1], 2) & ((1 << (1 << n)) - 1)
     minimal = good
@@ -115,28 +116,32 @@ def _minimal_masks(policy: EndorsementPolicy, *, blocking: bool) -> tuple[list[i
     return [m for m, bit in enumerate(format(minimal, "b")[::-1]) if bit == "1"], idents
 
 
-def _canonical_sets(masks: list[int], idents: list[str]) -> list[frozenset[str]]:
-    sets = [frozenset(idents[b] for b in range(len(idents)) if m >> b & 1) for m in masks]
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+def minimal_sets(policy: EndorsementPolicy, *, blocking: bool = False) -> list[tuple[str, ...]]:
+    """Inclusion-minimal satisfying (or blocking) sets as sorted name tuples, smallest first, then by name."""
+    masks, idents = _minimal_masks(policy, blocking=blocking)
+    width = f"0{len(idents)}b"  # the first identity is the highest bit
+    ordered = sorted(masks, key=lambda m: (m.bit_count(), -m))  # of one size, a larger mask lists smaller names
+    return [tuple(ident for ident, bit in zip(idents, format(m, width)) if bit == "1") for m in ordered]
 
 
 def min_satisfying_sets(policy: EndorsementPolicy) -> list[frozenset[str]]:
     """All inclusion-minimal signer sets that satisfy the policy."""
-    return _canonical_sets(*_minimal_masks(policy, blocking=False))
+    return [frozenset(names) for names in minimal_sets(policy)]
 
 
 def min_blocking_sets(policy: EndorsementPolicy) -> list[frozenset[str]]:
     """All inclusion-minimal identity sets whose removal unsatisfies the policy."""
-    return _canonical_sets(*_minimal_masks(policy, blocking=True))
+    return [frozenset(names) for names in minimal_sets(policy, blocking=True)]
 
 
-def _check_labeling(policy: EndorsementPolicy, labeling: Mapping[str, str]) -> None:
-    idents = identities(policy)
-    if set(labeling) != set(idents):
+def _labeled(policy: EndorsementPolicy, labeling: Mapping[str, str], mode: str) -> set[str]:
+    """The identities ``labeling`` gives ``mode``, once the labeling is checked against the policy."""
+    if set(labeling) != set(_bounded_identities(policy)):
         raise PolicyError("labeling domain must equal the policy's identity set")
     bad = {m for m in labeling.values() if m not in LABEL_MODES}
     if bad:
         raise PolicyError(f"unknown labeling mode(s) {sorted(bad)}")
+    return {i for i, m in labeling.items() if m == mode}
 
 
 def fraud_possible(policy: EndorsementPolicy, labeling: Mapping[str, str]) -> bool:
@@ -145,9 +150,7 @@ def fraud_possible(policy: EndorsementPolicy, labeling: Mapping[str, str]) -> bo
     Only fraudulent endorsers sign an invalid transaction, and the policy is
     monotone, so this reduces to evaluating it on the fraudulent set.
     """
-    _bounded_identities(policy)
-    _check_labeling(policy, labeling)
-    return eval_policy(policy, {i for i, m in labeling.items() if m == FRAUDULENT})
+    return eval_policy(policy, _labeled(policy, labeling, FRAUDULENT))
 
 
 def censorship_possible(policy: EndorsementPolicy, labeling: Mapping[str, str]) -> bool:
@@ -157,9 +160,7 @@ def censorship_possible(policy: EndorsementPolicy, labeling: Mapping[str, str]) 
     their signature from the targeted valid transaction, so the policy must
     be satisfiable from the responsive honest identities alone.
     """
-    _bounded_identities(policy)
-    _check_labeling(policy, labeling)
-    return not eval_policy(policy, {i for i, m in labeling.items() if m == HONEST})
+    return not eval_policy(policy, _labeled(policy, labeling, HONEST))
 
 
 def fraud_tolerance(policy: EndorsementPolicy) -> int:
@@ -293,6 +294,8 @@ def monte_carlo_campaign(
         raise BadProbabilityError("n_runs must be at least 1")
     probs = _normalize_probabilities(fault_probabilities)
     eov_sim.validate_config(base_config)
+    if not 0 <= seed <= MASK64:
+        raise BadProbabilityError("seed must be an unsigned 64-bit integer")
     config_digest = eov_sim.scenario_digest(base_config)
     endorsers = sorted(base_config.msp_endorsers)
     valid_tx_ids = {p.tx_id for _, p in base_config.workload if p.op.ground_truth_valid}

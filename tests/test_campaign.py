@@ -82,6 +82,9 @@ class TestCampaign:
                 monte_carlo_campaign(fraud_base(), probs, 10, seed=0)
         with pytest.raises(BadProbabilityError):
             monte_carlo_campaign(fraud_base(), {}, 0, seed=0)
+        for seed in (-1, 1 << 64):  # the base config's own seed is valid
+            with pytest.raises(BadProbabilityError, match="seed must be an unsigned 64-bit integer"):
+                monte_carlo_campaign(fraud_base(), {}, 10, seed=seed)
 
     def test_report_carries_digests_and_tool_version(self):
         report = monte_carlo_campaign(fraud_base(), {FRAUDULENT: 0.1}, 50, seed=3)

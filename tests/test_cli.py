@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcase import corpus_path, corpus_text, eov_sim as sim
+from blockcase import corpus_path, corpus_text, eov_sim as sim, parse
 from blockcase import cli
 from blockcase.cli import FINDINGS, INTERNAL_ERROR, IO_ERROR, OK, PARSE_ERROR, main
 from blockcase.eov_sim.scenario import MAX_HORIZON, MAX_ORDERERS, MAX_PEERS
@@ -317,14 +317,19 @@ def test_a_leading_byte_order_mark_is_read_past(capsys, workdir, argv, marked):
     assert run(capsys, *argv)[:2] == (code, out)
 
 
-@pytest.mark.parametrize("command", ["cae-render", "sim-run"])
+@pytest.mark.parametrize("command", ["cae-render", "sim-run", "policy-campaign"])
 def test_an_output_path_that_cannot_be_written_is_an_io_error_naming_it(capsys, workdir, command):
     if command == "cae-render":
         out = workdir / "missing" / "x.dot"
         argv = ["cae", "render", str(workdir / "fig5.cae"), "--out", str(out)]
-    else:
+    elif command == "sim-run":
         out = workdir / "missing" / "r.json"
         argv = ["sim", "run", str(one_tx_scenario(workdir / "scenario.json")), "--out", str(out)]
+    else:
+        out = workdir / "missing" / "c.json"
+        policy = workdir / "policy.txt"
+        policy.write_text("outof(2,E1,E2,E3)")
+        argv = ["policy", "campaign", str(policy), "--runs", "20", "--out", str(out)]
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout) == (IO_ERROR, "")
     assert err.startswith(f"cannot write {out}: ") and "file not found" not in err
@@ -427,6 +432,10 @@ def test_status_and_campaign_link_handle_a_tree_3000_levels_deep(capsys, tmp_pat
     assert 'ref="campaign.json"' in tree.read_text()
 
 
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("a simulation started")
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -438,11 +447,8 @@ def test_status_and_campaign_link_handle_a_tree_3000_levels_deep(capsys, tmp_pat
     ids=["horizon-2**70", "horizon-over", "peers-over", "orderers-over"],
 )
 def test_oversized_scenario_is_refused_before_any_simulation(capsys, monkeypatch, tmp_path, edit, message):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("a simulation started")
-
-    monkeypatch.setattr(sim, "simulate", no_simulation)
-    monkeypatch.setattr(sim, "run_scenario", no_simulation)
+    monkeypatch.setattr(sim, "simulate", _no_simulation)
+    monkeypatch.setattr(sim, "run_scenario", _no_simulation)
     doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
     edit(doc)
     path = tmp_path / "scenario.json"
@@ -492,6 +498,67 @@ def test_campaign_names_the_scenario_file_it_refuses(capsys, tmp_path):
     code, _, err = run(capsys, "policy", "campaign", str(policy), "--scenario", str(scenario),
                        "--prob", "fraudulent=2", "--out", str(out))
     assert (code, err) == (PARSE_ERROR, "probability for 'fraudulent' must lie in [0, 1]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "link, code, message",
+    [
+        ("{cae}:NOPE", PARSE_ERROR, "{cae}: no node with id 'NOPE'\n"),
+        ("{cae}:C1c.1", PARSE_ERROR, "{cae}: node 'C1c.1' is not evidence\n"),
+        ("nocolon", PARSE_ERROR, "--link takes <cae-file>:<evidence-id>, got 'nocolon'\n"),
+        ("{missing}:P1", IO_ERROR, "file not found: {missing}\n"),
+    ],
+    ids=["unknown-id", "not-evidence", "no-colon", "missing-file"],
+)
+def test_a_bad_link_is_refused_before_the_campaign_runs(capsys, monkeypatch, workdir, link, code, message):
+    monkeypatch.setattr(sim, "simulate", _no_simulation)
+    policy = workdir / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+    cae, out = workdir / "fig5.cae", workdir / "campaign.json"
+    before = cae.read_bytes()
+    paths = {"cae": cae, "missing": workdir / "missing.cae"}
+    result = run(capsys, "policy", "campaign", str(policy), "--runs", "20", "--prob", "fraudulent=0.3",
+                 "--out", str(out), "--link", link.format(**paths))
+    assert result == (code, "", message.format(**paths))
+    assert not out.exists()
+    assert cae.read_bytes() == before
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("with_scenario", [False, True], ids=["default-base", "scenario"])
+def test_a_campaign_seed_out_of_range_is_a_parse_error(capsys, monkeypatch, tmp_path, seed, with_scenario):
+    monkeypatch.setattr(sim, "simulate", _no_simulation)
+    policy = tmp_path / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+    out = tmp_path / "out.json"
+    argv = ["policy", "campaign", str(policy), "--runs", "20", "--seed", seed, "--out", str(out)]
+    if with_scenario:  # the file's own seed is valid, so only the campaign's check sees the flag
+        argv += ["--scenario", str(one_tx_scenario(tmp_path / "scenario.json"))]
+    assert run(capsys, *argv) == (PARSE_ERROR, "", "seed must be an unsigned 64-bit integer\n")
+    assert not out.exists()
+
+
+def test_a_prob_value_that_is_not_a_number_is_a_parse_error_naming_the_flag(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sim, "simulate", _no_simulation)
+    policy = tmp_path / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, "policy", "campaign", str(policy), "--prob", "fraudulent=abc", "--out", str(out))
+    assert (code, stdout, err) == (PARSE_ERROR, "", "--prob takes mode=number, got 'fraudulent=abc'\n")
+    assert not out.exists()
+
+
+def test_a_value_error_inside_a_campaign_is_an_internal_error_not_a_usage_error(capsys, monkeypatch, tmp_path):
+    def stray(*args, **kwargs):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(sim, "simulate", stray)
+    policy = tmp_path / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, "policy", "campaign", str(policy), "--runs", "20", "--out", str(out))
+    assert (code, stdout, err) == (INTERNAL_ERROR, "", "internal error: ValueError: stray\n")
     assert not out.exists()
 
 
@@ -637,23 +704,35 @@ def mutated_scenario(draw):
     return text
 
 
+# an id of fig5.cae (evidence or not), or any other text; None runs the campaign without --link
+_LINK_IDS = st.none() | st.sampled_from(sorted(parse(corpus_text("fig5.cae")).nodes)) | st.text(_FUZZ_CHARS, max_size=6)
+
+
 @settings(max_examples=60, deadline=None)
-@given(mutated(_POLICY) | st.just(_POLICY), mutated_scenario())
-def test_mutated_policies_and_scenarios_exit_cleanly_and_deterministically(policy_text, scenario_text):
+@given(mutated(_POLICY) | st.just(_POLICY), mutated_scenario(), _LINK_IDS)
+def test_mutated_policies_and_scenarios_exit_cleanly_and_deterministically(policy_text, scenario_text, evidence_id):
     with tempfile.TemporaryDirectory() as tmp:
         policy, scenario, out = Path(tmp, "policy.txt"), Path(tmp, "scenario.json"), Path(tmp, "out.json")
         policy.write_bytes(policy_text.encode("utf-8", "surrogatepass"))
         scenario.write_bytes(scenario_text.encode("utf-8", "surrogatepass"))
+        cae = Path(tmp, "fig5.cae")
+        shutil.copy(corpus_path("fig5.cae"), cae)
         campaign = ["policy", "campaign", str(policy), "--runs", "20", "--prob", "fraudulent=0.3", "--out", str(out)]
+        if evidence_id is not None:
+            campaign += ["--link", f"{cae}:{evidence_id}"]
         for argv, inputs in ((["policy", "tolerance", str(policy)], (policy,)),
-                             (campaign, (policy,)),
-                             (campaign + ["--scenario", str(scenario)], (policy, scenario)),
+                             (campaign, (policy, cae)),
+                             (campaign + ["--scenario", str(scenario)], (policy, scenario, cae)),
                              (["sim", "run", str(scenario)], (scenario,))):
+            out.unlink(missing_ok=True)
+            cae_before = cae.read_bytes()
             first = _main_output(argv)
             code, _, err = first
             assert code in (OK, FINDINGS, PARSE_ERROR, IO_ERROR), (argv, first)
             assert "internal error" not in err
             if code == PARSE_ERROR:
-                assert all(line.startswith(tuple(f"{path}: " for path in inputs))
-                           for line in err.rstrip("\n").split("\n")), (argv, first)
+                prefixes = tuple(f"{path}: " for path in inputs) + ("--link ",)
+                assert all(line.startswith(prefixes) for line in err.rstrip("\n").split("\n")), (argv, first)
+            if code in (PARSE_ERROR, IO_ERROR):  # a refused input leaves nothing written
+                assert not out.exists() and cae.read_bytes() == cae_before, (argv, first)
             assert _main_output(argv)[:2] == first[:2]

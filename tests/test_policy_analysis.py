@@ -30,6 +30,7 @@ from blockcase.policy_analysis import (
     max_byzantine,
     min_blocking_sets,
     min_satisfying_sets,
+    minimal_sets,
     out_of,
     parse_policy,
     policy_digest,
@@ -254,9 +255,13 @@ class TestTolerances:
 @given(nested_policies())
 @example(parse_policy("outof(2,E1,E1,E2)"))
 @example(parse_policy("and(or(E1,outof(2,E2,E2,and(E3,E1))),or(E4,and(E5,outof(1,E6,E6))))"))
+@example(parse_policy("or(and(Zed,alpha),outof(2,Beta,E10,E2,alpha))"))
 def test_nested_policies_match_brute_force(policy):
     assert min_satisfying_sets(policy) == brute_min_satisfying(policy)
     assert min_blocking_sets(policy) == brute_min_blocking(policy)
+    # the name tuples come sorted, smallest set first, then lexically, as the CLI prints them
+    assert minimal_sets(policy) == [tuple(sorted(s)) for s in brute_min_satisfying(policy)]
+    assert minimal_sets(policy, blocking=True) == [tuple(sorted(s)) for s in brute_min_blocking(policy)]
     assert fraud_tolerance(policy) == brute_fraud_tolerance(policy)
     assert censorship_tolerance(policy) == brute_censorship_tolerance(policy)
 
