@@ -158,12 +158,16 @@ def _parse_prob_flags(pairs: list[str]) -> dict[str, float]:
     for pair in pairs:
         mode, _, value = pair.partition("=")
         if mode in probs:
-            raise policy_analysis.BadProbabilityError(f"--prob gives mode {mode!r} more than once")
+            raise _Refused(PARSE_ERROR, f"--prob gives mode {mode!r} more than once")
         try:
             probs[mode] = float(value)
         except ValueError:
-            raise policy_analysis.BadProbabilityError(f"--prob takes mode=number, got {pair!r}") from None
+            raise _Refused(PARSE_ERROR, f"--prob takes mode=number, got {pair!r}") from None
     return probs
+
+
+# the flag that carries each monte_carlo_campaign argument, so that its refusals name the flag
+_CAMPAIGN_FLAGS = {"fault_probabilities": "--prob", "n_runs": "--runs", "seed": "--seed"}
 
 
 def default_campaign_scenario(policy, *, seed: int = 0) -> "eov_sim.ScenarioConfig":
@@ -195,8 +199,8 @@ def cmd_policy_campaign(args) -> int:
         tree = _load(cae_path, read_tree)
     try:
         report = policy_analysis.monte_carlo_campaign(base, _parse_prob_flags(args.prob), args.runs, args.seed)
-    except (eov_sim.ConfigInvalid, policy_analysis.BadProbabilityError) as exc:
-        raise _Refused(PARSE_ERROR, str(exc)) from None
+    except policy_analysis.BadProbabilityError as exc:
+        raise _Refused(PARSE_ERROR, f"{_CAMPAIGN_FLAGS[exc.argument]}: {exc}") from None
 
     payload = report.to_json_bytes()
     _write(args.out, payload)

@@ -1,11 +1,16 @@
 """Deterministic execute-order-validate pipeline with injectable faults.
 
-Each step delivers the scheduled proposals to every endorser, assembles the
-endorsed ones into submissions, lets the ordering cluster cut at most one
-block (FIFO, majority quorum, one idle step after a leader crash), and
-broadcasts any cut block to every peer for validation in the same step.
-The whole run is a pure function of its configuration: identical configs
-yield byte-identical reports.
+The run has two stages. The ordering/commit stage (``run_pipeline``) steps
+through the horizon: each step delivers the scheduled proposals to every
+endorser, assembles the endorsed ones into submissions, lets the ordering
+cluster cut at most one block (FIFO, majority quorum, one idle step after a
+leader crash) and commits any cut block to the canonical state that the
+endorsers execute against. The peer replay stage (``simulate``) then
+validates the ordered blocks on every peer, block by block. Validating after
+ordering rather than in the step that cut the block changes nothing, because
+peer states never feed back into endorsement or ordering. The whole run is a
+pure function of its configuration: identical configs yield byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -304,25 +309,24 @@ def detect_feared_events(
 
 
 @dataclass(frozen=True)
-class SimResult:
-    """Run report plus the raw material tests and campaigns work from."""
+class PipelineRun:
+    """The ordering/commit stage's record: what was refused, ordered and committed."""
 
-    report: RunReport
+    committed: tuple[CommittedTx, ...]
+    refusals: tuple[RefusalRecord, ...]
     blocks: tuple[Block, ...]
-    peer_states: tuple[KvStore, ...]
     canonical_state: KvStore
     submitted_tx_ids: frozenset[str]
+    liveness_lost_at: int | None
 
 
-def simulate(config: ScenarioConfig, *, config_digest: str | None = None, check: bool = True) -> SimResult:
-    """Run the whole pipeline for steps 0..horizon."""
-    if check:
-        validate_config(config)
-    digest = config_digest if config_digest is not None else scenario_digest(config)
+def run_pipeline(config: ScenarioConfig) -> PipelineRun:
+    """Endorse, order and commit steps 0..horizon against the canonical state.
 
+    The config is taken as valid; ``simulate`` checks it. No peer runs here.
+    """
     behaviors: Mapping[str, EndorserBehavior] = config.endorser_behaviors
     endorser_order = sorted(config.msp_endorsers)
-    skip_peers = config.skip_v7_peers
     policy = config.policy
     msp_endorsers = config.msp_endorsers
     schedule = config.orderers.crash_schedule
@@ -332,14 +336,12 @@ def simulate(config: ScenarioConfig, *, config_digest: str | None = None, check:
         by_step.setdefault(step, []).append(proposal)
 
     canonical_state = KvStore()
-    peer_states = [KvStore() for _ in range(config.peers)]
     cluster = OrdererCluster(n=config.orderers.n, batch_size=config.orderers.batch_size)
     pending: deque[Submission] = deque()
     seen_nonces: set[tuple[str, int]] = set()
     submitted: set[str] = set()
     refusals: list[RefusalRecord] = []
     committed: list[CommittedTx] = []
-    digests: list[PeerDigest] = []
     blocks_log: list[Block] = []
     liveness_lost_at: int | None = None
 
@@ -372,33 +374,62 @@ def simulate(config: ScenarioConfig, *, config_digest: str | None = None, check:
             flags, canonical_state = validate_block(canonical_state, block, msp_endorsers, policy, False)
             for (valid, failed), submission in zip(flags, block.submissions):
                 committed.append(CommittedTx(block.block_no, submission.proposal.tx_id, valid, failed))
-            for peer in range(config.peers):
-                _, updated = validate_block(
-                    peer_states[peer], block, msp_endorsers, policy, peer in skip_peers
-                )
-                # the digest is a function of the entries alone, so a peer whose
-                # state equals its predecessor's shares that peer's digest
-                if peer == 0 or updated != peer_states[peer - 1]:
-                    state_digest = updated.digest()
-                peer_states[peer] = updated
-                digests.append(PeerDigest(peer, block.block_no, state_digest))
 
-    counts = detect_feared_events(committed, digests, config.proposals())
-    report = RunReport(
+    return PipelineRun(
         committed=tuple(committed),
-        endorsement_refusals=tuple(refusals),
-        feared_event_counts=counts,
-        per_peer_state_digest=tuple(digests),
+        refusals=tuple(refusals),
+        blocks=tuple(blocks_log),
+        canonical_state=canonical_state,
+        submitted_tx_ids=frozenset(submitted),
         liveness_lost_at=liveness_lost_at,
+    )
+
+
+@dataclass(frozen=True)
+class SimResult:
+    """Run report plus the raw material tests work from."""
+
+    report: RunReport
+    blocks: tuple[Block, ...]
+    peer_states: tuple[KvStore, ...]
+    canonical_state: KvStore
+    submitted_tx_ids: frozenset[str]
+
+
+def simulate(config: ScenarioConfig) -> SimResult:
+    """Check the config, run the ordering/commit stage, then replay its blocks on every peer."""
+    validate_config(config)
+    run = run_pipeline(config)
+
+    peer_states = [KvStore() for _ in range(config.peers)]
+    digests: list[PeerDigest] = []
+    for block in run.blocks:
+        for peer in range(config.peers):
+            _, updated = validate_block(
+                peer_states[peer], block, config.msp_endorsers, config.policy, peer in config.skip_v7_peers
+            )
+            # the digest is a function of the entries alone, so a peer whose
+            # state equals its predecessor's shares that peer's digest
+            if peer == 0 or updated != peer_states[peer - 1]:
+                state_digest = updated.digest()
+            peer_states[peer] = updated
+            digests.append(PeerDigest(peer, block.block_no, state_digest))
+
+    report = RunReport(
+        committed=run.committed,
+        endorsement_refusals=run.refusals,
+        feared_event_counts=detect_feared_events(run.committed, digests, config.proposals()),
+        per_peer_state_digest=tuple(digests),
+        liveness_lost_at=run.liveness_lost_at,
         seed=config.seed,
-        config_digest=digest,
+        config_digest=scenario_digest(config),
     )
     return SimResult(
         report=report,
-        blocks=tuple(blocks_log),
+        blocks=run.blocks,
         peer_states=tuple(peer_states),
-        canonical_state=canonical_state,
-        submitted_tx_ids=frozenset(submitted),
+        canonical_state=run.canonical_state,
+        submitted_tx_ids=run.submitted_tx_ids,
     )
 
 

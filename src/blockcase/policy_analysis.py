@@ -7,8 +7,9 @@ Monte Carlo campaign samples endorser fault assignments and reports
 feared-event success rates with normal-approximation confidence intervals.
 It maps each drawn assignment onto one representative of its symmetry class
 (endorsers the policy cannot tell apart, found from its syntax, trade modes
-freely) and replays each distinct representative once through the pipeline
-simulator. Equal inputs always produce byte-equal reports.
+freely) and runs each distinct representative once through the simulator's
+ordering/commit stage; peer replay is skipped, because neither outcome bit
+reads a peer state. Equal inputs always produce byte-equal reports.
 """
 
 from __future__ import annotations
@@ -52,7 +53,12 @@ class TooManyIdentitiesError(PolicyError):
 
 
 class BadProbabilityError(ValueError):
-    """A campaign input is out of range: a probability, the run count or the seed."""
+    """A campaign input is out of range; ``argument`` names the parameter of
+    ``monte_carlo_campaign`` it came in: the probabilities, the run count or the seed."""
+
+    def __init__(self, argument: str, message: str) -> None:
+        super().__init__(message)
+        self.argument = argument
 
 
 class IoFailure(Exception):
@@ -236,12 +242,12 @@ def _normalize_probabilities(fault_probabilities: Mapping[str, float]) -> dict[s
     probs = {mode: 0.0 for mode in FAULT_MODES}
     for mode, p in fault_probabilities.items():
         if mode not in probs:
-            raise BadProbabilityError(f"unknown fault mode {mode!r}")
+            raise BadProbabilityError("fault_probabilities", f"unknown fault mode {mode!r}")
         if not 0.0 <= p <= 1.0:
-            raise BadProbabilityError(f"probability for {mode!r} must lie in [0, 1]")
+            raise BadProbabilityError("fault_probabilities", f"probability for {mode!r} must lie in [0, 1]")
         probs[mode] = float(p)
     if sum(probs.values()) > 1.0 + 1e-12:
-        raise BadProbabilityError("fault probabilities sum beyond 1")
+        raise BadProbabilityError("fault_probabilities", "fault probabilities sum beyond 1")
     return probs
 
 
@@ -275,9 +281,12 @@ def monte_carlo_campaign(
     A run counts as a fraud success when it commits a transaction that is
     invalid against the ground truth, and as a censorship success when some
     ground-truth-valid transaction never reaches the ordering service
-    (endorsement refusals or a policy shortfall). The simulator is a pure
-    function of the configuration, so each distinct assignment is simulated
-    once and its outcome counted for every run that drew it.
+    (endorsement refusals or a policy shortfall). Both bits are read from
+    the canonical commit log and the submitted ids, so each run goes through
+    the simulator's ordering/commit stage (``eov_sim.run_pipeline``) only;
+    no peer replays its blocks. That stage is a pure function of the
+    configuration, so each distinct assignment runs once and its outcome is
+    counted for every run that drew it.
 
     Before counting, each run's modes are put in canonical form: within each
     of the policy's ``symmetry_classes``, the class's modes are sorted onto
@@ -291,14 +300,15 @@ def monte_carlo_campaign(
     (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
-        raise BadProbabilityError("n_runs must be at least 1")
+        raise BadProbabilityError("n_runs", "run count must be at least 1")
     probs = _normalize_probabilities(fault_probabilities)
-    eov_sim.validate_config(base_config)
     if not 0 <= seed <= MASK64:
-        raise BadProbabilityError("seed must be an unsigned 64-bit integer")
+        raise BadProbabilityError("seed", "seed must be an unsigned 64-bit integer")
+    eov_sim.validate_config(base_config)
     config_digest = eov_sim.scenario_digest(base_config)
     endorsers = sorted(base_config.msp_endorsers)
-    valid_tx_ids = {p.tx_id for _, p in base_config.workload if p.op.ground_truth_valid}
+    proposals = base_config.proposals()
+    valid_tx_ids = {p.tx_id for p in proposals if p.op.ground_truth_valid}
     classes = symmetry_classes(base_config.policy, endorsers)
 
     def canonical(modes: dict[str, str]) -> tuple[str, ...]:
@@ -318,12 +328,10 @@ def monte_carlo_campaign(
             for endorser, mode in zip(endorsers, assignment)
             if mode != HONEST
         }
-        result = eov_sim.simulate(
-            base_config.with_behaviors(behaviors), config_digest=config_digest, check=False
-        )
-        if result.report.feared_event_counts[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
+        run = eov_sim.run_pipeline(base_config.with_behaviors(behaviors))
+        if eov_sim.detect_feared_events(run.committed, (), proposals)[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
             fraud_hits += runs
-        if valid_tx_ids - result.submitted_tx_ids:
+        if valid_tx_ids - run.submitted_tx_ids:
             censorship_hits += runs
 
     fraud_rate = fraud_hits / n_runs

@@ -94,7 +94,7 @@ class TestCampaign:
 
 
 def run_by_run_campaign(base, fault_probabilities, n_runs, seed):
-    """Oracle: one simulation per run, with no sharing between runs."""
+    """Oracle: one full simulation (peer replay included) per run, with no sharing between runs."""
     probs = _normalize_probabilities(fault_probabilities)
     endorsers = sorted(base.msp_endorsers)
     valid_tx_ids = {p.tx_id for _, p in base.workload if p.op.ground_truth_valid}
@@ -206,13 +206,13 @@ class TestSimulationsPerCampaign:
         """The configs one campaign simulates, and the distinct ordered assignments its runs draw."""
         oracle = run_by_run_campaign(base, ALL_FAULTS, n_runs, 11)
         calls = []
-        real = sim.simulate
+        real = sim.run_pipeline
 
-        def counting(config, **kwargs):
+        def counting(config):
             calls.append(config)
-            return real(config, **kwargs)
+            return real(config)
 
-        monkeypatch.setattr(sim, "simulate", counting)
+        monkeypatch.setattr(sim, "run_pipeline", counting)
         assert monte_carlo_campaign(base, ALL_FAULTS, n_runs, seed=11).to_json_bytes() == oracle.to_json_bytes()
         endorsers, probs = sorted(base.msp_endorsers), _normalize_probabilities(ALL_FAULTS)
         ordered = {tuple(draw_behavior_modes(endorsers, probs, 11, run).items()) for run in range(n_runs)}
@@ -221,7 +221,7 @@ class TestSimulationsPerCampaign:
     def test_a_threshold_simulates_one_assignment_per_multiset_of_modes(self, monkeypatch):
         base = campaign_base(0, "outof(3,E1,E2,E3,E4,E5)")
         calls, ordered = self.count_simulations(monkeypatch, base, 500)
-        assert len(calls) <= math.comb(9, 4)  # multisets of 5 modes over 5 endorsers
+        assert 0 < len(calls) <= math.comb(9, 4)  # multisets of 5 modes over 5 endorsers
         assert len(calls) < len(ordered)
 
     def test_without_interchangeable_endorsers_every_ordered_assignment_is_simulated(self, monkeypatch):
@@ -234,6 +234,40 @@ class TestSimulationsPerCampaign:
             for config in calls
         }
         assert len(calls) == len(simulated) and simulated == ordered
+
+
+class TestCampaignRunsOnlyTheOrderingCommitStage:
+    def test_one_validation_per_cut_block_and_no_digest(self, monkeypatch):
+        from blockcase.eov_sim import engine
+
+        runs, validations, digests = [], [], []
+        real_run, real_validate, real_digest = sim.run_pipeline, engine.validate_block, sim.KvStore.digest
+
+        def run_pipeline(config):
+            runs.append(real_run(config))
+            return runs[-1]
+
+        def validate_block(*args):
+            validations.append(args[1])
+            return real_validate(*args)
+
+        def digest(store):
+            digests.append(store)
+            return real_digest(store)
+
+        monkeypatch.setattr(sim, "run_pipeline", run_pipeline)
+        monkeypatch.setattr(engine, "validate_block", validate_block)
+        monkeypatch.setattr(sim.KvStore, "digest", digest)
+        base = replace(campaign_base(4, "and(E5,outof(2,E1,E2,E3,E4))"), peers=4, skip_v7_peers=frozenset({1}))
+        monte_carlo_campaign(base, ALL_FAULTS, 200, seed=3)
+        assert validations == [block for run in runs for block in run.blocks] and validations
+        assert digests == []
+
+    @pytest.mark.parametrize("scenario_seed, policy_text", ORACLE_CASES)
+    def test_diverging_peers_leave_the_report_equal_to_the_full_simulation_oracle(self, scenario_seed, policy_text):
+        base = replace(campaign_base(scenario_seed, policy_text), peers=4, skip_v7_peers=frozenset({0, 2}))
+        report = monte_carlo_campaign(base, ALL_FAULTS, 120, 5)
+        assert report.to_json_bytes() == run_by_run_campaign(base, ALL_FAULTS, 120, 5).to_json_bytes()
 
 
 class TestAnalyzerSimulatorAgreement:

@@ -448,6 +448,7 @@ def _no_simulation(*args, **kwargs):
 )
 def test_oversized_scenario_is_refused_before_any_simulation(capsys, monkeypatch, tmp_path, edit, message):
     monkeypatch.setattr(sim, "simulate", _no_simulation)
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
     monkeypatch.setattr(sim, "run_scenario", _no_simulation)
     doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
     edit(doc)
@@ -497,7 +498,7 @@ def test_campaign_names_the_scenario_file_it_refuses(capsys, tmp_path):
     policy.write_text("any(E1,E2,E3)")  # a --prob error is not the scenario's and keeps no prefix
     code, _, err = run(capsys, "policy", "campaign", str(policy), "--scenario", str(scenario),
                        "--prob", "fraudulent=2", "--out", str(out))
-    assert (code, err) == (PARSE_ERROR, "probability for 'fraudulent' must lie in [0, 1]\n")
+    assert (code, err) == (PARSE_ERROR, "--prob: probability for 'fraudulent' must lie in [0, 1]\n")
     assert not out.exists()
 
 
@@ -512,7 +513,7 @@ def test_campaign_names_the_scenario_file_it_refuses(capsys, tmp_path):
     ids=["unknown-id", "not-evidence", "no-colon", "missing-file"],
 )
 def test_a_bad_link_is_refused_before_the_campaign_runs(capsys, monkeypatch, workdir, link, code, message):
-    monkeypatch.setattr(sim, "simulate", _no_simulation)
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
     policy = workdir / "policy.txt"
     policy.write_text("outof(2,E1,E2,E3)")
     cae, out = workdir / "fig5.cae", workdir / "campaign.json"
@@ -528,19 +529,38 @@ def test_a_bad_link_is_refused_before_the_campaign_runs(capsys, monkeypatch, wor
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
 @pytest.mark.parametrize("with_scenario", [False, True], ids=["default-base", "scenario"])
 def test_a_campaign_seed_out_of_range_is_a_parse_error(capsys, monkeypatch, tmp_path, seed, with_scenario):
-    monkeypatch.setattr(sim, "simulate", _no_simulation)
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
     policy = tmp_path / "policy.txt"
     policy.write_text("outof(2,E1,E2,E3)")
     out = tmp_path / "out.json"
     argv = ["policy", "campaign", str(policy), "--runs", "20", "--seed", seed, "--out", str(out)]
     if with_scenario:  # the file's own seed is valid, so only the campaign's check sees the flag
         argv += ["--scenario", str(one_tx_scenario(tmp_path / "scenario.json"))]
-    assert run(capsys, *argv) == (PARSE_ERROR, "", "seed must be an unsigned 64-bit integer\n")
+    assert run(capsys, *argv) == (PARSE_ERROR, "", "--seed: seed must be an unsigned 64-bit integer\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--runs", "0"], "--runs: run count must be at least 1"),
+        (["--prob", "evil=0.1"], "--prob: unknown fault mode 'evil'"),
+        (["--prob", "fraudulent=0.7", "--prob", "crashed=0.7"], "--prob: fault probabilities sum beyond 1"),
+    ],
+    ids=["runs-0", "unknown-mode", "sum-beyond-1"],
+)
+def test_a_refused_campaign_argument_names_its_flag(capsys, monkeypatch, tmp_path, flags, message):
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
+    policy = tmp_path / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+    out = tmp_path / "out.json"
+    argv = ["policy", "campaign", str(policy), *flags, "--out", str(out)]
+    assert run(capsys, *argv) == (PARSE_ERROR, "", message + "\n")
     assert not out.exists()
 
 
 def test_a_prob_value_that_is_not_a_number_is_a_parse_error_naming_the_flag(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(sim, "simulate", _no_simulation)
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
     policy = tmp_path / "policy.txt"
     policy.write_text("outof(2,E1,E2,E3)")
     out = tmp_path / "out.json"
@@ -553,7 +573,7 @@ def test_a_value_error_inside_a_campaign_is_an_internal_error_not_a_usage_error(
     def stray(*args, **kwargs):
         raise ValueError("stray")
 
-    monkeypatch.setattr(sim, "simulate", stray)
+    monkeypatch.setattr(sim, "run_pipeline", stray)
     policy = tmp_path / "policy.txt"
     policy.write_text("outof(2,E1,E2,E3)")
     out = tmp_path / "out.json"

@@ -422,6 +422,20 @@ class TestPeerDigests:
         self.assert_every_digest_is_the_peers_own(config)
 
 
+class TestPipelineStage:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_ordering_commit_stage_is_what_simulate_reports(self, seed):
+        config = random_scenario(seed, behavior_modes=(HONEST, FRAUDULENT, CENSORING, CRASHED, DOSED),
+                                 peers_range=(3, 4), skip_v7=frozenset({seed % 3}))
+        run, result = sim.run_pipeline(config), sim.simulate(config)
+        assert run.committed == result.report.committed
+        assert run.refusals == result.report.endorsement_refusals
+        assert run.blocks == result.blocks
+        assert run.canonical_state == result.canonical_state
+        assert run.submitted_tx_ids == result.submitted_tx_ids
+        assert run.liveness_lost_at == result.report.liveness_lost_at
+
+
 class TestOrderingLiveness:
     def workload(self, steps):
         return [
