@@ -41,10 +41,9 @@ from .cae_model import (
     EvidenceNode,
     Node,
     misplaced_child,
-    with_children,
 )
 from .determinism import file_sha256
-from .linefmt import ParseError, ParseFailure, SourceSpan, lex, quote, read_node_line
+from .linefmt import LINE_END, ParseError, ParseFailure, SourceSpan, lex, quote, read_node_line
 
 __all__ = [
     "SourceSpan",
@@ -73,15 +72,15 @@ KINDS = frozenset(_NODE_CLASS)
 _ATTRS = {ClaimNode: {"tag"}, ArgumentNode: {"tag"}, EvidenceNode: {"ref", "digest", "tag"}}
 
 
-def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str]) -> Node:
+def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str], children: list[str]) -> Node:
     tag = attrs.get("tag")
     if kind in _ARGUMENT_KINDS:
-        return ArgumentNode(node_id, _ARGUMENT_KINDS[kind], text, tag=tag)
+        return ArgumentNode(node_id, _ARGUMENT_KINDS[kind], text, tuple(children), tag)
     if kind in _EVIDENCE_KINDS:
         return EvidenceNode(
             node_id, _EVIDENCE_KINDS[kind], text, reference=attrs.get("ref"), digest=attrs.get("digest"), tag=tag
         )
-    return ClaimNode(node_id, text, tag=tag)
+    return ClaimNode(node_id, text, tuple(children), tag)
 
 
 def parse(text: str) -> CaeTree:
@@ -92,16 +91,20 @@ def parse(text: str) -> CaeTree:
     """
     lines, errors = lex(text)
 
-    nodes: dict[str, Node] = {}
-    children: dict[str, list[str]] = {}
+    # in document order; a node is None until its line leaves the stack
+    nodes: dict[str, Node | None] = {}
     side: set[str] = set()
     root_id: str | None = None
-    # stack frames: [level, node class or None, node_id or None, saw_argument]
+    # stack frames: [level, node class or None, node_id or None, saw_argument, (kind, node_id, text, attrs), child ids]
     stack: list[list] = []
+
+    def close(frame: list) -> None:  # no more children can join the frame's node
+        if frame[2] is not None:
+            nodes[frame[2]] = _build_node(*frame[4], frame[5])
 
     for line in lines:
         while stack and stack[-1][0] >= line.level:
-            stack.pop()
+            close(stack.pop())
 
         node_class = _NODE_CLASS.get(line.kind)
         if node_class is None:
@@ -146,26 +149,23 @@ def parse(text: str) -> CaeTree:
             stack.append([line.level, node_class, None, False])
             continue
 
-        node = _build_node(line.kind, node_id, node_text, attrs)
-        nodes[node_id] = node
-        children[node_id] = []
+        nodes[node_id] = None
         if line.kind == "side-claim":
             side.add(node_id)
         if attach:
             if line.level == 0:
                 root_id = node_id
-            else:
-                parent_id = stack[-1][2]
-                if parent_id is not None:
-                    children[parent_id].append(node_id)
-        stack.append([line.level, node_class, node_id, False])
+            elif stack[-1][2] is not None:
+                stack[-1][5].append(node_id)
+        stack.append([line.level, node_class, node_id, False, (line.kind, node_id, node_text, attrs), []])
 
     if root_id is None and not errors:
         errors.append(ParseError(SourceSpan(1, 1), "ChildRuleViolation", "document has no root claim"))
     if errors:
         raise ParseFailure(errors)
-
-    return CaeTree(root=root_id, nodes=with_children(nodes, children), side_flags=frozenset(side))
+    for frame in stack:
+        close(frame)
+    return CaeTree(root=root_id, nodes=nodes, side_flags=frozenset(side))
 
 
 def _kind_token(tree: CaeTree, node: Node) -> str:
@@ -210,7 +210,9 @@ _LABEL_PREFIX = {
 
 
 def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    text = text.replace("\\", "\\\\").replace('"', '\\"')
+    # a line break, cut as .cae lines are cut, is one DOT \n: each statement stays on one line
+    return "\\n".join(LINE_END.split(text)) if "\n" in text or "\r" in text else text
 
 
 def to_dot(tree: CaeTree) -> str:

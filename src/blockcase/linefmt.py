@@ -8,7 +8,9 @@ and tabs are rejected in indentation so every document has a single
 canonical byte form. In a quoted string ``\\\\``, ``\\"``, ``\\n``, ``\\t``
 and ``\\r`` are escapes; a backslash before any other character is kept as
 written. ``read_node_line`` reads the ``kind id "text" key="value"...``
-shape that both formats use for their nodes.
+shape that both formats use for their nodes. ``lex`` reads a line of that
+shape with one match; every other line goes through the atom scanner, the
+one source of lexing errors.
 """
 
 from __future__ import annotations
@@ -44,43 +46,74 @@ class ParseFailure(Exception):
         super().__init__("; ".join(str(e) for e in self.errors))
 
 
-@dataclass(frozen=True, slots=True)
+# Plain slots classes: the lexer builds many, and frozen ones cost several
+# times as much to build.
+@dataclass(slots=True)
 class Token:
     text: str
     column: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class QString:
     text: str
     column: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Attr:
     key: str
     value: str
     column: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class LexedLine:
+    """A line that is neither blank nor a comment.
+
+    ``kind`` is None when the line failed to lex; such a line is kept so that
+    its children find a parent. ``node`` is set when one match read the line
+    as a node line: (id, id column, text, ((key, value, column), ...), kind
+    column, text column). Such a line builds its ``atoms`` on first use.
+    """
+
     span: SourceSpan
     level: int
-    kind: str | None  # None when the line failed to lex; kept for parent recovery
-    atoms: tuple
+    kind: str | None
+    _atoms: tuple | None
+    node: tuple | None = None
+
+    @property
+    def atoms(self) -> tuple:
+        if self._atoms is None:
+            node_id, id_column, text, attrs, kind_column, text_column = self.node
+            self._atoms = (
+                Token(self.kind, kind_column),
+                Token(node_id, id_column),
+                QString(text, text_column),
+                *(Attr(*attr) for attr in attrs),
+            )
+        return self._atoms
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _REVERSE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 _ESCAPE = re.compile(r'\\([\\"ntr])')
-_LINE_END = re.compile(r"\r\n?|\n")
+LINE_END = re.compile(r"\r\n?|\n")
 _QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+_KEY = r'[^\s"=]*'
+_BARE = r'[^\s"=]+'
 # One atom after optional white space: a quoted string (group 1), a key and
 # its quoted value (groups 2 and 3; 3 is None when no closed string follows
 # the "=") or a bare token (group 4). Nothing matches at the end of the line
 # or at an opening quote that is never closed.
-_ATOM = re.compile(rf'\s*(?:{_QUOTED}|([^\s"=]*)=(?:{_QUOTED})?|([^\s"=]+))?', re.S)
+_ATOM = re.compile(rf'\s*(?:{_QUOTED}|({_KEY})=(?:{_QUOTED})?|({_BARE}))?', re.S)
+_ATTR = re.compile(rf'\s*({_KEY})={_QUOTED}', re.S)
+# A whole line that _ATOM splits into Token Token QString Attr* without
+# error: the kind (group 1), the id (group 2), the text (group 3) and the
+# attributes (group 4, read by _ATTR). Two bare tokens need white space
+# between them, or _ATOM would read them as one.
+_NODE_LINE = re.compile(rf'\s*({_BARE})\s+({_BARE})\s*{_QUOTED}((?:{_ATTR.pattern})*)\s*', re.S)
 
 
 def quote(text: str) -> str:
@@ -90,6 +123,27 @@ def quote(text: str) -> str:
 
 def _unescape(body: str) -> str:
     return _ESCAPE.sub(lambda m: _ESCAPES[m[1]], body) if "\\" in body else body
+
+
+def _scan(raw: str, pos: int) -> tuple[list, tuple[int, str, str] | None]:
+    """Split ``raw`` into atoms from ``pos``; the first error stops it, as (column, code, message)."""
+    atoms: list = []
+    while True:
+        match = _ATOM.match(raw, pos)
+        pos = match.end()
+        quoted, key, value, word = match.groups()
+        if word is not None:
+            atoms.append(Token(word, match.start(4) + 1))
+        elif quoted is not None:
+            atoms.append(QString(_unescape(quoted), match.start(1)))  # group 1 starts after the quote
+        elif value is not None:
+            atoms.append(Attr(key, _unescape(value), match.start(2) + 1))
+        elif key is None and pos == len(raw):
+            return atoms, None
+        elif raw.startswith('"', pos):
+            return atoms, (pos + 1, "UnterminatedString", "string is not closed before end of line")
+        else:
+            return atoms, (match.start(2) + 1, "BadAttribute", f"attribute {key!r} needs a quoted value")
 
 
 def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
@@ -103,7 +157,7 @@ def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
     errors: list[ParseError] = []
     prev_level = -1
 
-    for line_no, raw in enumerate(_LINE_END.split(text), start=1):
+    for line_no, raw in enumerate(LINE_END.split(text), start=1):
         if raw.strip() == "":
             continue
         stripped = raw.lstrip(" \t")
@@ -138,48 +192,27 @@ def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
             bad = True
         prev_level = level
 
-        atoms: list = []
-        pos = len(indent)
-        while True:
-            match = _ATOM.match(raw, pos)
-            pos = match.end()
-            quoted, key, value, word = match.groups()
-            if word is not None:
-                atoms.append(Token(word, match.start(4) + 1))
-            elif quoted is not None:
-                atoms.append(QString(_unescape(quoted), match.start(1)))  # group 1 starts after the quote
-            elif value is not None:
-                atoms.append(Attr(key, _unescape(value), match.start(2) + 1))
-            elif key is None and pos == len(raw):
-                break
-            elif raw.startswith('"', pos):
-                errors.append(
-                    ParseError(
-                        SourceSpan(line_no, pos + 1), "UnterminatedString", "string is not closed before end of line"
-                    )
-                )
-                bad = True
-                break
-            else:
-                errors.append(
-                    ParseError(
-                        SourceSpan(line_no, match.start(2) + 1),
-                        "BadAttribute",
-                        f"attribute {key!r} needs a quoted value",
-                    )
-                )
-                bad = True
-                break
+        span = SourceSpan(line_no, spaces + 1)
+        # a line with bad indentation goes to the scanner, which reports its other errors too
+        node = None if bad else _NODE_LINE.fullmatch(raw, spaces)
+        if node is not None:
+            found = _ATTR.finditer(raw, *node.span(4)) if node[4] else ()
+            attrs = tuple((a[1], _unescape(a[2]), a.start(1) + 1) for a in found)
+            shape = (node[2], node.start(2) + 1, _unescape(node[3]), attrs, node.start(1) + 1, node.start(3))
+            lines.append(LexedLine(span, level, node[1], None, shape))
+            continue
 
+        atoms, error = _scan(raw, spaces)
+        if error is not None:
+            errors.append(ParseError(SourceSpan(line_no, error[0]), error[1], error[2]))
+            bad = True
         kind = None
         if not bad:
             if atoms and isinstance(atoms[0], Token):
                 kind = atoms[0].text
             else:
-                errors.append(
-                    ParseError(SourceSpan(line_no, len(indent) + 1), "BadKind", "line must start with a kind token")
-                )
-        lines.append(LexedLine(SourceSpan(line_no, len(indent) + 1), level, kind, tuple(atoms)))
+                errors.append(ParseError(span, "BadKind", "line must start with a kind token"))
+        lines.append(LexedLine(span, level, kind, tuple(atoms)))
 
     return lines, errors
 
@@ -193,35 +226,41 @@ def read_node_line(
     ``allowed`` and appear once, and every key in ``required`` must appear.
     Each problem found is appended to ``errors``, and then None is returned.
     """
-    kind, rest = line.kind, line.atoms[1:]
-    if not rest or not isinstance(rest[0], Token):
-        errors.append(ParseError(line.span, "BadKind", f"{kind} line needs a node id"))
-        return None
-    node_id = rest[0].text
+    kind = line.kind
+    if line.node is not None:
+        node_id, column, text, attrs, _, _ = line.node
+    else:
+        rest = line.atoms[1:]
+        if not rest or not isinstance(rest[0], Token):
+            errors.append(ParseError(line.span, "BadKind", f"{kind} line needs a node id"))
+            return None
+        node_id, column = rest[0].text, rest[0].column
+        text = rest[1].text if len(rest) > 1 and isinstance(rest[1], QString) else None
+        # an atom that is not an attribute has no key
+        attrs = [(a.key, a.value, a.column) if isinstance(a, Attr) else (None, None, a.column) for a in rest[2:]]
     if not ID_PATTERN.match(node_id):
-        errors.append(
-            ParseError(SourceSpan(line.span.line, rest[0].column), "BadKind", f"invalid node id {node_id!r}")
-        )
+        errors.append(ParseError(SourceSpan(line.span.line, column), "BadKind", f"invalid node id {node_id!r}"))
         return None
-    if len(rest) < 2 or not isinstance(rest[1], QString):
+    if text is None:
         errors.append(ParseError(line.span, "BadKind", f"{kind} {node_id} needs a quoted text"))
         return None
 
-    attrs: dict[str, str] = {}
+    values: dict[str, str] = {}
     failed = len(errors)
-    for atom in rest[2:]:
-        span = SourceSpan(line.span.line, atom.column)
-        if not isinstance(atom, Attr):
-            errors.append(ParseError(span, "BadKind", "unexpected trailing content after the node text"))
-        elif atom.key not in allowed:
-            errors.append(ParseError(span, "BadAttribute", f"attribute {atom.key!r} is not allowed on {kind}"))
-        elif atom.key in attrs:
-            errors.append(ParseError(span, "BadAttribute", f"attribute {atom.key!r} appears twice"))
+    for key, value, column in attrs:
+        if key is None:
+            message = "BadKind", "unexpected trailing content after the node text"
+        elif key not in allowed:
+            message = "BadAttribute", f"attribute {key!r} is not allowed on {kind}"
+        elif key in values:
+            message = "BadAttribute", f"attribute {key!r} appears twice"
         else:
-            attrs[atom.key] = atom.value
+            values[key] = value
+            continue
+        errors.append(ParseError(SourceSpan(line.span.line, column), *message))
     for key in required:
-        if key not in attrs:
+        if key not in values:
             errors.append(ParseError(line.span, "BadAttribute", f"{kind} {node_id} is missing the {key} attribute"))
     if len(errors) > failed:
         return None
-    return node_id, rest[1].text, attrs
+    return node_id, text, values

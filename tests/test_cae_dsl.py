@@ -282,6 +282,19 @@ class TestToDot:
         tree = corpus_trees["fig4.cae"]
         assert to_dot(tree) == to_dot(tree)
 
+    def test_each_line_break_in_a_text_is_one_dot_newline(self):
+        # LF, CR and CRLF, as the .cae format cuts lines; an escaped backslash before n stays text
+        dot = to_dot(parse('claim C0 "a\\nb\\rc\\r\\nd\\\\n"\n  proof P0 "e\\n"\n'))
+        assert dot.split("\n") == [
+            "digraph cae {",
+            '  "C0" [label="C0\\na\\nb\\nc\\nd\\\\n", style=filled, fillcolor=lightblue]',
+            '  "P0" [label="P0\\nProof: e\\n", style=filled, fillcolor=palegreen]',
+            '  "C0" -> "P0"',
+            "}",
+            "",
+        ]
+        assert "\r" not in dot
+
 
 class TestLinkEvidence:
     def test_link_attaches_reference_and_digest(self, corpus_trees):

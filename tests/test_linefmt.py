@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
-from blockcase.linefmt import Attr, QString, Token, lex, read_node_line
+import linefmt_reference as reference
+import pytest
+from conftest import cae_trees
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockcase import cae_dsl, risk_ledger
+from blockcase.linefmt import Attr, ParseFailure, QString, Token, lex, read_node_line
 
 # (document, [(line, column, code), ...]) for each path of the lexer
 LEX_ERRORS = [
@@ -35,7 +42,22 @@ LEX_ATOMS = [
     ('claim C0 "r" =""', (Token("claim", 1), Token("C0", 7), QString("r", 10), Attr("", "", 14))),
     ('claim C0 "a\\\\\\"b\\n\\t\\r"', (Token("claim", 1), Token("C0", 7), QString('a\\"b\n\t\r', 10))),
     ('k  x="1"\ty  "z"', (Token("k", 1), Attr("x", "1", 4), Token("y", 10), QString("z", 13))),
+    # node-shaped lines on the edge of the one-match read
+    ('claim\tC0\t"t"\ttag="v"', (Token("claim", 1), Token("C0", 7), QString("t", 10), Attr("tag", "v", 14))),
+    ('claim C0"t"', (Token("claim", 1), Token("C0", 7), QString("t", 9))),
+    ('claim C0 "t"k="v"', (Token("claim", 1), Token("C0", 7), QString("t", 10), Attr("k", "v", 13))),
+    ('\x0bclaim C0 "t"', (Token("claim", 2), Token("C0", 8), QString("t", 11))),
+    ('claim C0 "t" tag="v" \t\x0c', (Token("claim", 1), Token("C0", 7), QString("t", 10), Attr("tag", "v", 14))),
+    ('claim C0 "t"=""', (Token("claim", 1), Token("C0", 7), QString("t", 10), Attr("", "", 13))),
+    ('claim C0="x"', (Token("claim", 1), Attr("C0", "x", 7))),
 ]
+
+
+def _node_shaped(atoms) -> bool:
+    """Whether atoms read as ``kind id "text" key="value"...``."""
+    return [type(atom) for atom in atoms[:3]] == [Token, Token, QString] and all(
+        type(atom) is Attr for atom in atoms[3:]
+    )
 
 
 @pytest.mark.parametrize(("line", "atoms"), LEX_ATOMS)
@@ -44,6 +66,7 @@ def test_lexer_atoms(line, atoms):
     assert errors == []
     assert lines[0].atoms == atoms
     assert lines[0].kind == atoms[0].text
+    assert (lines[0].node is not None) == _node_shaped(atoms)
 
 
 def test_lines_end_at_lf_crlf_and_cr_only():
@@ -89,3 +112,93 @@ class TestReadNodeLine:
             (47, "BadKind", "unexpected trailing content after the node text"),
             (1, "BadAttribute", "claim C0 is missing the owner attribute"),
         ]
+
+
+# Documents over the .cae/.risk alphabet: node lines whose parts are each
+# sometimes malformed, so that they fall on either side of the one-match
+# read, lines of stray characters, and documents that parse.
+# (part, its malformed or unusual variants) in line order
+_PARTS = (
+    (("", "  ", "    "), (" ", "\t", "  \t", "\x0b", " \x0b")),
+    (("claim", "side-claim", "decomposition", "substitution", "concretization", "hypothesis", "proof", "risk",
+      "mitigation", "accept", "clam"), ('"k"', "k=", "=", "#", "")),
+    ((" ", "  ", "\t", "\x0b", "\x0c ", "\u2028", "\x85"), ("",)),
+    (("C0", "C1", "A1", "P1", "H1'", "R1", "prevention", "C/0"), ("C0=", '"', '=""', "")),
+    ((" ", "", "\t", "\x0b "), ("\u2028",)),
+    (('"t"', '""', '"a\\nb\\rc"', '"\\\\"', '"\\"q\\""', '"a\\qb"'), ('"open', '"end\\', "bare", "")),
+)
+_ATTRS = (('tag="t"', 'ref="r"', 'digest="d"', 'criticality="Low"', 'events="ValidRejected"', 'likelihood="Rare"',
+           'evidence="P1"', 'evidence="P1\\n"', '=""'), ("k=", 'k="open', "x", '"y"', "=", "#"))
+_GAPS = (" ", "", "\t", "  ", "\x0c", "\u2028")
+_ALPHABET = ' \t\x0b\x0c\x85\u2028"\\=#Cc0\'-_.nrt'
+
+
+@st.composite
+def _node_line(draw) -> str:
+    def pick(choices):
+        good, odd = choices
+        return draw(st.sampled_from(odd if draw(st.integers(0, 5)) == 0 else good))
+
+    line = "".join(pick(part) for part in _PARTS)
+    for _ in range(draw(st.integers(0, 3))):
+        line += draw(st.sampled_from(_GAPS)) + pick(_ATTRS)
+    return line + draw(st.sampled_from(_GAPS))
+
+
+_RISK_CHILDREN = ('  mitigation tolerance evidence="P1"', '  mitigation prevention "x"', '  accept "why"',
+                  '  accept "a" "b"', '  mitigation elimination evidence="P1" tag="t"', '    accept "deep"')
+
+
+@st.composite
+def _registry(draw) -> str:
+    lines = []
+    for i in range(draw(st.integers(1, 3))):
+        attrs = ('criticality="Low"', 'events="ValidRejected,InvalidAccepted"', 'likelihood="Rare"')
+        lines.append(f'risk R{i} "risk {i}" ' + " ".join(draw(st.permutations(attrs))))
+        lines += draw(st.lists(st.sampled_from(_RISK_CHILDREN), max_size=2))
+    return "\n".join(lines) + "\n"
+
+
+_documents = st.one_of(
+    st.tuples(
+        st.lists(_node_line() | st.text(_ALPHABET, max_size=16), max_size=6),
+        st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=6, max_size=6),
+    ).map(lambda drawn: "".join(line + end for line, end in zip(*drawn))),
+    cae_trees().map(cae_dsl.serialize),
+    _registry(),
+)
+
+
+def _outcome(read, text):
+    try:
+        result = read(text)
+    except ParseFailure as failure:
+        return [str(error) for error in failure.errors]
+    if isinstance(result, cae_dsl.CaeTree):  # nodes in document order
+        return result.root, list(result.nodes.items()), result.side_flags
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents, st.sampled_from([((), ()), (("tag", "ref", "digest"), ()), (("tag",), ("tag",))]))
+def test_the_reader_agrees_with_the_atom_scanner_reference(text, keys):
+    allowed, required = keys
+    lines, errors = lex(text)
+    ref_lines, ref_errors = reference.lex(text)
+    assert errors == ref_errors
+    assert [(line.span, line.level, line.kind, line.atoms) for line in lines] == [
+        (line.span, line.level, line.kind, line.atoms) for line in ref_lines
+    ]
+    for line, ref_line in zip(lines, ref_lines):
+        # the one-match read takes exactly the lines that scan to a node shape
+        assert (line.node is not None) == (ref_line.kind is not None and _node_shaped(ref_line.atoms))
+        if line.kind is not None:
+            read, ref_read = [], []
+            shape = read_node_line(line, allowed, read, required)
+            assert shape == reference.read_node_line(ref_line, allowed, ref_read, required)
+            assert read == ref_read
+
+    assert _outcome(cae_dsl.parse, text) == _outcome(reference.parse, text)
+    registry = _outcome(risk_ledger.parse_registry, text)
+    with mock.patch.multiple(risk_ledger, lex=reference.lex, read_node_line=reference.read_node_line):
+        assert registry == _outcome(risk_ledger.parse_registry, text)

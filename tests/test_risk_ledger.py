@@ -75,6 +75,16 @@ class TestParseRegistry:
     def test_missing_attributes(self):
         assert registry_errors('risk R1 "a" events="ValidRejected"\n')[0].code == "BadAttribute"
 
+    def test_a_mitigation_line_with_a_quoted_text_is_refused(self):
+        # the line has the node shape, so this checks the atoms the registry reads from it
+        text = (
+            'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
+            '  mitigation prevention "x"\n'
+        )
+        assert [(e.span.line, e.span.column, e.code, e.message) for e in registry_errors(text)] == [
+            (2, 3, "BadAttribute", "mitigation takes exactly one evidence attribute")
+        ]
+
     def test_evidence_id_with_an_escaped_newline_rejected(self):
         text = (
             'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
