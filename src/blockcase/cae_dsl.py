@@ -80,7 +80,7 @@ def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str], child
         return EvidenceNode(
             node_id, _EVIDENCE_KINDS[kind], text, reference=attrs.get("ref"), digest=attrs.get("digest"), tag=tag
         )
-    return ClaimNode(node_id, text, tuple(children), tag)
+    return ClaimNode(node_id, text, tuple(children), tag, kind == "side-claim")
 
 
 def parse(text: str) -> CaeTree:
@@ -93,7 +93,6 @@ def parse(text: str) -> CaeTree:
 
     # in document order; a node is None until its line leaves the stack
     nodes: dict[str, Node | None] = {}
-    side: set[str] = set()
     root_id: str | None = None
     # stack frames: [level, node class or None, node_id or None, saw_argument, (kind, node_id, text, attrs), child ids]
     stack: list[list] = []
@@ -150,8 +149,6 @@ def parse(text: str) -> CaeTree:
             continue
 
         nodes[node_id] = None
-        if line.kind == "side-claim":
-            side.add(node_id)
         if attach:
             if line.level == 0:
                 root_id = node_id
@@ -165,12 +162,12 @@ def parse(text: str) -> CaeTree:
         raise ParseFailure(errors)
     for frame in stack:
         close(frame)
-    return CaeTree(root=root_id, nodes=nodes, side_flags=frozenset(side))
+    return CaeTree(root=root_id, nodes=nodes)
 
 
-def _kind_token(tree: CaeTree, node: Node) -> str:
+def _kind_token(node: Node) -> str:
     if isinstance(node, ClaimNode):
-        return "side-claim" if node.id in tree.side_flags else "claim"
+        return "side-claim" if node.side else "claim"
     return node.kind.value
 
 
@@ -194,19 +191,12 @@ def serialize(tree: CaeTree) -> str:
         nid, level = stack.pop()
         node = tree.nodes[nid]
         attrs = "".join(f" {k}={quote(v)}" for k, v in _attr_pairs(node))
-        out.append(f"{'  ' * level}{_kind_token(tree, node)} {nid} {quote(node.text)}{attrs}\n")
+        out.append(f"{'  ' * level}{_kind_token(node)} {nid} {quote(node.text)}{attrs}\n")
         stack.extend((child, level + 1) for child in reversed(node.children))
     return "".join(out)
 
 
 _FILL = {ClaimNode: "lightblue", ArgumentNode: "gold", EvidenceNode: "palegreen"}
-_LABEL_PREFIX = {
-    ArgumentKind.DECOMPOSITION: "Decomposition",
-    ArgumentKind.SUBSTITUTION: "Substitution",
-    ArgumentKind.CONCRETIZATION: "Concretization",
-    EvidenceKind.HYPOTHESIS: "Hypothesis",
-    EvidenceKind.PROOF: "Proof",
-}
 
 
 def _dot_escape(text: str) -> str:
@@ -219,7 +209,9 @@ def to_dot(tree: CaeTree) -> str:
     """Deterministic DOT rendering: claims blue, arguments yellow, evidence green.
 
     Nodes are emitted in document order and edges in child order, so equal
-    trees always yield byte-equal output.
+    trees always yield byte-equal output. Only texts are escaped: an id that
+    ``parse`` accepts or ``check_well_formed`` passes matches ``ID_PATTERN``,
+    which leaves out quotes, backslashes and line breaks.
     """
     lines = ["digraph cae {"]
     order = list(tree.preorder())
@@ -228,11 +220,11 @@ def to_dot(tree: CaeTree) -> str:
         if isinstance(node, ClaimNode):
             label = f"{nid}\\n{_dot_escape(node.text)}"
         else:
-            label = f"{nid}\\n{_LABEL_PREFIX[node.kind]}: {_dot_escape(node.text)}"
-        lines.append(f'  "{_dot_escape(nid)}" [label="{label}", style=filled, fillcolor={_FILL[type(node)]}]')
+            label = f"{nid}\\n{node.kind.value.capitalize()}: {_dot_escape(node.text)}"
+        lines.append(f'  "{nid}" [label="{label}", style=filled, fillcolor={_FILL[type(node)]}]')
     for nid in order:
         for child in tree.nodes[nid].children:
-            lines.append(f'  "{_dot_escape(nid)}" -> "{_dot_escape(child)}"')
+            lines.append(f'  "{nid}" -> "{child}"')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -244,7 +236,7 @@ def link_evidence(tree: CaeTree, node_id: str, reference: str, digest: str) -> C
     """
     nodes = dict(tree.nodes)
     nodes[node_id] = replace(tree.evidence(node_id), reference=reference, digest=digest)
-    return CaeTree(root=tree.root, nodes=nodes, side_flags=tree.side_flags)
+    return CaeTree(root=tree.root, nodes=nodes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,8 +3,9 @@
 A tree's root is a claim. A claim is refined by at most one argument step
 (a decomposition into subclaims, a substitution by a claim about an
 equivalent object, or a concretization of an abstract notion) and may also
-cite evidence directly. Arguments introduce subclaims, optionally a flagged
-side-claim covering the validity of the inference itself, and evidence.
+cite evidence directly. Arguments introduce subclaims, optionally a
+side-claim (a claim node marked ``side``) covering the validity of the
+inference itself, and evidence.
 Evidence leaves are either hypotheses (accepted without demonstration) or
 proofs (demonstrated facts); the distinction drives status evaluation.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .linefmt import ID_PATTERN
 
@@ -46,40 +47,19 @@ class CaeError(Exception):
     """Base class for tree construction and lookup failures."""
 
 
-class DuplicateIdError(CaeError):
-    pass
+@dataclass(frozen=True, slots=True)
+class Violation:
+    node_id: str
+    rule: str
+    message: str
 
 
-class UnknownParentError(CaeError):
-    pass
+class RuleError(CaeError):
+    """A tree breaks a structural rule; ``violation`` names the rule, the node and the case."""
 
-
-class ChildRuleError(CaeError):
-    pass
-
-
-class MultipleArgumentsError(CaeError):
-    pass
-
-
-class CycleError(CaeError):
-    pass
-
-
-class ArityError(CaeError):
-    pass
-
-
-class InvalidIdError(CaeError):
-    pass
-
-
-class DigestError(CaeError):
-    pass
-
-
-class SideFlagError(CaeError):
-    pass
+    def __init__(self, violation: Violation):
+        self.violation = violation
+        super().__init__(f"{violation.node_id}: {violation.rule}: {violation.message}")
 
 
 class UnknownNodeError(CaeError):
@@ -100,6 +80,7 @@ class ClaimNode:
     text: str
     children: tuple[str, ...] = ()
     tag: str | None = None
+    side: bool = False  # a side-claim: the claim that its argument step is valid
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,11 +111,10 @@ Node = ClaimNode | ArgumentNode | EvidenceNode
 
 @dataclass(frozen=True)
 class CaeTree:
-    """Immutable tree: a root claim id, an id -> node map, and side-claim flags."""
+    """Immutable tree: a root claim id and an id -> node map."""
 
     root: str
     nodes: dict[str, Node]
-    side_flags: frozenset[str] = frozenset()
 
     def node(self, node_id: str) -> Node:
         try:
@@ -168,13 +148,6 @@ class CaeTree:
             stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    node_id: str
-    rule: str
-    message: str
-
-
 class Misplacement(enum.Enum):
     """The cases of the child rule; each value states its case."""
 
@@ -203,19 +176,6 @@ def misplaced_child(parent: type[Node], child: type[Node], parent_has_argument: 
     return None
 
 
-# check_well_formed rule -> the exception build_tree raises for it; build_tree's
-# own checks rule out every StructureRule finding
-_RULE_ERRORS: dict[str, type[CaeError]] = {
-    "RootRule": ChildRuleError,
-    "IdRule": InvalidIdError,
-    "ChildRuleViolation": ChildRuleError,
-    "MultipleArguments": MultipleArgumentsError,
-    "ArityViolation": ArityError,
-    "DigestRule": DigestError,
-    "SideFlagViolation": SideFlagError,
-}
-
-
 def with_children(nodes: dict[str, Node], children: dict[str, list[str]]) -> dict[str, Node]:
     """The node map with each claim and argument rebuilt to hold its child ids, in order."""
     return {
@@ -224,43 +184,36 @@ def with_children(nodes: dict[str, Node], children: dict[str, list[str]]) -> dic
     }
 
 
-def build_tree(
-    root: ClaimNode,
-    entries: Sequence[tuple[str, Node]],
-    side_flags: Iterable[str] = (),
-) -> CaeTree:
+def build_tree(root: ClaimNode, entries: Sequence[tuple[str, Node]]) -> CaeTree:
     """Assemble a tree from a root claim and (parent id, node) pairs.
 
     Insertion order of the pairs becomes child order. The ``children`` field
     of the supplied nodes is ignored and rebuilt from the pairs. A duplicate
-    id, an unknown parent, a node named as its own parent or a child under
-    evidence cannot be put into a ``CaeTree`` and raise at once. Every other
-    structural rule is left to ``check_well_formed`` on the assembled tree;
-    its first violation raises the matching ``CaeError`` subclass, so any
+    id, an unknown parent (a node named as its own parent is one) or a child
+    under evidence cannot be put into a ``CaeTree`` and raise at once. Every
+    other structural rule is left to ``check_well_formed`` on the assembled
+    tree. Either way the ``RuleError`` carries the first violation, so any
     tree this function returns passes ``check_well_formed`` with no findings.
     """
     table: dict[str, Node] = {root.id: root}
     children: dict[str, list[str]] = {root.id: []}
 
     for parent_id, node in entries:
-        if node.id in table:
-            raise DuplicateIdError(f"duplicate node id {node.id!r}")
-        if parent_id == node.id:
-            raise CycleError(f"node {node.id!r} cannot be its own parent")
         parent = table.get(parent_id)
+        if node.id in table:
+            raise RuleError(Violation(node.id, "StructureRule", f"duplicate node id {node.id!r}"))
         if parent is None:
-            raise UnknownParentError(f"parent {parent_id!r} of {node.id!r} is not in the tree")
+            raise RuleError(Violation(node.id, "StructureRule", f"parent {parent_id!r} is not in the tree"))
         if isinstance(parent, EvidenceNode):
-            raise ChildRuleError(f"evidence {parent_id!r} cannot have children ({node.id!r})")
+            raise RuleError(Violation(parent_id, "ChildRuleViolation", Misplacement.EVIDENCE_LEAF.value))
         table[node.id] = node
         children[node.id] = []
         children[parent_id].append(node.id)
 
-    tree = CaeTree(root=root.id, nodes=with_children(table, children), side_flags=frozenset(side_flags))
+    tree = CaeTree(root=root.id, nodes=with_children(table, children))
     violations = check_well_formed(tree)
     if violations:
-        first = violations[0]
-        raise _RULE_ERRORS[first.rule](f"{first.node_id!r}: {first.message}")
+        raise RuleError(violations[0])
     return tree
 
 
@@ -335,7 +288,7 @@ def check_well_formed(tree: CaeTree) -> list[Violation]:
                 extra_arguments += 1
             if isinstance(kid, ArgumentNode):
                 arguments += 1
-            elif isinstance(kid, ClaimNode) and kid.id not in tree.side_flags:
+            elif isinstance(kid, ClaimNode) and not kid.side:
                 subclaims += 1
         if extra_arguments:
             out.append(Violation(nid, "MultipleArguments", f"claim has {arguments} argument children"))
@@ -350,17 +303,9 @@ def check_well_formed(tree: CaeTree) -> list[Violation]:
                     )
                 )
 
-    for flagged in sorted(tree.side_flags):
-        node = nodes.get(flagged)
-        if node is None:
-            out.append(Violation(flagged, "SideFlagViolation", "side flag names a node that does not exist"))
-            continue
-        if not isinstance(node, ClaimNode):
-            out.append(Violation(flagged, "SideFlagViolation", "side-flagged node is not a claim"))
-            continue
-        parent = nodes.get(parent_of.get(flagged, ""))
-        if not isinstance(parent, ArgumentNode):
-            out.append(Violation(flagged, "SideFlagViolation", "side-claim does not sit under an argument"))
+    for nid in sorted(nid for nid, node in nodes.items() if isinstance(node, ClaimNode) and node.side):
+        if not isinstance(nodes.get(parent_of.get(nid)), ArgumentNode):
+            out.append(Violation(nid, "SideFlagViolation", "side-claim does not sit under an argument"))
 
     return out
 

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 from .determinism import sha256_hex
 
 _IDENT = re.compile(r"[A-Za-z0-9_.\-']+")
+# white space and comments: a comment runs from "#" to LF, CRLF or CR, as in .cae and .risk files
+_SKIP = re.compile(r"(?:\s|#[^\r\n]*)*")
 MAX_POLICY_DEPTH = 100  # operators nested inside one another; bounds every recursive walk of a parsed policy
 
 
@@ -124,29 +126,28 @@ def policy_digest(policy: EndorsementPolicy) -> str:
 
 
 def parse_policy(text: str) -> EndorsementPolicy:
-    """Parse the policy expression grammar; '#' starts a comment.
+    """Parse the policy expression grammar; '#' starts a comment that runs to LF, CRLF or CR.
 
-    Nesting deeper than ``MAX_POLICY_DEPTH`` operators is a ``PolicyError``.
+    Nesting deeper than ``MAX_POLICY_DEPTH`` operators is a ``PolicyError``;
+    an error's offset counts characters into ``text``.
     """
-    source = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     pos = 0
 
     def skip_ws():
         nonlocal pos
-        while pos < len(source) and source[pos].isspace():
-            pos += 1
+        pos = _SKIP.match(text, pos).end()
 
     def expect(ch: str):
         nonlocal pos
         skip_ws()
-        if pos >= len(source) or source[pos] != ch:
+        if pos >= len(text) or text[pos] != ch:
             raise PolicyError(f"expected {ch!r} at offset {pos}")
         pos += 1
 
     def ident() -> str:
         nonlocal pos
         skip_ws()
-        m = _IDENT.match(source, pos)
+        m = _IDENT.match(text, pos)
         if not m:
             raise PolicyError(f"expected an identifier at offset {pos}")
         pos = m.end()
@@ -156,7 +157,7 @@ def parse_policy(text: str) -> EndorsementPolicy:
         nonlocal pos
         word = ident()
         skip_ws()
-        if pos < len(source) and source[pos] == "(":
+        if pos < len(text) and text[pos] == "(":
             if word not in ("and", "or", "outof", "all", "any"):
                 raise PolicyError(f"unknown operator {word!r}")
             if depth == MAX_POLICY_DEPTH:
@@ -169,7 +170,7 @@ def parse_policy(text: str) -> EndorsementPolicy:
                 expect(",")
             args = [expr(depth + 1)]
             skip_ws()
-            while pos < len(source) and source[pos] == ",":
+            while pos < len(text) and text[pos] == ",":
                 pos += 1
                 args.append(expr(depth + 1))
                 skip_ws()
@@ -185,6 +186,6 @@ def parse_policy(text: str) -> EndorsementPolicy:
 
     result = expr(0)
     skip_ws()
-    if pos != len(source):
+    if pos != len(text):
         raise PolicyError(f"trailing content at offset {pos}")
     return result

@@ -84,9 +84,6 @@ def _read_risk_line(line: LexedLine, errors: list[ParseError]) -> Risk | None:
             errors.append(ParseError(span, "BadFearedEvent", f"unknown feared event {name.strip()!r}"))
             return None
         events.add(event)
-    if not events:
-        errors.append(ParseError(span, "BadFearedEvent", f"risk {risk_id} names no feared event"))
-        return None
     if attrs["criticality"] not in CRITICALITY_LEVELS:
         errors.append(ParseError(span, "BadAttribute", f"criticality must be one of {CRITICALITY_LEVELS}"))
         return None
@@ -102,16 +99,16 @@ def parse_registry(text: str) -> RiskRegistry:
 
     risks: list[Risk] = []
     seen_ids: set[str] = set()
-    opened = False  # a risk line has been read, so child lines have somewhere to sit
-    current: Risk | None = None  # the last risk line's risk; None when that line was bad
+    opened = False  # a top-level line has been read, so child lines have somewhere to sit
+    current: Risk | None = None  # that line's risk; None when the line was bad, and then its children are skipped
     for line in lines:
-        if line.kind is None:
-            continue
         if line.level == 0:
+            opened, current = True, None
+            if line.kind is None:  # failed to lex, already reported
+                continue
             if line.kind != "risk":
                 errors.append(ParseError(line.span, "BadKind", "top-level lines must be risks"))
                 continue
-            opened = True
             current = _read_risk_line(line, errors)
             if current is None:
                 continue
@@ -123,10 +120,10 @@ def parse_registry(text: str) -> RiskRegistry:
             risks.append(current)
             continue
 
+        if line.kind is None or (opened and current is None):
+            continue
         if line.level != 1 or not opened:
             errors.append(ParseError(line.span, "ChildRuleViolation", "mitigation and accept lines sit under a risk"))
-            continue
-        if current is None:
             continue
         rest = line.atoms[1:]
         if line.kind == "mitigation":

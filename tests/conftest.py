@@ -43,7 +43,6 @@ def cae_trees(draw) -> object:
     """Random well-formed tree, built through build_tree."""
     counter = itertools.count()
     entries = []
-    side_flags = []
 
     def new_id() -> str:
         return f"N{next(counter)}"
@@ -73,9 +72,7 @@ def cae_trees(draw) -> object:
         for _ in range(draw(st.integers(needed, needed + 1))):
             add_claim(argument_id, depth + 1)
         if draw(st.booleans()):
-            side_id = new_id()
-            entries.append((argument_id, ClaimNode(side_id, draw(node_texts))))
-            side_flags.append(side_id)
+            entries.append((argument_id, ClaimNode(new_id(), draw(node_texts), side=True)))
         for _ in range(draw(st.integers(0, 1))):
             add_evidence(argument_id)
 
@@ -92,7 +89,7 @@ def cae_trees(draw) -> object:
         add_evidence(root.id)
     if draw(st.booleans()):
         add_argument(root.id, 0)
-    return build_tree(root, entries, side_flags)
+    return build_tree(root, entries)
 
 
 def deep_cae(claims):

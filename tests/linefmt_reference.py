@@ -192,7 +192,7 @@ def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str]) -> No
         return EvidenceNode(
             node_id, _EVIDENCE_KINDS[kind], text, reference=attrs.get("ref"), digest=attrs.get("digest"), tag=tag
         )
-    return ClaimNode(node_id, text, tag=tag)
+    return ClaimNode(node_id, text, tag=tag, side=kind == "side-claim")
 
 
 def parse(text: str) -> CaeTree:
@@ -205,7 +205,6 @@ def parse(text: str) -> CaeTree:
 
     nodes: dict[str, Node] = {}
     children: dict[str, list[str]] = {}
-    side: set[str] = set()
     root_id: str | None = None
     # stack frames: [level, node class or None, node_id or None, saw_argument]
     stack: list[list] = []
@@ -260,8 +259,6 @@ def parse(text: str) -> CaeTree:
         node = _build_node(line.kind, node_id, node_text, attrs)
         nodes[node_id] = node
         children[node_id] = []
-        if line.kind == "side-claim":
-            side.add(node_id)
         if attach:
             if line.level == 0:
                 root_id = node_id
@@ -276,4 +273,4 @@ def parse(text: str) -> CaeTree:
     if errors:
         raise ParseFailure(errors)
 
-    return CaeTree(root=root_id, nodes=with_children(nodes, children), side_flags=frozenset(side))
+    return CaeTree(root=root_id, nodes=with_children(nodes, children))

@@ -136,7 +136,7 @@ class TestParse:
             '    side-claim S0 "the split is exhaustive"\n'
         )
         tree = parse(text)
-        assert tree.side_flags == frozenset({"S0"})
+        assert [nid for nid, node in tree.nodes.items() if isinstance(node, ClaimNode) and node.side] == ["S0"]
         assert serialize(tree) == text
 
     def test_error_lines_pinpoint_the_culprit(self):
@@ -236,7 +236,7 @@ def misplaced_trees(draw):
     kept = tuple(c for c in nodes[old_parent].children if c != moved)
     nodes[old_parent] = dataclasses.replace(nodes[old_parent], children=kept)
     nodes[parent] = dataclasses.replace(nodes[parent], children=nodes[parent].children + (moved,))
-    return moved, parent, CaeTree(root=tree.root, nodes=nodes, side_flags=tree.side_flags)
+    return moved, parent, CaeTree(root=tree.root, nodes=nodes)
 
 
 @settings(max_examples=80, deadline=None)

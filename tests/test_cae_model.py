@@ -8,22 +8,15 @@ from hypothesis import given, settings
 from blockcase.cae_model import (
     ArgumentKind,
     ArgumentNode,
-    ArityError,
     CaeTree,
-    ChildRuleError,
     ClaimNode,
-    CycleError,
-    DigestError,
-    DuplicateIdError,
     EmptyCriteriaError,
     EvidenceKind,
     EvidenceNode,
-    InvalidIdError,
-    MultipleArgumentsError,
-    SideFlagError,
+    RuleError,
     Status,
     UnknownNodeError,
-    UnknownParentError,
+    Violation,
     assumptions_of,
     build_tree,
     check_well_formed,
@@ -39,6 +32,13 @@ def proof(node_id, text="demonstrated"):
 
 def hypo(node_id, text="assumed"):
     return EvidenceNode(node_id, EvidenceKind.HYPOTHESIS, text)
+
+
+def refused_rule(root, entries):
+    """The rule that ``build_tree`` names when it refuses the tree."""
+    with pytest.raises(RuleError) as caught:
+        build_tree(root, entries)
+    return caught.value.violation.rule
 
 
 def minimal_decomposition():
@@ -66,71 +66,62 @@ class TestBuildTree:
         assert tree.nodes["A0"].children == ("C1", "C2")
 
     def test_evidence_cannot_have_children(self):
-        with pytest.raises(ChildRuleError):
+        with pytest.raises(RuleError) as caught:
             build_tree(
                 ClaimNode("C0", "root"),
                 [("C0", proof("P0")), ("P0", ClaimNode("C1", "under a proof"))],
             )
+        assert caught.value.violation == Violation("P0", "ChildRuleViolation", "evidence cannot have children")
 
     def test_claim_under_claim_is_rejected(self):
-        with pytest.raises(ChildRuleError):
-            build_tree(ClaimNode("C0", "root"), [("C0", ClaimNode("C1", "nested"))])
+        assert refused_rule(ClaimNode("C0", "root"), [("C0", ClaimNode("C1", "nested"))]) == "ChildRuleViolation"
 
     def test_second_argument_under_one_claim_is_rejected(self):
-        with pytest.raises(MultipleArgumentsError):
-            build_tree(
-                ClaimNode("C0", "root"),
-                [
-                    ("C0", ArgumentNode("A0", ArgumentKind.CONCRETIZATION, "first")),
-                    ("A0", ClaimNode("C1", "sub")),
-                    ("C0", ArgumentNode("A1", ArgumentKind.CONCRETIZATION, "second")),
-                ],
-            )
+        entries = [
+            ("C0", ArgumentNode("A0", ArgumentKind.CONCRETIZATION, "first")),
+            ("A0", ClaimNode("C1", "sub")),
+            ("C0", ArgumentNode("A1", ArgumentKind.CONCRETIZATION, "second")),
+        ]
+        assert refused_rule(ClaimNode("C0", "root"), entries) == "MultipleArguments"
 
     def test_duplicate_id_rejected(self):
-        with pytest.raises(DuplicateIdError):
-            build_tree(ClaimNode("C0", "root"), [("C0", proof("P0")), ("C0", proof("P0"))])
+        entries = [("C0", proof("P0")), ("C0", proof("P0"))]
+        assert refused_rule(ClaimNode("C0", "root"), entries) == "StructureRule"
 
     def test_unknown_parent_rejected(self):
-        with pytest.raises(UnknownParentError):
-            build_tree(ClaimNode("C0", "root"), [("CX", proof("P0"))])
+        assert refused_rule(ClaimNode("C0", "root"), [("CX", proof("P0"))]) == "StructureRule"
 
     def test_self_parent_is_a_cycle(self):
-        with pytest.raises(CycleError):
-            build_tree(ClaimNode("C0", "root"), [("P0", proof("P0"))])
+        # the node is not in the tree yet, so its own id is an unknown parent
+        assert refused_rule(ClaimNode("C0", "root"), [("P0", proof("P0"))]) == "StructureRule"
 
     def test_decomposition_needs_two_subclaims(self):
-        with pytest.raises(ArityError):
-            build_tree(
-                ClaimNode("C0", "root"),
-                [
-                    ("C0", ArgumentNode("A0", ArgumentKind.DECOMPOSITION, "split")),
-                    ("A0", ClaimNode("C1", "only one")),
-                ],
-            )
+        entries = [
+            ("C0", ArgumentNode("A0", ArgumentKind.DECOMPOSITION, "split")),
+            ("A0", ClaimNode("C1", "only one")),
+        ]
+        assert refused_rule(ClaimNode("C0", "root"), entries) == "ArityViolation"
 
     @pytest.mark.parametrize(
-        ("root", "entries", "side_flags", "error"),
+        ("root", "entries", "rule"),
         [
-            pytest.param(ClaimNode("C 0", "root"), [], (), InvalidIdError, id="space-in-root-id"),
-            pytest.param(ClaimNode("C0\n", "root"), [], (), InvalidIdError, id="trailing-newline-root-id"),
-            pytest.param(ClaimNode("C0", "root"), [("C0", proof("P0\n"))], (), InvalidIdError, id="trailing-newline-id"),
+            pytest.param(ClaimNode("C 0", "root"), [], "IdRule", id="space-in-root-id"),
+            pytest.param(ClaimNode("C0\n", "root"), [], "IdRule", id="trailing-newline-root-id"),
+            pytest.param(ClaimNode("C0", "root"), [("C0", proof("P0\n"))], "IdRule", id="trailing-newline-id"),
             pytest.param(
                 ClaimNode("C0", "root"),
                 [("C0", EvidenceNode("P0", EvidenceKind.PROOF, "x", digest="9f"))],
-                (),
-                DigestError,
+                "DigestRule",
                 id="digest-without-reference",
             ),
-            pytest.param(ClaimNode("C0", "root"), [("C0", proof("P0"))], ("S0",), SideFlagError, id="flag-on-unknown-id"),
-            pytest.param(ClaimNode("C0", "root"), [("C0", proof("P0"))], ("P0",), SideFlagError, id="flag-on-evidence"),
-            pytest.param(ClaimNode("C0", "root"), [], ("C0",), SideFlagError, id="flagged-claim-not-under-argument"),
-            pytest.param(proof("P0"), [], (), ChildRuleError, id="evidence-root"),
+            pytest.param(
+                ClaimNode("C0", "root", side=True), [], "SideFlagViolation", id="flagged-claim-not-under-argument"
+            ),
+            pytest.param(proof("P0"), [], "RootRule", id="evidence-root"),
         ],
     )
-    def test_rule_break_raises_its_error(self, root, entries, side_flags, error):
-        with pytest.raises(error):
-            build_tree(root, entries, side_flags)
+    def test_rule_break_raises_its_error(self, root, entries, rule):
+        assert refused_rule(root, entries) == rule
 
     def test_substitution_subtree_shape(self):
         # the ordering-service substitution pattern: a substituted claim plus
@@ -169,7 +160,7 @@ class TestCheckWellFormed:
         assert [v.rule for v in check_well_formed(tree)] == ["ArityViolation"]
 
     def test_side_flagged_root_reports_side_flag(self):
-        tree = CaeTree(root="C0", nodes={"C0": ClaimNode("C0", "root")}, side_flags=frozenset({"C0"}))
+        tree = CaeTree(root="C0", nodes={"C0": ClaimNode("C0", "root", side=True)})
         assert "SideFlagViolation" in [v.rule for v in check_well_formed(tree)]
 
     def test_two_parents_reported(self):
@@ -189,6 +180,42 @@ class TestCheckWellFormed:
 
     def test_build_tree_output_always_passes(self):
         assert check_well_formed(minimal_decomposition()) == []
+
+    @pytest.mark.parametrize(
+        ("root", "nodes", "found"),
+        [
+            pytest.param(
+                "C9",
+                {"C0": ClaimNode("C0", "root")},
+                [("C9", "RootRule", "root id is not present in the node map")],
+                id="missing-root",
+            ),
+            pytest.param(
+                "C0",
+                {"C0": ClaimNode("C0", "root", ("P9",))},
+                [("C0", "StructureRule", "child 'P9' is not in the node map")],
+                id="child-missing-from-the-map",
+            ),
+            pytest.param(
+                "C0",
+                {
+                    "C0": ClaimNode("C0", "root", ("A0",)),
+                    "A0": ArgumentNode("A0", ArgumentKind.SUBSTITUTION, "back to the root", ("C0",)),
+                },
+                [("C0", "StructureRule", "root node has a parent")],
+                id="root-with-a-parent",
+            ),
+            pytest.param(
+                "C0",
+                {"C0": ClaimNode("C0", "root"), "P0": proof("P0")},
+                [("P0", "StructureRule", "node is not reachable from the root")],
+                id="unreachable-node",
+            ),
+        ],
+    )
+    def test_structure_findings(self, root, nodes, found):
+        violations = check_well_formed(CaeTree(root=root, nodes=nodes))
+        assert [(v.node_id, v.rule, v.message) for v in violations] == found
 
 
 class TestNodeStatus:
@@ -216,7 +243,7 @@ class TestNodeStatus:
 
         lifted_nodes = dict(tree.nodes)
         lifted_nodes["H1c.1'"] = dataclasses.replace(tree.nodes["H1c.1'"], kind=EvidenceKind.PROOF)
-        lifted = CaeTree(tree.root, lifted_nodes, tree.side_flags)
+        lifted = CaeTree(tree.root, lifted_nodes)
         assert node_status(lifted, "C1c.1") is Status.SUPPORTED
 
     def test_unknown_node(self):
@@ -228,7 +255,7 @@ class TestNodeStatus:
         # demote the right branch; the left branch keeps its verdict
         nodes = dict(tree.nodes)
         nodes["P2"] = dataclasses.replace(tree.nodes["P2"], kind=EvidenceKind.HYPOTHESIS)
-        edited = CaeTree(tree.root, nodes, tree.side_flags)
+        edited = CaeTree(tree.root, nodes)
         assert node_status(edited, "C1") == node_status(tree, "C1")
         assert node_status(edited, tree.root) is Status.ASSUMED
 
@@ -329,6 +356,6 @@ def test_promoting_a_hypothesis_never_demotes_any_node(tree):
     for hid in hyps:
         nodes = dict(tree.nodes)
         nodes[hid] = dataclasses.replace(tree.nodes[hid], kind=EvidenceKind.PROOF)
-        promoted = CaeTree(tree.root, nodes, tree.side_flags)
+        promoted = CaeTree(tree.root, nodes)
         for nid, old in before.items():
             assert node_status(promoted, nid) >= old

@@ -508,9 +508,26 @@ class TestScenarioDocuments:
             replace(config, skip_v7_peers=frozenset({5})),
             replace(config, endorser_behaviors={"EX": sim.HONEST_BEHAVIOR}),
             replace(config, workload=((9, proposal("t", sim.ChaincodeOp.noop(), nonce=1)),)),
+            replace(config, orderers=sim.OrdererConfig(n=3, batch_size=0)),
+            replace(config, orderers=sim.OrdererConfig(n=3, crash_schedule=((1, 3),))),
+            replace(config, orderers=sim.OrdererConfig(n=3, crash_schedule=((-1, 0),))),
+            replace(config, seed=-1),
         ):
             with pytest.raises(sim.ConfigInvalid):
                 sim.validate_config(broken)
+
+    @pytest.mark.parametrize(
+        ("mode", "window", "message"),
+        [
+            (DOSED, (5, 2), "a denial-of-service window needs from_step <= to_step"),
+            (DOSED, (None, 2), "a denial-of-service window needs from_step <= to_step"),
+            (HONEST, (1, 2), "behavior 'honest' does not take a step window"),
+        ],
+    )
+    def test_a_bad_behavior_window_is_refused(self, mode, window, message):
+        with pytest.raises(sim.ConfigInvalid) as caught:
+            sim.EndorserBehavior(mode, *window)
+        assert str(caught.value) == message
 
     def test_duplicate_tx_ids_rejected(self):
         config = basic_config(
@@ -527,3 +544,5 @@ class TestScenarioDocuments:
             sim.parse_scenario("{not json")
         with pytest.raises(sim.ConfigInvalid):
             sim.parse_scenario('{"horizon": 3}')
+        with pytest.raises(sim.ConfigInvalid, match="^scenario document must be a JSON object$"):
+            sim.parse_scenario("[1, 2]")

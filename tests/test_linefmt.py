@@ -175,7 +175,7 @@ def _outcome(read, text):
     except ParseFailure as failure:
         return [str(error) for error in failure.errors]
     if isinstance(result, cae_dsl.CaeTree):  # nodes in document order
-        return result.root, list(result.nodes.items()), result.side_flags
+        return result.root, list(result.nodes.items())
     return result
 
 

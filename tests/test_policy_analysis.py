@@ -309,6 +309,16 @@ class TestPolicyText:
     def test_whitespace_and_comments(self):
         text = "# the governance rule\noutof( 2 , E1, E2,\n  E3 )\n"
         assert parse_policy(text) == out_of(2, E3)
+        assert parse_policy("or(E1, # a\r\nE2, # b\rE3) # c\n") == any_of(E3)
+        # a comment runs to LF, CRLF or CR; every other separator is comment text
+        for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+            assert parse_policy(f"or(E1 # note{sep},E9\n, E2, E3)") == any_of(E3)
+            assert parse_policy(f"outof(2,E1,E2,E3) # two{sep}of three") == out_of(2, E3)
+            assert parse_policy(f"or({sep}E1,{sep}E2,E3{sep}){sep}") == any_of(E3)
+
+    def test_an_error_offset_counts_into_the_text_as_written(self):
+        with pytest.raises(PolicyError, match="trailing content at offset 20"):
+            parse_policy("# the rule\r\nE1 # x\n E2")
 
     def test_malformed_expressions(self):
         for bad in ("", "and(E1)", "outof(4,E1,E2)", "E1)", "pick(E1,E2)", "outof(x,E1,E2)"):

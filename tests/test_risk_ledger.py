@@ -68,6 +68,50 @@ class TestParseRegistry:
         )
         assert registry_errors(text)[0].code == "BadCategory"
 
+    @pytest.mark.parametrize(
+        ("lines", "error"),
+        [
+            pytest.param(
+                'risk R1 "a" criticality="Dire" events="ValidRejected" likelihood="Rare"\n',
+                (1, "BadAttribute", "criticality must be one of ('Low', 'Medium', 'High')"),
+                id="bad-criticality",
+            ),
+            pytest.param(
+                'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Daily"\n',
+                (1, "BadAttribute", "likelihood must be one of ('Rare', 'Possible', 'Frequent')"),
+                id="bad-likelihood",
+            ),
+            pytest.param(
+                'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
+                '  mitigation evidence="P1"\n',
+                (2, "BadCategory", "mitigation line needs a category token"),
+                id="mitigation-without-a-category",
+            ),
+        ],
+    )
+    def test_each_refusal_names_its_line(self, lines, error):
+        assert [(e.span.line, e.code, e.message) for e in registry_errors(lines)] == [error]
+
+    @pytest.mark.parametrize(
+        ("top", "error"),
+        [
+            pytest.param('risk R2 "b', (3, "UnterminatedString"), id="line-that-fails-to-lex"),
+            pytest.param('riskk R2 "b" criticality="Low" events="ValidRejected" likelihood="Rare"', (3, "BadKind"),
+                         id="line-that-is-not-a-risk"),
+        ],
+    )
+    def test_the_children_of_a_bad_top_level_line_are_skipped(self, top, error):
+        # they belong to the bad line, not to the risk above it
+        text = (
+            'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
+            '  accept "argued acceptable"\n'
+            f"{top}\n"
+            '  accept "charged to nobody"\n'
+            '  mitigation tolerance evidence="P2"\n'
+            '    accept "too deep, under the bad line"\n'
+        )
+        assert [(e.span.line, e.code) for e in registry_errors(text)] == [error]
+
     def test_bad_feared_event(self):
         text = 'risk R1 "a" criticality="Low" events="Meteor" likelihood="Rare"\n'
         assert registry_errors(text)[0].code == "BadFearedEvent"
