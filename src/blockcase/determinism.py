@@ -42,11 +42,14 @@ class CounterRng:
     def __init__(self, seed: int, stream: int = 0) -> None:
         if not 0 <= seed <= MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        self._prefix = b"blockcase.rng" + struct.pack(">QQ", seed, stream & MASK64)
+        # the prefix is hashed once; each draw hashes only its counter onto a copy
+        self._prefix = hashlib.sha256(b"blockcase.rng" + struct.pack(">QQ", seed, stream & MASK64))
         self._counter = 0
 
     def u64(self) -> int:
-        block = hashlib.sha256(self._prefix + struct.pack(">Q", self._counter)).digest()
+        hasher = self._prefix.copy()
+        hasher.update(struct.pack(">Q", self._counter))
+        block = hasher.digest()
         self._counter += 1
         return int.from_bytes(block[:8], "big")
 

@@ -71,17 +71,24 @@ class Attr:
 class LexedLine:
     """A line that is neither blank nor a comment.
 
-    ``kind`` is None when the line failed to lex; such a line is kept so that
-    its children find a parent. ``node`` is set when one match read the line
-    as a node line: (id, id column, text, ((key, value, column), ...), kind
-    column, text column). Such a line builds its ``atoms`` on first use.
+    ``line_no`` and ``column`` locate its first character; ``span`` builds
+    them into a ``SourceSpan`` when an error needs one. ``kind`` is None when
+    the line failed to lex; such a line is kept so that its children find a
+    parent. ``node`` is set when one match read the line as a node line:
+    (id, id column, text, ((key, value, column), ...), kind column, text
+    column). Such a line builds its ``atoms`` on first use.
     """
 
-    span: SourceSpan
+    line_no: int
+    column: int
     level: int
     kind: str | None
     _atoms: tuple | None
     node: tuple | None = None
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line_no, self.column)
 
     @property
     def atoms(self) -> tuple:
@@ -192,14 +199,13 @@ def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
             bad = True
         prev_level = level
 
-        span = SourceSpan(line_no, spaces + 1)
         # a line with bad indentation goes to the scanner, which reports its other errors too
         node = None if bad else _NODE_LINE.fullmatch(raw, spaces)
         if node is not None:
             found = _ATTR.finditer(raw, *node.span(4)) if node[4] else ()
             attrs = tuple((a[1], _unescape(a[2]), a.start(1) + 1) for a in found)
             shape = (node[2], node.start(2) + 1, _unescape(node[3]), attrs, node.start(1) + 1, node.start(3))
-            lines.append(LexedLine(span, level, node[1], None, shape))
+            lines.append(LexedLine(line_no, spaces + 1, level, node[1], None, shape))
             continue
 
         atoms, error = _scan(raw, spaces)
@@ -211,8 +217,10 @@ def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
             if atoms and isinstance(atoms[0], Token):
                 kind = atoms[0].text
             else:
-                errors.append(ParseError(span, "BadKind", "line must start with a kind token"))
-        lines.append(LexedLine(span, level, kind, tuple(atoms)))
+                errors.append(
+                    ParseError(SourceSpan(line_no, spaces + 1), "BadKind", "line must start with a kind token")
+                )
+        lines.append(LexedLine(line_no, spaces + 1, level, kind, tuple(atoms)))
 
     return lines, errors
 
@@ -239,7 +247,7 @@ def read_node_line(
         # an atom that is not an attribute has no key
         attrs = [(a.key, a.value, a.column) if isinstance(a, Attr) else (None, None, a.column) for a in rest[2:]]
     if not ID_PATTERN.match(node_id):
-        errors.append(ParseError(SourceSpan(line.span.line, column), "BadKind", f"invalid node id {node_id!r}"))
+        errors.append(ParseError(SourceSpan(line.line_no, column), "BadKind", f"invalid node id {node_id!r}"))
         return None
     if text is None:
         errors.append(ParseError(line.span, "BadKind", f"{kind} {node_id} needs a quoted text"))
@@ -257,7 +265,7 @@ def read_node_line(
         else:
             values[key] = value
             continue
-        errors.append(ParseError(SourceSpan(line.span.line, column), *message))
+        errors.append(ParseError(SourceSpan(line.line_no, column), *message))
     for key in required:
         if key not in values:
             errors.append(ParseError(line.span, "BadAttribute", f"{kind} {node_id} is missing the {key} attribute"))

@@ -5,8 +5,9 @@ fast with truth tables held as integer bitsets) to find minimal satisfying sets,
 minimal blocking sets and the fraud/censorship tolerance of a policy. The
 Monte Carlo campaign samples endorser fault assignments and reports
 feared-event success rates with normal-approximation confidence intervals.
-It maps each drawn assignment onto one representative of its symmetry class
-(endorsers the policy cannot tell apart, found from its syntax, trade modes
+It maps each drawn assignment onto one representative of its outcome class
+(censoring, crashed and whole-horizon DoS endorsers are all silent, and
+endorsers the policy cannot tell apart, found from its syntax, trade modes
 freely) and runs each distinct representative once through the simulator's
 ordering/commit stage; peer replay is skipped, because neither outcome bit
 reads a peer state. Equal inputs always produce byte-equal reports.
@@ -46,6 +47,8 @@ MAX_IDENTITIES = 20
 
 LABEL_MODES = frozenset({HONEST, FRAUDULENT, CENSORING, CRASHED})
 FAULT_MODES = (CENSORING, CRASHED, DOSED, FRAUDULENT)  # draw order for campaigns
+# A campaign's outcome bits cannot tell these modes apart, so it simulates each as crashed.
+_SILENT = {CENSORING: CRASHED, DOSED: CRASHED}
 
 
 class TooManyIdentitiesError(PolicyError):
@@ -288,16 +291,24 @@ def monte_carlo_campaign(
     configuration, so each distinct assignment runs once and its outcome is
     counted for every run that drew it.
 
-    Before counting, each run's modes are put in canonical form: within each
-    of the policy's ``symmetry_classes``, the class's modes are sorted onto
-    its sorted endorsers. This is sound because the engine treats MSP
-    endorsers alike except through the policy, which a swap within a class
-    leaves unchanged; endorser order only decides which endorsement is
-    ``endorsements[0]``, and validation reads that only after V6 has found
-    all endorsements equal. A swapped run's refusal records name other
-    endorsers, but the campaign reads only its two outcome bits, so the
-    report equals replaying every run. Deterministic in
-    (base_config, fault_probabilities, n_runs, seed).
+    Before counting, each run's modes are put in canonical form in two
+    steps, each sound on its own. First, every silent mode becomes
+    ``crashed``. A crashed endorser returns ``NO_RESPONSE`` from
+    ``endorse``. A drawn DoS covers the whole horizon
+    (``behavior_from_mode`` gives it the window 0..horizon, and
+    ``run_pipeline`` steps 0..horizon), so it returns ``NO_RESPONSE`` at
+    every step. A censoring endorser returns a ``Refusal``, which only adds
+    a ``RefusalRecord``. None of the three adds an ``Endorsement``, so
+    ``committed`` and ``submitted_tx_ids``, all that the two bits read, are
+    equal under each of them. Second, within each of the policy's
+    ``symmetry_classes``, the class's modes are sorted onto its sorted
+    endorsers. The engine treats MSP endorsers alike except through the
+    policy, which a swap within a class leaves unchanged; endorser order
+    only decides which endorsement is ``endorsements[0]``, and validation
+    reads that only after V6 has found all endorsements equal. Collapsed or
+    swapped runs differ only in their refusal records, which the campaign
+    does not read, so the report equals replaying every run as drawn.
+    Deterministic in (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
         raise BadProbabilityError("n_runs", "run count must be at least 1")
@@ -312,6 +323,8 @@ def monte_carlo_campaign(
     classes = symmetry_classes(base_config.policy, endorsers)
 
     def canonical(modes: dict[str, str]) -> tuple[str, ...]:
+        for endorser, mode in modes.items():
+            modes[endorser] = _SILENT.get(mode, mode)
         for cls in classes:
             for endorser, mode in zip(cls, sorted([modes[e] for e in cls])):
                 modes[endorser] = mode

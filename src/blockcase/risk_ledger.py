@@ -99,11 +99,14 @@ def parse_registry(text: str) -> RiskRegistry:
 
     risks: list[Risk] = []
     seen_ids: set[str] = set()
-    opened = False  # a top-level line has been read, so child lines have somewhere to sit
-    current: Risk | None = None  # that line's risk; None when the line was bad, and then its children are skipped
+    current: Risk | None = None  # the risk that the child lines below it add to
+    skip_under: int | None = None  # the level of a bad or misplaced line: the lines nested under it are skipped
     for line in lines:
+        if skip_under is not None and line.level > skip_under:
+            continue
+        skip_under = None
         if line.level == 0:
-            opened, current = True, None
+            current, skip_under = None, 0  # until the line reads as a new risk
             if line.kind is None:  # failed to lex, already reported
                 continue
             if line.kind != "risk":
@@ -118,12 +121,15 @@ def parse_registry(text: str) -> RiskRegistry:
                 continue
             seen_ids.add(current.id)
             risks.append(current)
+            skip_under = None
             continue
 
-        if line.kind is None or (opened and current is None):
+        if line.kind is None:  # failed to lex, already reported
+            skip_under = line.level
             continue
-        if line.level != 1 or not opened:
+        if line.level != 1 or current is None:
             errors.append(ParseError(line.span, "ChildRuleViolation", "mitigation and accept lines sit under a risk"))
+            skip_under = line.level
             continue
         rest = line.atoms[1:]
         if line.kind == "mitigation":

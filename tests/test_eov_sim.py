@@ -4,11 +4,14 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcase import eov_sim as sim
 from blockcase.policy_analysis import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST, all_of, any_of
 from blockcase.risk_ledger import FearedEvent
 from simgen import random_scenario, replay_committed
+from test_policy_analysis import nested_policies
 
 E3 = ["E1", "E2", "E3"]
 
@@ -434,6 +437,39 @@ class TestPipelineStage:
         assert run.canonical_state == result.canonical_state
         assert run.submitted_tx_ids == result.submitted_tx_ids
         assert run.liveness_lost_at == result.report.liveness_lost_at
+
+
+@st.composite
+def silenced_endorsers(draw):
+    """A random base under a random nested policy, and one of its endorsers."""
+    base = random_scenario(draw(st.integers(0, 63)), behavior_modes=(HONEST, FRAUDULENT, CENSORING, CRASHED, DOSED))
+    endorsers = sorted(base.msp_endorsers)
+    policy = draw(nested_policies(max_depth=3, idents=endorsers))
+    return replace(base, policy=policy), draw(st.sampled_from(endorsers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(silenced_endorsers())
+def test_censoring_crashed_and_whole_horizon_dos_endorsers_commit_alike(case):
+    """None of the three silent modes adds an endorsement, so only the refusal records tell them apart."""
+    base, endorser = case
+    runs = {
+        mode: sim.run_pipeline(base.with_behaviors({**base.endorser_behaviors, endorser: behavior}))
+        for mode, behavior in (
+            (CENSORING, sim.EndorserBehavior(CENSORING)),
+            (CRASHED, sim.EndorserBehavior(CRASHED)),
+            (DOSED, sim.behavior_from_mode(DOSED, horizon=base.horizon)),
+        )
+    }
+    crashed = runs[CRASHED]
+    for run in runs.values():
+        assert (run.committed, run.blocks, run.submitted_tx_ids) == (
+            crashed.committed, crashed.blocks, crashed.submitted_tx_ids
+        )
+    assert runs[DOSED].refusals == crashed.refusals
+    own = [r for r in runs[CENSORING].refusals if r.endorser_id == endorser]
+    assert all((r.failed_criterion, r.reason) == (None, "censorship") for r in own)
+    assert tuple(r for r in runs[CENSORING].refusals if r.endorser_id != endorser) == crashed.refusals
 
 
 class TestOrderingLiveness:

@@ -112,6 +112,20 @@ class TestParseRegistry:
         )
         assert [(e.span.line, e.code) for e in registry_errors(text)] == [error]
 
+    def test_a_too_deep_line_is_reported_once_and_the_lines_under_it_are_skipped(self):
+        text = (
+            'risk R1 "a" criticality="Low" events="ValidRejected" likelihood="Rare"\n'
+            '  mitigation tolerance evidence="P1"\n'
+            '    accept "level 2"\n'
+            '      accept "level 3"\n'
+            '        bogus "level 4"\n'
+            '  accept "back under the risk"\n'
+            '    accept "too deep again"\n'
+        )
+        assert [(e.span.line, e.code) for e in registry_errors(text)] == [
+            (3, "ChildRuleViolation"), (7, "ChildRuleViolation")
+        ]
+
     def test_bad_feared_event(self):
         text = 'risk R1 "a" criticality="Low" events="Meteor" likelihood="Rare"\n'
         assert registry_errors(text)[0].code == "BadFearedEvent"
