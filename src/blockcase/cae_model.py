@@ -129,13 +129,6 @@ class CaeTree:
             raise NotEvidenceError(f"node {node_id!r} is not evidence")
         return node
 
-    def parent_map(self) -> dict[str, str]:
-        parents: dict[str, str] = {}
-        for nid, node in self.nodes.items():
-            for child in node.children:
-                parents[child] = nid
-        return parents
-
     def preorder(self, start: str | None = None) -> Iterator[str]:
         """Document order: each node before its children, children in order."""
         stack = [start if start is not None else self.root]

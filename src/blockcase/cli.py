@@ -190,6 +190,8 @@ def cmd_policy_campaign(args) -> int:
         cae_path, _, evidence_id = args.link.rpartition(":")
         if not cae_path or not evidence_id:
             raise _Refused(PARSE_ERROR, f"--link takes <cae-file>:<evidence-id>, got {args.link!r}")
+        if Path(args.out).resolve() == Path(cae_path).resolve():  # the report would overwrite the tree it cites
+            raise _Refused(PARSE_ERROR, f"--out {args.out} is the --link tree {cae_path}; write the report elsewhere")
 
         def read_tree(text: str) -> CaeTree:  # the evidence rule is checked here, so its error names the file
             tree = parse(text)

@@ -49,17 +49,11 @@ class Endorsement:
 
 
 @dataclass(frozen=True, slots=True)
-class Refusal:
-    criterion: str | None  # V1..V3, or None for plain censorship
+class RefusalRecord:
+    tx_id: str
+    endorser_id: str
+    failed_criterion: str | None  # V1..V3, None for censorship
     reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class NoResponse:
-    pass
-
-
-NO_RESPONSE = NoResponse()
 
 
 def endorse(
@@ -70,36 +64,38 @@ def endorse(
     seen_nonces: set[tuple[str, int]],
     msp_emitters: frozenset[str],
     step: int,
-) -> Endorsement | Refusal | NoResponse:
-    """One endorser's reaction to a proposal.
+) -> Endorsement | RefusalRecord | None:
+    """One endorser's reaction to a proposal: it endorses, refuses or stays silent.
 
     Honest endorsers check emitter legitimacy, replay freshness and a clean
-    chaincode execution, in that order, and report the first failure.
-    Fraudulent endorsers skip the execution check and endorse the claimed
-    effects, but still refuse illegitimate emitters and replays. Censoring
-    endorsers refuse everything; crashed ones never answer; a denial-of-
-    service window silences an otherwise honest endorser.
+    chaincode execution, in that order, and return a ``RefusalRecord`` of
+    the first failure. Fraudulent endorsers skip the execution check and
+    endorse the claimed effects, but still refuse illegitimate emitters and
+    replays. Censoring endorsers refuse everything; crashed ones never
+    answer (``None``), and neither does an endorser inside its denial-of-
+    service window, which is honest outside it.
     """
     mode = behavior.mode
     if mode == CRASHED:
-        return NO_RESPONSE
+        return None
     if mode == DOSED:
         if behavior.from_step <= step <= behavior.to_step:
-            return NO_RESPONSE
+            return None
         mode = HONEST
+    tx_id, client = proposal.tx_id, proposal.client_id
     if mode == CENSORING:
-        return Refusal(None, "censorship")
+        return RefusalRecord(tx_id, endorser_id, None, "censorship")
 
-    if proposal.client_id not in msp_emitters:
-        return Refusal(V1, f"emitter {proposal.client_id!r} is not registered with the MSP")
-    if (proposal.client_id, proposal.nonce) in seen_nonces:
-        return Refusal(V3, f"nonce {proposal.nonce} of {proposal.client_id!r} was already acknowledged")
+    if client not in msp_emitters:
+        return RefusalRecord(tx_id, endorser_id, V1, f"emitter {client!r} is not registered with the MSP")
+    if (client, proposal.nonce) in seen_nonces:
+        return RefusalRecord(tx_id, endorser_id, V3, f"nonce {proposal.nonce} of {client!r} was already acknowledged")
     if mode == FRAUDULENT:
         return Endorsement(endorser_id, claimed_effects(state, proposal.op))
     try:
         rwset = execute_chaincode(state, proposal.op)
     except AppFailure as failure:
-        return Refusal(V2, f"chaincode execution failed: {failure}")
+        return RefusalRecord(tx_id, endorser_id, V2, f"chaincode execution failed: {failure}")
     return Endorsement(endorser_id, rwset)
 
 
@@ -219,14 +215,6 @@ class CommittedTx:
     tx_id: str
     valid: bool
     failed_criterion: str | None  # V4..V7 when invalid
-
-
-@dataclass(frozen=True, slots=True)
-class RefusalRecord:
-    tx_id: str
-    endorser_id: str
-    failed_criterion: str | None  # V1..V3, None for censorship
-    reason: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,10 +343,8 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
                 )
                 if isinstance(outcome, Endorsement):
                     endorsements.append(outcome)
-                elif isinstance(outcome, Refusal):
-                    refusals.append(
-                        RefusalRecord(proposal.tx_id, endorser_id, outcome.criterion, outcome.reason)
-                    )
+                elif outcome is not None:
+                    refusals.append(outcome)
             seen_nonces.add((proposal.client_id, proposal.nonce))
             submission = assemble_submission(proposal, endorsements, policy)
             if submission is not None:
@@ -390,10 +376,8 @@ class SimResult:
     """Run report plus the raw material tests work from."""
 
     report: RunReport
-    blocks: tuple[Block, ...]
+    run: PipelineRun
     peer_states: tuple[KvStore, ...]
-    canonical_state: KvStore
-    submitted_tx_ids: frozenset[str]
 
 
 def simulate(config: ScenarioConfig) -> SimResult:
@@ -424,13 +408,7 @@ def simulate(config: ScenarioConfig) -> SimResult:
         seed=config.seed,
         config_digest=scenario_digest(config),
     )
-    return SimResult(
-        report=report,
-        blocks=run.blocks,
-        peer_states=tuple(peer_states),
-        canonical_state=run.canonical_state,
-        submitted_tx_ids=run.submitted_tx_ids,
-    )
+    return SimResult(report=report, run=run, peer_states=tuple(peer_states))
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:

@@ -293,12 +293,11 @@ def monte_carlo_campaign(
 
     Before counting, each run's modes are put in canonical form in two
     steps, each sound on its own. First, every silent mode becomes
-    ``crashed``. A crashed endorser returns ``NO_RESPONSE`` from
-    ``endorse``. A drawn DoS covers the whole horizon
-    (``behavior_from_mode`` gives it the window 0..horizon, and
-    ``run_pipeline`` steps 0..horizon), so it returns ``NO_RESPONSE`` at
-    every step. A censoring endorser returns a ``Refusal``, which only adds
-    a ``RefusalRecord``. None of the three adds an ``Endorsement``, so
+    ``crashed``. A crashed endorser returns ``None`` from ``endorse``. A
+    drawn DoS covers the whole horizon (``behavior_from_mode`` gives it the
+    window 0..horizon, and ``run_pipeline`` steps 0..horizon), so it
+    returns ``None`` at every step. A censoring endorser returns a
+    ``RefusalRecord``. None of the three adds an ``Endorsement``, so
     ``committed`` and ``submitted_tx_ids``, all that the two bits read, are
     equal under each of them. Second, within each of the policy's
     ``symmetry_classes``, the class's modes are sorted onto its sorted

@@ -107,7 +107,7 @@ def replay_committed(result: sim.SimResult) -> sim.KvStore:
     ops = {proposal.tx_id: proposal.op for proposal in _proposals_of(result)}
     entries = iter(result.report.committed)
     store = sim.KvStore()
-    for block in result.blocks:
+    for block in result.run.blocks:
         for index, submission in enumerate(block.submissions):
             entry = next(entries)
             assert entry.tx_id == submission.proposal.tx_id
@@ -119,6 +119,6 @@ def replay_committed(result: sim.SimResult) -> sim.KvStore:
 
 
 def _proposals_of(result: sim.SimResult):
-    for block in result.blocks:
+    for block in result.run.blocks:
         for submission in block.submissions:
             yield submission.proposal

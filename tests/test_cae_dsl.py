@@ -214,7 +214,7 @@ def misplaced_trees(draw):
     argument, or an argument under a claim that already has one.
     """
     tree = draw(cae_trees())
-    parent_of = tree.parent_map()
+    parent_of = {child: nid for nid, node in tree.nodes.items() for child in node.children}
     moves: dict[str, list[tuple[str, str]]] = {}  # broken case -> (moved id, new parent id)
     for moved, node in tree.nodes.items():
         if moved == tree.root or isinstance(node, EvidenceNode):

@@ -108,7 +108,7 @@ def run_by_run_campaign(base, fault_probabilities, n_runs, seed):
         }
         result = sim.simulate(base.with_behaviors(behaviors))
         fraud_hits += result.report.feared_event_counts[sim.FearedEvent.INVALID_ACCEPTED] > 0
-        censorship_hits += bool(valid_tx_ids - result.submitted_tx_ids)
+        censorship_hits += bool(valid_tx_ids - result.run.submitted_tx_ids)
     fraud_rate, censorship_rate = fraud_hits / n_runs, censorship_hits / n_runs
     return CampaignReport(
         policy_digest=policy_digest(base.policy),

@@ -526,6 +526,18 @@ def test_a_bad_link_is_refused_before_the_campaign_runs(capsys, monkeypatch, wor
     assert cae.read_bytes() == before
 
 
+@pytest.mark.parametrize("out", ["fig5.cae", "./sub/../fig5.cae"], ids=["same-name", "same-file"])
+def test_a_report_over_its_link_tree_is_refused_before_the_campaign_runs(capsys, monkeypatch, workdir, out):
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
+    monkeypatch.chdir(workdir)
+    (workdir / "sub").mkdir()
+    Path("policy.txt").write_text("outof(2,E1,E2,E3)")
+    before = sorted(workdir.iterdir()), Path("fig5.cae").read_bytes()
+    result = run(capsys, "policy", "campaign", "policy.txt", "--runs", "20", "--out", out, "--link", "fig5.cae:P1c.1.3")
+    assert result == (PARSE_ERROR, "", f"--out {out} is the --link tree fig5.cae; write the report elsewhere\n")
+    assert (sorted(workdir.iterdir()), Path("fig5.cae").read_bytes()) == before
+
+
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
 @pytest.mark.parametrize("with_scenario", [False, True], ids=["default-base", "scenario"])
 def test_a_campaign_seed_out_of_range_is_a_parse_error(capsys, monkeypatch, tmp_path, seed, with_scenario):

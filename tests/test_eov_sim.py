@@ -86,21 +86,21 @@ class TestEndorse:
 
     def test_unknown_emitter_refused_first(self):
         outcome = self.endorse(sim.HONEST_BEHAVIOR, proposal("t", sim.ChaincodeOp.noop(), client="mallory"))
-        assert isinstance(outcome, sim.Refusal) and outcome.criterion == sim.V1
+        assert isinstance(outcome, sim.RefusalRecord) and outcome.failed_criterion == sim.V1
 
     def test_replayed_nonce_refused(self):
         prop = proposal("t", sim.ChaincodeOp.noop(), nonce=9)
         outcome = self.endorse(sim.HONEST_BEHAVIOR, prop, seen={("c1", 9)})
-        assert isinstance(outcome, sim.Refusal) and outcome.criterion == sim.V3
+        assert isinstance(outcome, sim.RefusalRecord) and outcome.failed_criterion == sim.V3
 
     def test_replay_by_an_illegitimate_emitter_reports_the_earlier_criterion(self):
         prop = proposal("t", sim.ChaincodeOp.noop(), client="mallory", nonce=9)
         outcome = self.endorse(sim.HONEST_BEHAVIOR, prop, seen={("mallory", 9)})
-        assert outcome.criterion == sim.V1
+        assert outcome.failed_criterion == sim.V1
 
     def test_failed_execution_refused(self):
         outcome = self.endorse(sim.HONEST_BEHAVIOR, proposal("t", sim.ChaincodeOp.transfer("a", "b", 5)))
-        assert isinstance(outcome, sim.Refusal) and outcome.criterion == sim.V2
+        assert isinstance(outcome, sim.RefusalRecord) and outcome.failed_criterion == sim.V2
 
     def test_fraudulent_endorses_a_guard_violating_op(self):
         behavior = sim.EndorserBehavior(FRAUDULENT)
@@ -111,23 +111,23 @@ class TestEndorse:
     def test_fraudulent_still_refuses_identity_and_replay_failures(self):
         behavior = sim.EndorserBehavior(FRAUDULENT)
         refusal = self.endorse(behavior, proposal("t", sim.ChaincodeOp.noop(), client="mallory"))
-        assert refusal.criterion == sim.V1
+        assert refusal.failed_criterion == sim.V1
         replay = self.endorse(behavior, proposal("t", sim.ChaincodeOp.noop(), nonce=3), seen={("c1", 3)})
-        assert replay.criterion == sim.V3
+        assert replay.failed_criterion == sim.V3
 
     def test_censoring_refuses_everything(self):
         outcome = self.endorse(sim.EndorserBehavior(CENSORING), proposal("t", sim.ChaincodeOp.noop()))
-        assert isinstance(outcome, sim.Refusal)
-        assert outcome.criterion is None and outcome.reason == "censorship"
+        assert isinstance(outcome, sim.RefusalRecord)
+        assert outcome.failed_criterion is None and outcome.reason == "censorship"
 
     def test_crashed_never_answers(self):
         outcome = self.endorse(sim.EndorserBehavior(CRASHED), proposal("t", sim.ChaincodeOp.noop()))
-        assert outcome is sim.NO_RESPONSE
+        assert outcome is None
 
     def test_dos_window(self):
         behavior = sim.dosed(2, 4)
         prop = proposal("t", sim.ChaincodeOp.noop())
-        assert self.endorse(behavior, prop, step=3) is sim.NO_RESPONSE
+        assert self.endorse(behavior, prop, step=3) is None
         assert isinstance(self.endorse(behavior, prop, step=5), sim.Endorsement)
 
 
@@ -354,7 +354,7 @@ class TestRunScenario:
             result = sim.simulate(random_scenario(seed))
             last_version: dict[str, tuple[int, int]] = {}
             entries = iter(result.report.committed)
-            for block in result.blocks:
+            for block in result.run.blocks:
                 for index, submission in enumerate(block.submissions):
                     entry = next(entries)
                     if not entry.valid:
@@ -379,7 +379,7 @@ def own_digests(config, result):
     digests = {}
     for peer in range(config.peers):
         state = sim.KvStore()
-        for block in result.blocks:
+        for block in result.run.blocks:
             _, state = sim.validate_block(
                 state, block, config.msp_endorsers, config.policy, peer in config.skip_v7_peers
             )
@@ -433,10 +433,8 @@ class TestPipelineStage:
         run, result = sim.run_pipeline(config), sim.simulate(config)
         assert run.committed == result.report.committed
         assert run.refusals == result.report.endorsement_refusals
-        assert run.blocks == result.blocks
-        assert run.canonical_state == result.canonical_state
-        assert run.submitted_tx_ids == result.submitted_tx_ids
         assert run.liveness_lost_at == result.report.liveness_lost_at
+        assert run == result.run
 
 
 @st.composite
