@@ -184,6 +184,10 @@ def cmd_policy_campaign(args) -> int:
     policy = _load(args.policy, policy_analysis.parse_policy)
     if args.scenario:
         base = _load(args.scenario, _scenario_reader(policy=policy))
+        if base.endorser_behaviors:  # the campaign's draws would replace them, and the report would not say so
+            raise _Refused(PARSE_ERROR, f"--scenario: {args.scenario} sets endorser_behaviors for "
+                                        f"{', '.join(sorted(base.endorser_behaviors))}; a campaign draws every "
+                                        "endorser's behavior, so its base must leave them out")
     else:
         base = default_campaign_scenario(policy, seed=args.seed)
     if args.link:  # read and checked before the campaign runs, so a refused --link writes nothing

@@ -12,8 +12,10 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from typing import Iterable, Iterator
 
 MASK64 = (1 << 64) - 1
+_U64 = struct.Struct(">Q")
 
 
 def sha256_hex(data: bytes) -> str:
@@ -31,6 +33,15 @@ def canonical_json_bytes(obj) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MASK64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+
+
+def _stream_prefix(seed: int, stream: int):
+    return hashlib.sha256(b"blockcase.rng" + struct.pack(">QQ", seed, stream & MASK64))
+
+
 class CounterRng:
     """Counter-based generator: draw i depends only on (seed, stream, i).
 
@@ -40,10 +51,9 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        if not 0 <= seed <= MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_seed(seed)
         # the prefix is hashed once; each draw hashes only its counter onto a copy
-        self._prefix = hashlib.sha256(b"blockcase.rng" + struct.pack(">QQ", seed, stream & MASK64))
+        self._prefix = _stream_prefix(seed, stream)
         self._counter = 0
 
     def u64(self) -> int:
@@ -64,3 +74,21 @@ class CounterRng:
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
+
+
+def uniform_rows(seed: int, streams: Iterable[int], n: int) -> Iterator[list[float]]:
+    """Per stream, the first ``n`` values of ``CounterRng(seed, stream).uniform()``.
+
+    The same draws taken in a batch, with one prefix hash per stream and
+    one SHA-256 per draw, but no ``CounterRng`` object or method call.
+    """
+    _check_seed(seed)
+    counters = [_U64.pack(i) for i in range(n)]
+    for stream in streams:
+        prefix = _stream_prefix(seed, stream)
+        row = []
+        for counter in counters:
+            hasher = prefix.copy()
+            hasher.update(counter)
+            row.append(_U64.unpack_from(hasher.digest())[0] / 2.0**64)
+        yield row

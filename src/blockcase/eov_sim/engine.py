@@ -1,11 +1,12 @@
 """Deterministic execute-order-validate pipeline with injectable faults.
 
 The run has two stages. The ordering/commit stage (``run_pipeline``) steps
-through the horizon: each step delivers the scheduled proposals to every
-endorser, assembles the endorsed ones into submissions, lets the ordering
-cluster cut at most one block (FIFO, majority quorum, one idle step after a
-leader crash) and commits any cut block to the canonical state that the
-endorsers execute against. The peer replay stage (``simulate``) then
+through the horizon, stopping once no later step can change the run: each
+step delivers the scheduled proposals to every endorser, assembles the
+endorsed ones into submissions, lets the ordering cluster cut at most one
+block (FIFO, majority quorum, one idle step after a leader crash) and
+commits any cut block to the canonical state that the endorsers execute
+against. The peer replay stage (``simulate``) then
 validates the ordered blocks on every peer, block by block. Validating after
 ordering rather than in the step that cut the block changes nothing, because
 peer states never feed back into endorsement or ordering. The whole run is a
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ..determinism import canonical_json_bytes
 from ..policy import EndorsementPolicy, eval_policy
@@ -56,6 +57,18 @@ class RefusalRecord:
     reason: str
 
 
+def _answering_mode(behavior: EndorserBehavior, step: int) -> str | None:
+    """The mode in which an endorser answers at ``step``: honest, fraudulent or
+    censoring, or None when it stays silent (crashed, or inside its denial-of-
+    service window, outside which it is honest)."""
+    mode = behavior.mode
+    if mode == CRASHED:
+        return None
+    if mode == DOSED:
+        return None if behavior.from_step <= step <= behavior.to_step else HONEST
+    return mode
+
+
 def endorse(
     endorser_id: str,
     behavior: EndorserBehavior,
@@ -75,13 +88,9 @@ def endorse(
     answer (``None``), and neither does an endorser inside its denial-of-
     service window, which is honest outside it.
     """
-    mode = behavior.mode
-    if mode == CRASHED:
+    mode = _answering_mode(behavior, step)
+    if mode is None:
         return None
-    if mode == DOSED:
-        if behavior.from_step <= step <= behavior.to_step:
-            return None
-        mode = HONEST
     tx_id, client = proposal.tx_id, proposal.client_id
     if mode == CENSORING:
         return RefusalRecord(tx_id, endorser_id, None, "censorship")
@@ -111,12 +120,33 @@ class Block:
     submissions: tuple[Submission, ...]
 
 
+def _satisfies(
+    policy: EndorsementPolicy, endorsements: Sequence[Endorsement], verdicts: dict[frozenset[str], bool] | None
+) -> bool:
+    """Whether the endorsing identities satisfy the policy.
+
+    ``verdicts`` memoizes ``eval_policy`` per endorsing set for the calls
+    that share it; None evaluates afresh.
+    """
+    signers = frozenset(e.endorser_id for e in endorsements)
+    if verdicts is None:
+        return eval_policy(policy, signers)
+    verdict = verdicts.get(signers)
+    if verdict is None:
+        verdict = verdicts[signers] = eval_policy(policy, signers)
+    return verdict
+
+
 def assemble_submission(
-    proposal: TxProposal, endorsements: Sequence[Endorsement], policy: EndorsementPolicy
+    proposal: TxProposal,
+    endorsements: Sequence[Endorsement],
+    policy: EndorsementPolicy,
+    verdicts: dict[frozenset[str], bool] | None = None,
 ) -> Submission | None:
     """Bundle the endorsements for the ordering service, or None when the
-    collected endorsing identities do not satisfy the policy."""
-    if not eval_policy(policy, {e.endorser_id for e in endorsements}):
+    collected endorsing identities do not satisfy the policy (looked up in
+    ``verdicts`` when given)."""
+    if not _satisfies(policy, endorsements, verdicts):
         return None
     return Submission(proposal, tuple(endorsements))
 
@@ -155,21 +185,23 @@ def ordering_step(
     to the next alive index (wrapping), which starts working the following
     step. With a ready leader and a live majority, one block of up to
     ``batch_size`` submissions is cut in FIFO order; otherwise nothing is
-    emitted.
+    emitted. A step in which no crash lands and no block is cut returns the
+    given cluster itself.
     """
-    crashed = cluster.crashed | {index for s, index in crash_schedule if s == step}
-    leader = cluster.leader
-    ready_at = cluster.leader_ready_at
-    if leader is not None and leader in crashed:
-        order = ((leader + offset) % cluster.n for offset in range(1, cluster.n + 1))
-        leader = next((index for index in order if index not in crashed), None)
-        ready_at = step + 1
-
-    updated = replace(cluster, crashed=crashed, leader=leader, leader_ready_at=ready_at)
-    if not (updated.live and leader is not None and step >= ready_at and pending):
-        return [], updated
+    landing = {index for s, index in crash_schedule if s == step}
+    if landing or cluster.leader in cluster.crashed:
+        crashed = cluster.crashed | landing
+        leader = cluster.leader
+        ready_at = cluster.leader_ready_at
+        if leader is not None and leader in crashed:
+            order = ((leader + offset) % cluster.n for offset in range(1, cluster.n + 1))
+            leader = next((index for index in order if index not in crashed), None)
+            ready_at = step + 1
+        cluster = replace(cluster, crashed=crashed, leader=leader, leader_ready_at=ready_at)
+    if not (pending and cluster.live and cluster.leader is not None and step >= cluster.leader_ready_at):
+        return [], cluster
     batch = tuple(pending.popleft() for _ in range(min(cluster.batch_size, len(pending))))
-    return [Block(cluster.next_block_no, batch)], replace(updated, next_block_no=cluster.next_block_no + 1)
+    return [Block(cluster.next_block_no, batch)], replace(cluster, next_block_no=cluster.next_block_no + 1)
 
 
 def validate_block(
@@ -178,13 +210,15 @@ def validate_block(
     msp_endorsers: frozenset[str],
     policy: EndorsementPolicy,
     skip_v7: bool,
+    verdicts: dict[frozenset[str], bool] | None = None,
 ) -> tuple[list[tuple[bool, str | None]], KvStore]:
     """Validate and apply a block on a copy of the peer state.
 
-    Per transaction, in order: the endorsing set satisfies the policy, the
-    endorsers are legitimate with valid signatures, all endorsements agree
-    on the effects, and (unless the peer is injected with ``skip_v7``) every
-    read still sees the version it was computed against. Valid transactions
+    Per transaction, in order: the endorsing set satisfies the policy
+    (looked up in ``verdicts`` when given), the endorsers are legitimate
+    with valid signatures, all endorsements agree on the effects, and
+    (unless the peer is injected with ``skip_v7``) every read still sees
+    the version it was computed against. Valid transactions
     apply their writes immediately, so later transactions in the same block
     see them. Reporting stops at the first failed criterion.
     """
@@ -193,7 +227,7 @@ def validate_block(
     for index, submission in enumerate(block.submissions):
         endorsements = submission.endorsements
         failed: str | None = None
-        if not eval_policy(policy, {e.endorser_id for e in endorsements}):
+        if not _satisfies(policy, endorsements, verdicts):
             failed = V4
         elif any(e.endorser_id not in msp_endorsers or not e.signature_valid for e in endorsements):
             failed = V5
@@ -311,10 +345,21 @@ class PipelineRun:
 def run_pipeline(config: ScenarioConfig) -> PipelineRun:
     """Endorse, order and commit steps 0..horizon against the canonical state.
 
+    Each proposal calls ``endorse`` once per answering mode (honest, which
+    includes a DoS endorser outside its window, fraudulent and censoring),
+    for the first endorser in sorted order that answers in it, and stamps
+    that outcome with every other such endorser's id, in sorted endorser
+    order. That equals calling ``endorse`` per endorser: between one
+    proposal's endorsers the canonical state, the seen nonces and the MSP
+    emitters do not change, and the outcome reads the endorser only to
+    carry its id. One memo of the policy's verdict per endorsing set serves
+    both the submission check and V4. The steps stop early once the
+    workload is exhausted, nothing is pending and no scheduled crash
+    remains: no later step could cut a block or lose liveness.
+
     The config is taken as valid; ``simulate`` checks it. No peer runs here.
     """
-    behaviors: Mapping[str, EndorserBehavior] = config.endorser_behaviors
-    endorser_order = sorted(config.msp_endorsers)
+    endorsers = [(e, config.endorser_behaviors.get(e, HONEST_BEHAVIOR)) for e in sorted(config.msp_endorsers)]
     policy = config.policy
     msp_endorsers = config.msp_endorsers
     schedule = config.orderers.crash_schedule
@@ -322,6 +367,7 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
     by_step: dict[int, list[TxProposal]] = {}
     for step, proposal in config.workload:
         by_step.setdefault(step, []).append(proposal)
+    last_event = max([*by_step, *(step for step, _ in schedule)], default=0)
 
     canonical_state = KvStore()
     cluster = OrdererCluster(n=config.orderers.n, batch_size=config.orderers.batch_size)
@@ -332,21 +378,31 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
     committed: list[CommittedTx] = []
     blocks_log: list[Block] = []
     liveness_lost_at: int | None = None
+    verdicts: dict[frozenset[str], bool] = {}
 
     for step in range(config.horizon + 1):
-        for proposal in by_step.get(step, ()):
+        proposals = by_step.get(step, ())
+        if proposals:  # who answers, and in which mode, holds for every proposal of the step
+            answering = [(e, b, mode) for e, b in endorsers if (mode := _answering_mode(b, step)) is not None]
+        for proposal in proposals:
             endorsements: list[Endorsement] = []
-            for endorser_id in endorser_order:
-                behavior = behaviors.get(endorser_id, HONEST_BEHAVIOR)
-                outcome = endorse(
-                    endorser_id, behavior, proposal, canonical_state, seen_nonces, config.msp_emitters, step
-                )
+            outcomes: dict[str, Endorsement | RefusalRecord] = {}  # answering mode -> its first outcome
+            for endorser_id, behavior, mode in answering:
+                outcome = outcomes.get(mode)
+                if outcome is None:
+                    outcome = outcomes[mode] = endorse(
+                        endorser_id, behavior, proposal, canonical_state, seen_nonces, config.msp_emitters, step
+                    )
+                elif isinstance(outcome, Endorsement):
+                    outcome = Endorsement(endorser_id, outcome.rwset, outcome.signature_valid)
+                else:
+                    outcome = RefusalRecord(outcome.tx_id, endorser_id, outcome.failed_criterion, outcome.reason)
                 if isinstance(outcome, Endorsement):
                     endorsements.append(outcome)
-                elif outcome is not None:
+                else:
                     refusals.append(outcome)
             seen_nonces.add((proposal.client_id, proposal.nonce))
-            submission = assemble_submission(proposal, endorsements, policy)
+            submission = assemble_submission(proposal, endorsements, policy, verdicts)
             if submission is not None:
                 pending.append(submission)
                 submitted.add(proposal.tx_id)
@@ -357,9 +413,11 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
 
         for block in cut:
             blocks_log.append(block)
-            flags, canonical_state = validate_block(canonical_state, block, msp_endorsers, policy, False)
+            flags, canonical_state = validate_block(canonical_state, block, msp_endorsers, policy, False, verdicts)
             for (valid, failed), submission in zip(flags, block.submissions):
                 committed.append(CommittedTx(block.block_no, submission.proposal.tx_id, valid, failed))
+        if step >= last_event and not pending:
+            break
 
     return PipelineRun(
         committed=tuple(committed),
@@ -387,10 +445,11 @@ def simulate(config: ScenarioConfig) -> SimResult:
 
     peer_states = [KvStore() for _ in range(config.peers)]
     digests: list[PeerDigest] = []
+    verdicts: dict[frozenset[str], bool] = {}
     for block in run.blocks:
         for peer in range(config.peers):
             _, updated = validate_block(
-                peer_states[peer], block, config.msp_endorsers, config.policy, peer in config.skip_v7_peers
+                peer_states[peer], block, config.msp_endorsers, config.policy, peer in config.skip_v7_peers, verdicts
             )
             # the digest is a function of the entries alone, so a peer whose
             # state equals its predecessor's shares that peer's digest

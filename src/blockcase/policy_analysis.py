@@ -18,13 +18,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__, eov_sim
-from .determinism import MASK64, CounterRng, canonical_json_bytes, sha256_hex
+from .determinism import MASK64, CounterRng, canonical_json_bytes, sha256_hex, uniform_rows
 from .eov_sim.scenario import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST
 from .policy import (  # the whole algebra, which callers may also import from here
     And,
@@ -248,7 +249,7 @@ def _normalize_probabilities(fault_probabilities: Mapping[str, float]) -> dict[s
             raise BadProbabilityError("fault_probabilities", f"unknown fault mode {mode!r}")
         if not 0.0 <= p <= 1.0:
             raise BadProbabilityError("fault_probabilities", f"probability for {mode!r} must lie in [0, 1]")
-        probs[mode] = float(p)
+        probs[mode] = float(p) + 0.0  # -0.0 becomes 0.0, so the report has one byte form
     if sum(probs.values()) > 1.0 + 1e-12:
         raise BadProbabilityError("fault_probabilities", "fault probabilities sum beyond 1")
     return probs
@@ -257,7 +258,11 @@ def _normalize_probabilities(fault_probabilities: Mapping[str, float]) -> dict[s
 def draw_behavior_modes(
     endorsers: Sequence[str], probs: Mapping[str, float], seed: int, run_index: int
 ) -> dict[str, str]:
-    """Independently draw one fault mode per endorser for a campaign run."""
+    """Independently draw one fault mode per endorser for a campaign run.
+
+    ``monte_carlo_campaign`` draws the same modes in one batched pass; this
+    run-at-a-time form is the reference the tests hold it to.
+    """
     rng = CounterRng(seed, stream=run_index)
     modes: dict[str, str] = {}
     for endorser in endorsers:
@@ -289,13 +294,22 @@ def monte_carlo_campaign(
     the simulator's ordering/commit stage (``eov_sim.run_pipeline``) only;
     no peer replays its blocks. That stage is a pure function of the
     configuration, so each distinct assignment runs once and its outcome is
-    counted for every run that drew it.
+    counted for every run that drew it. The draws replace the base's
+    ``endorser_behaviors``: every run draws each MSP endorser's mode afresh.
+
+    The draws are ``draw_behavior_modes``'s, taken in one pass over the
+    runs: ``uniform_rows`` yields each run's stream values, equal to those
+    of ``CounterRng(seed, run_index)``, and each value is placed with
+    ``bisect_right`` among the cumulative thresholds, summed once in
+    ``FAULT_MODES`` order with the same float additions. The thresholds
+    never decrease, so the first one above the value is the mode the linear
+    scan picks, and a value at or above the last is honest.
 
     Before counting, each run's modes are put in canonical form in two
     steps, each sound on its own. First, every silent mode becomes
     ``crashed``. A crashed endorser returns ``None`` from ``endorse``. A
     drawn DoS covers the whole horizon (``behavior_from_mode`` gives it the
-    window 0..horizon, and ``run_pipeline`` steps 0..horizon), so it
+    window 0..horizon, and ``run_pipeline`` steps within 0..horizon), so it
     returns ``None`` at every step. A censoring endorser returns a
     ``RefusalRecord``. None of the three adds an ``Endorsement``, so
     ``committed`` and ``submitted_tx_ids``, all that the two bits read, are
@@ -321,17 +335,21 @@ def monte_carlo_campaign(
     valid_tx_ids = {p.tx_id for p in proposals if p.op.ground_truth_valid}
     classes = symmetry_classes(base_config.policy, endorsers)
 
-    def canonical(modes: dict[str, str]) -> tuple[str, ...]:
-        for endorser, mode in modes.items():
-            modes[endorser] = _SILENT.get(mode, mode)
-        for cls in classes:
-            for endorser, mode in zip(cls, sorted([modes[e] for e in cls])):
-                modes[endorser] = mode
-        return tuple(modes.values())
-
-    assignments = Counter(
-        canonical(draw_behavior_modes(endorsers, probs, seed, run_index)) for run_index in range(n_runs)
-    )
+    thresholds: list[float] = []
+    accumulated = 0.0
+    for mode in FAULT_MODES:
+        accumulated += probs[mode]
+        thresholds.append(accumulated)
+    outcome_of = [_SILENT.get(mode, mode) for mode in FAULT_MODES] + [HONEST]  # canonical mode per bisect index
+    position = {endorser: i for i, endorser in enumerate(endorsers)}
+    class_positions = [[position[endorser] for endorser in cls] for cls in classes]
+    assignments: Counter[tuple[str, ...]] = Counter()
+    for draws in uniform_rows(seed, range(n_runs), len(endorsers)):
+        modes = [outcome_of[bisect_right(thresholds, u)] for u in draws]
+        for positions in class_positions:
+            for i, mode in zip(positions, sorted([modes[i] for i in positions])):
+                modes[i] = mode
+        assignments[tuple(modes)] += 1
     fraud_hits = 0
     censorship_hits = 0
     for assignment, runs in assignments.items():

@@ -4,15 +4,17 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockcase import __version__, eov_sim as sim
+from blockcase.determinism import MASK64
 from blockcase.policy_analysis import (
     BadProbabilityError,
     CENSORING,
     CRASHED,
     DOSED,
+    FAULT_MODES,
     FRAUDULENT,
     HONEST,
     CampaignReport,
@@ -184,21 +186,48 @@ class TestSymmetryClasses:
 
 
 @st.composite
+def fault_probabilities(draw):
+    """Per-mode probabilities at the edges of the draw path, the modes left out staying at zero.
+
+    Free values (0.0, the smallest subnormal 5e-324, or up to 0.25 each),
+    halvings that sum to exactly 1.0 (every partial sum is exact), or one
+    mode at 1.0 with the others at zero.
+    """
+    modes = draw(st.lists(st.sampled_from(FAULT_MODES), unique=True, max_size=len(FAULT_MODES)))
+    shape = draw(st.sampled_from(("free", "sum-one", "certain")))
+    if not modes or shape == "free":
+        return {mode: draw(st.sampled_from((0.0, 5e-324)) | st.floats(0.0, 0.25)) for mode in modes}
+    if shape == "certain":
+        return {mode: 1.0 if i == 0 else 0.0 for i, mode in enumerate(modes)}
+    return {mode: 0.5 ** min(i + 1, len(modes) - 1) for i, mode in enumerate(modes)}
+
+
+@st.composite
 def campaign_cases(draw):
-    """A random base whose policy is nested, may repeat identities and may leave MSP endorsers unnamed."""
+    """A random base whose policy is nested, may repeat identities and may leave MSP endorsers unnamed,
+    with its fault probabilities and a campaign seed from the whole 64-bit range."""
     scenario_seed = draw(st.integers(0, 15))
     endorsers = sorted(random_scenario(scenario_seed).msp_endorsers)
     named = endorsers[: draw(st.integers(1, len(endorsers)))]
     policy = draw(nested_policies(max_depth=3, idents=named))
-    return campaign_base(scenario_seed, serialize_policy(policy)), draw(st.integers(0, 2**32))
+    campaign_seed = draw(st.sampled_from((0, MASK64)) | st.integers(0, MASK64))
+    return campaign_base(scenario_seed, serialize_policy(policy)), draw(fault_probabilities()), campaign_seed
 
 
-@settings(max_examples=25, deadline=None)
+EDGE_BASE = campaign_base(0, "outof(2,E1,and(E2,E3),or(E4,E5))")
+
+
+@settings(max_examples=40, deadline=None)
 @given(campaign_cases())
+@example((EDGE_BASE, ALL_FAULTS, 0))
+@example((EDGE_BASE, {FRAUDULENT: 0.5, CENSORING: 0.25, DOSED: 0.25}, MASK64))  # sums to exactly 1.0
+@example((EDGE_BASE, {CRASHED: 1.0, FRAUDULENT: 0.0}, 0))
+@example((EDGE_BASE, {FRAUDULENT: 1.0}, MASK64))
+@example((EDGE_BASE, {CENSORING: 5e-324, FRAUDULENT: 0.3, DOSED: 5e-324}, 0))
 def test_symmetry_reduced_campaign_matches_the_oracle(case):
-    base, campaign_seed = case
-    report = monte_carlo_campaign(base, ALL_FAULTS, 60, campaign_seed)
-    assert report.to_json_bytes() == run_by_run_campaign(base, ALL_FAULTS, 60, campaign_seed).to_json_bytes()
+    base, probabilities, campaign_seed = case
+    report = monte_carlo_campaign(base, probabilities, 60, campaign_seed)
+    assert report.to_json_bytes() == run_by_run_campaign(base, probabilities, 60, campaign_seed).to_json_bytes()
 
 
 class TestSimulationsPerCampaign:

@@ -17,7 +17,7 @@ from blockcase import corpus_path, corpus_text, eov_sim as sim, parse
 from blockcase import cli
 from blockcase.cli import FINDINGS, INTERNAL_ERROR, IO_ERROR, OK, PARSE_ERROR, main
 from blockcase.eov_sim.scenario import MAX_HORIZON, MAX_ORDERERS, MAX_PEERS
-from blockcase.policy_analysis import all_of
+from blockcase.policy_analysis import FRAUDULENT, all_of, out_of
 from conftest import deep_cae
 from test_eov_sim import basic_config, proposal
 
@@ -242,6 +242,36 @@ class TestPolicyCommands:
         )
         assert code == FINDINGS
         assert "censorship: 40/40" in out
+
+    def test_a_base_that_sets_endorser_behaviors_is_refused_before_the_campaign_runs(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # under sim run this base commits an invalid transfer; a campaign would replace its behaviors unsaid
+        fraud = sim.EndorserBehavior(FRAUDULENT)
+        config = basic_config([(0, proposal("bad", sim.ChaincodeOp.transfer("a", "b", 5, valid=False), nonce=1))],
+                              policy=out_of(2, ["E1", "E2", "E3"]), behaviors={"E2": fraud, "E1": fraud})
+        scenario = tmp_path / "base.json"
+        scenario.write_bytes(sim.scenario_bytes(config))
+        assert run(capsys, "sim", "run", str(scenario))[0] == FINDINGS
+        policy = self.policy_file(tmp_path, "outof(2,E1,E2,E3)")
+        out_path = tmp_path / "evidence.json"
+        monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
+        result = run(capsys, "policy", "campaign", str(policy), "--scenario", str(scenario), "--runs", "50",
+                     "--out", str(out_path))
+        assert result == (PARSE_ERROR, "", f"--scenario: {scenario} sets endorser_behaviors for E1, E2; a campaign "
+                                           "draws every endorser's behavior, so its base must leave them out\n")
+        assert not out_path.exists()
+
+    def test_a_negative_zero_probability_writes_the_report_of_no_flag(self, capsys, tmp_path):
+        path = self.policy_file(tmp_path, "outof(2,E1,E2,E3)")
+        reports = []
+        for name, flags in (("plain.json", ()), ("negative-zero.json", ("--prob", "fraudulent=-0.0"))):
+            reports.append(tmp_path / name)
+            code, *_ = run(capsys, "policy", "campaign", str(path), "--runs", "30", "--seed", "3",
+                           "--prob", "crashed=0.2", *flags, "--out", str(reports[-1]))
+            assert code == FINDINGS
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert b'"fraudulent": 0.0' in reports[0].read_bytes()
 
     def test_campaign_link_updates_the_tree_and_coverage_verifies(self, capsys, workdir):
         policy = self.policy_file(workdir, "outof(2,E1,E2,E3)")
@@ -675,6 +705,7 @@ _SCENARIO = sim.scenario_to_dict(basic_config(
     behaviors={"E2": sim.EndorserBehavior("censoring")}, peers=2, skip={1},
     orderers=sim.OrdererConfig(n=3, batch_size=2, crash_schedule=((1, 0),)),
 ))
+_CAMPAIGN_BASE = dict(_SCENARIO, endorser_behaviors={})  # a campaign refuses a base that sets behaviors
 # these fields bound how long a valid document runs (up to MAX_HORIZON steps), so no edit touches them
 _SIZE_KEYS = ("horizon", "count", "n")
 _SIZE_FIELD = re.compile(r'"(?:%s)": \d+' % "|".join(_SIZE_KEYS))
@@ -695,8 +726,8 @@ def _containers(value):
 
 @st.composite
 def mutated_scenario(draw):
-    """``_SCENARIO`` with JSON values, then characters, inserted, deleted or duplicated."""
-    doc = copy.deepcopy(_SCENARIO)
+    """``_SCENARIO`` or ``_CAMPAIGN_BASE`` with JSON values, then characters, inserted, deleted or duplicated."""
+    doc = copy.deepcopy(draw(st.sampled_from((_SCENARIO, _CAMPAIGN_BASE))))
     for _ in range(draw(st.integers(0, 3))):
         container = draw(st.sampled_from(list(_containers(doc))))
         edit = draw(st.sampled_from(("insert", "delete", "duplicate")))
@@ -763,7 +794,7 @@ def test_mutated_policies_and_scenarios_exit_cleanly_and_deterministically(polic
             assert code in (OK, FINDINGS, PARSE_ERROR, IO_ERROR), (argv, first)
             assert "internal error" not in err
             if code == PARSE_ERROR:
-                prefixes = tuple(f"{path}: " for path in inputs) + ("--link ",)
+                prefixes = tuple(f"{path}: " for path in inputs) + ("--link ", "--scenario: ")
                 assert all(line.startswith(prefixes) for line in err.rstrip("\n").split("\n")), (argv, first)
             if code in (PARSE_ERROR, IO_ERROR):  # a refused input leaves nothing written
                 assert not out.exists() and cae.read_bytes() == cae_before, (argv, first)

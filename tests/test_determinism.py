@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from blockcase.determinism import MASK64, CounterRng
+from blockcase.determinism import MASK64, CounterRng, uniform_rows
 
 
 def reference_u64(seed: int, stream: int, i: int) -> int:
@@ -27,3 +27,9 @@ def test_the_stream_keeps_its_values():
         4071447617414339566, 422501707749492905, 13589166997817295414, 8810107980425452064,
         5191931539203760770, 16093822177585083890, 11292443708391942341, 4917499900959946958,
     ]
+
+
+@pytest.mark.parametrize("seed, streams", [(0, range(3)), (MASK64, [2**64 + 5, 0, 7]), (404, range(9, 12))])
+def test_uniform_rows_equal_each_streams_uniform_draws(seed, streams):
+    rows = list(uniform_rows(seed, streams, 6))
+    assert rows == [[rng.uniform() for _ in range(6)] for rng in (CounterRng(seed, stream) for stream in streams)]

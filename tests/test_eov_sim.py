@@ -186,6 +186,17 @@ class TestOrderingStep:
         blocks, cluster = sim.ordering_step(cluster, self.submissions(1), 5, [(5, 2)])
         assert cluster.leader == 0 and blocks == []
 
+    def test_an_idle_step_returns_the_cluster_it_was_given(self):
+        cluster = self.cluster()
+        assert sim.ordering_step(cluster, deque(), 2, [(3, 1)]) == ([], cluster)
+        assert sim.ordering_step(cluster, deque(), 2, [(3, 1)])[1] is cluster
+
+    def test_a_cluster_built_with_a_crashed_leader_hands_over_without_a_new_crash(self):
+        cluster = replace(self.cluster(), crashed=frozenset({0}))
+        for pending in (deque(), self.submissions(1)):
+            blocks, updated = sim.ordering_step(cluster, pending, 2, ())
+            assert blocks == [] and (updated.leader, updated.leader_ready_at) == (1, 3)
+
 
 def endorsed_submission(tx_id, reads, writes, endorsers=("E1",), nonce=None, rwsets=None):
     rwset = sim.ReadWriteSet(frozenset(reads), frozenset(writes))
@@ -435,6 +446,111 @@ class TestPipelineStage:
         assert run.refusals == result.report.endorsement_refusals
         assert run.liveness_lost_at == result.report.liveness_lost_at
         assert run == result.run
+
+
+def reference_ordering_step(cluster, pending, step, crash_schedule):
+    """``ordering_step`` as it was before an idle step returned its cluster unchanged."""
+    crashed = cluster.crashed | {index for s, index in crash_schedule if s == step}
+    leader = cluster.leader
+    ready_at = cluster.leader_ready_at
+    if leader is not None and leader in crashed:
+        order = ((leader + offset) % cluster.n for offset in range(1, cluster.n + 1))
+        leader = next((index for index in order if index not in crashed), None)
+        ready_at = step + 1
+
+    updated = replace(cluster, crashed=crashed, leader=leader, leader_ready_at=ready_at)
+    if not (updated.live and leader is not None and step >= ready_at and pending):
+        return [], updated
+    batch = tuple(pending.popleft() for _ in range(min(cluster.batch_size, len(pending))))
+    return [sim.Block(cluster.next_block_no, batch)], replace(updated, next_block_no=cluster.next_block_no + 1)
+
+
+def per_endorser_pipeline(config):
+    """The ordering/commit stage as a plain loop, the reference ``run_pipeline`` must equal.
+
+    It calls ``endorse`` once per endorser per proposal, evaluates the
+    policy afresh at submission and at V4, and steps through every step
+    0..horizon.
+    """
+    endorser_order = sorted(config.msp_endorsers)
+    by_step = {}
+    for step, tx in config.workload:
+        by_step.setdefault(step, []).append(tx)
+    canonical_state = sim.KvStore()
+    cluster = sim.OrdererCluster(n=config.orderers.n, batch_size=config.orderers.batch_size)
+    pending, seen_nonces, submitted = deque(), set(), set()
+    refusals, committed, blocks_log, liveness_lost_at = [], [], [], None
+    for step in range(config.horizon + 1):
+        for tx in by_step.get(step, ()):
+            endorsements = []
+            for endorser_id in endorser_order:
+                behavior = config.endorser_behaviors.get(endorser_id, sim.HONEST_BEHAVIOR)
+                outcome = sim.endorse(
+                    endorser_id, behavior, tx, canonical_state, seen_nonces, config.msp_emitters, step
+                )
+                if isinstance(outcome, sim.Endorsement):
+                    endorsements.append(outcome)
+                elif outcome is not None:
+                    refusals.append(outcome)
+            seen_nonces.add((tx.client_id, tx.nonce))
+            submission = sim.assemble_submission(tx, endorsements, config.policy)
+            if submission is not None:
+                pending.append(submission)
+                submitted.add(tx.tx_id)
+        cut, cluster = reference_ordering_step(cluster, pending, step, config.orderers.crash_schedule)
+        if liveness_lost_at is None and not cluster.live:
+            liveness_lost_at = step
+        for block in cut:
+            blocks_log.append(block)
+            flags, canonical_state = sim.validate_block(
+                canonical_state, block, config.msp_endorsers, config.policy, False
+            )
+            for (valid, failed), submission in zip(flags, block.submissions):
+                committed.append(sim.CommittedTx(block.block_no, submission.proposal.tx_id, valid, failed))
+    return sim.PipelineRun(tuple(committed), tuple(refusals), tuple(blocks_log), canonical_state,
+                           frozenset(submitted), liveness_lost_at)
+
+
+ALL_MODES = (HONEST, FRAUDULENT, CENSORING, CRASHED, DOSED)
+DIFFERENTIAL_SEEDS = range(40)
+
+
+class TestRunPipelineMatchesThePerEndorserLoop:
+    def assert_equal_runs(self, config):
+        run, reference = sim.run_pipeline(config), per_endorser_pipeline(config)
+        assert run.committed == reference.committed
+        assert run.refusals == reference.refusals
+        assert run.blocks == reference.blocks
+        assert run.submitted_tx_ids == reference.submitted_tx_ids
+        assert run.liveness_lost_at == reference.liveness_lost_at
+        assert run == reference
+        return run
+
+    @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+    def test_random_scenarios(self, seed):
+        self.assert_equal_runs(random_scenario(seed, behavior_modes=ALL_MODES))
+
+    def test_the_random_scenarios_use_every_mode_partial_dos_windows_and_crash_schedules(self):
+        configs = [random_scenario(seed, behavior_modes=ALL_MODES) for seed in DIFFERENTIAL_SEEDS]
+        behaviors = [b for config in configs for b in config.endorser_behaviors.values()]
+        assert {b.mode for b in behaviors} == set(ALL_MODES) - {HONEST}  # honest endorsers get no entry
+        assert any(b.mode == DOSED and 0 < b.from_step for b in behaviors)
+        assert sum(bool(config.orderers.crash_schedule) for config in configs) >= 5
+
+    @pytest.mark.parametrize("policy", [any_of(E3), all_of(E3)], ids=["any", "all"])
+    def test_a_crash_after_the_last_proposal_still_costs_liveness(self, policy):
+        workload = [(0, proposal("t0", sim.ChaincodeOp.set("a", 1), nonce=1)),
+                    (1, proposal("t1", sim.ChaincodeOp.transfer("a", "b", 1), nonce=2))]
+        config = basic_config(workload, policy=policy, behaviors={"E2": sim.dosed(1, 2)}, horizon=9,
+                              orderers=sim.OrdererConfig(n=3, batch_size=4, crash_schedule=((5, 0), (7, 1))))
+        assert self.assert_equal_runs(config).liveness_lost_at == 7
+
+    def test_pending_submissions_outlive_the_workload(self):
+        workload = [(0, proposal(f"t{i}", sim.ChaincodeOp.set(f"k{i}", i), nonce=i + 1)) for i in range(4)]
+        config = basic_config(workload, behaviors={"E3": sim.EndorserBehavior(FRAUDULENT)}, horizon=8,
+                              orderers=sim.OrdererConfig(n=3, batch_size=1, crash_schedule=((1, 0),)))
+        run = self.assert_equal_runs(config)
+        assert len(run.blocks) == 4 and run.liveness_lost_at is None  # cut at steps 0, 2, 3 and 4
 
 
 @st.composite
