@@ -43,7 +43,7 @@ from .cae_model import (
     misplaced_child,
 )
 from .determinism import file_sha256
-from .linefmt import LINE_END, ParseError, ParseFailure, SourceSpan, lex, quote, read_node_line
+from .linefmt import LINE, LINE_END, ParseError, ParseFailure, SourceSpan, quote, read_node_line, read_scanned
 
 __all__ = [
     "SourceSpan",
@@ -70,17 +70,7 @@ _NODE_CLASS = {
 KINDS = frozenset(_NODE_CLASS)
 # node class -> the attribute keys its lines may carry
 _ATTRS = {ClaimNode: {"tag"}, ArgumentNode: {"tag"}, EvidenceNode: {"ref", "digest", "tag"}}
-
-
-def _build_node(kind: str, node_id: str, text: str, attrs: dict[str, str], children: list[str]) -> Node:
-    tag = attrs.get("tag")
-    if kind in _ARGUMENT_KINDS:
-        return ArgumentNode(node_id, _ARGUMENT_KINDS[kind], text, tuple(children), tag)
-    if kind in _EVIDENCE_KINDS:
-        return EvidenceNode(
-            node_id, _EVIDENCE_KINDS[kind], text, reference=attrs.get("ref"), digest=attrs.get("digest"), tag=tag
-        )
-    return ClaimNode(node_id, text, tuple(children), tag, kind == "side-claim")
+_LEAF = (EvidenceNode, False, None)  # the stack frame of an evidence line: no child joins it
 
 
 def parse(text: str) -> CaeTree:
@@ -89,79 +79,92 @@ def parse(text: str) -> CaeTree:
     No partial tree is ever returned: either every line is acceptable and
     the assembled tree comes back, or the full error list is raised.
     """
-    lines, errors = lex(text)
-
-    # in document order; a node is None until its line leaves the stack
+    lex_errors: list[ParseError] = []  # reported before the errors found here, as lines are read
+    errors: list[ParseError] = []
+    # in document order; a claim or an argument is None until every line is read
     nodes: dict[str, Node | None] = {}
+    # (node_id, kind, text, tag, child ids) of each claim and argument
+    pending: list[tuple[str, str, str, str | None, list[str]]] = []
     root_id: str | None = None
-    # stack frames: [level, node class or None, node_id or None, saw_argument, (kind, node_id, text, attrs), child ids]
-    stack: list[list] = []
+    # stack[level]: [node class or None if the line failed, saw_argument, child ids or None], None if skipped
+    stack: list[list | tuple | None] = []
 
-    def close(frame: list) -> None:  # no more children can join the frame's node
-        if frame[2] is not None:
-            nodes[frame[2]] = _build_node(*frame[4], frame[5])
+    level = -1
+    for line_no, node in enumerate(LINE.finditer(text), start=1):
+        if (indent := node[1]) is not None and len(indent) <= 2 * level + 2:
+            level, kind, column, line = len(indent) >> 1, node[2], len(indent) + 1, (line_no, node)
+        elif (line := read_scanned(node, line_no, level, lex_errors)) is not None:
+            level, kind, column = line.level, line.kind, line.column
+        else:
+            continue
+        del stack[level:]
+        stack += [None] * (level - len(stack))  # the levels that a bad indentation skipped
 
-    for line in lines:
-        while stack and stack[-1][0] >= line.level:
-            close(stack.pop())
-
-        node_class = _NODE_CLASS.get(line.kind)
+        node_class = _NODE_CLASS.get(kind)
         if node_class is None:
-            if line.kind is not None:  # None: the line failed to lex and is already reported
-                errors.append(ParseError(line.span, "BadKind", f"unknown kind {line.kind!r}"))
-            stack.append([line.level, None, None, False])
+            if kind is not None:  # None: the line failed to lex and is already reported
+                errors.append(ParseError(SourceSpan(line_no, column), "BadKind", f"unknown kind {kind!r}"))
+            stack.append([None, False, None])
             continue
 
         shape = read_node_line(line, _ATTRS[node_class], errors)
         if shape is not None and "digest" in shape[2] and "ref" not in shape[2]:
-            errors.append(ParseError(line.span, "BadAttribute", "digest requires a ref attribute"))
+            errors.append(ParseError(SourceSpan(line_no, column), "BadAttribute", "digest requires a ref attribute"))
             shape = None
         if shape is None:
-            stack.append([line.level, node_class, None, False])
+            stack.append([node_class, False, None])
             continue
         node_id, node_text, attrs = shape
 
-        attach = True
-        if line.level == 0:
+        problem = None  # (code, message) of a node that is read but does not join the tree
+        if level == 0:
             if root_id is not None:
-                errors.append(
-                    ParseError(line.span, "ChildRuleViolation", "a document holds a single root claim")
-                )
-                attach = False
+                problem = "ChildRuleViolation", "a document holds a single root claim"
             elif node_class is not ClaimNode:
-                errors.append(ParseError(line.span, "ChildRuleViolation", "the root node must be a claim"))
-                attach = False
-        elif not stack or stack[-1][0] != line.level - 1:
-            errors.append(ParseError(line.span, "BadIndent", "no line at the enclosing indentation level"))
-            attach = False
-        elif stack[-1][1] is not None:  # a parent line that failed is not checked again
+                problem = "ChildRuleViolation", "the root node must be a claim"
+        elif stack[-1] is None:
+            problem = "BadIndent", "no line at the enclosing indentation level"
+        elif stack[-1][0] is not None:  # a parent line that failed is not checked again
             parent = stack[-1]
-            misplaced = misplaced_child(parent[1], node_class, parent[3])
+            misplaced = misplaced_child(parent[0], node_class, parent[1])
             if misplaced is not None:
-                errors.append(ParseError(line.span, "ChildRuleViolation", misplaced.value))
-                attach = False
+                problem = "ChildRuleViolation", misplaced.value
             elif node_class is ArgumentNode:
-                parent[3] = True
+                parent[1] = True
+        if problem is not None:
+            errors.append(ParseError(SourceSpan(line_no, column), *problem))
 
         if node_id in nodes:
-            errors.append(ParseError(line.span, "DuplicateId", f"duplicate node id {node_id!r}"))
-            stack.append([line.level, node_class, None, False])
+            errors.append(ParseError(SourceSpan(line_no, column), "DuplicateId", f"duplicate node id {node_id!r}"))
+            stack.append([node_class, False, None])
             continue
 
-        nodes[node_id] = None
-        if attach:
-            if line.level == 0:
+        if problem is None:
+            if level == 0:
                 root_id = node_id
             elif stack[-1][2] is not None:
-                stack[-1][5].append(node_id)
-        stack.append([line.level, node_class, node_id, False, (line.kind, node_id, node_text, attrs), []])
+                stack[-1][2].append(node_id)
+        if node_class is EvidenceNode:  # a leaf: it is built at once
+            nodes[node_id] = EvidenceNode(
+                node_id, _EVIDENCE_KINDS[kind], node_text, attrs.get("ref"), attrs.get("digest"), attrs.get("tag")
+            )
+            stack.append(_LEAF)
+        else:
+            nodes[node_id] = None
+            children: list[str] = []
+            pending.append((node_id, kind, node_text, attrs.get("tag"), children))
+            stack.append([node_class, False, children])
 
+    errors[:0] = lex_errors
     if root_id is None and not errors:
         errors.append(ParseError(SourceSpan(1, 1), "ChildRuleViolation", "document has no root claim"))
     if errors:
         raise ParseFailure(errors)
-    for frame in stack:
-        close(frame)
+    for node_id, kind, node_text, tag, children in pending:
+        if kind in _ARGUMENT_KINDS:
+            nodes[node_id] = ArgumentNode(node_id, _ARGUMENT_KINDS[kind], node_text, tuple(children), tag)
+        else:
+            nodes[node_id] = ClaimNode(node_id, node_text, tuple(children), tag, kind == "side-claim")
     return CaeTree(root=root_id, nodes=nodes)
 
 

@@ -58,6 +58,12 @@ def _write(path: str, data: str | bytes) -> None:
         raise _Refused(IO_ERROR, f"cannot write {path}: {exc}") from None
 
 
+def _refuse_overwrite(out: str | None, source: str, role: str, output: str) -> None:
+    """Refuse an ``--out`` that is the input file ``source``: the write would destroy that input."""
+    if out and Path(out).resolve() == Path(source).resolve():
+        raise _Refused(PARSE_ERROR, f"--out {out} is the {role} {source}; write the {output} elsewhere")
+
+
 def _scenario_reader(**changes):
     """A reader of scenario documents that applies ``changes`` and checks the result again."""
     def read(text: str):
@@ -78,6 +84,7 @@ def cmd_cae_check(args) -> int:
 
 
 def cmd_cae_render(args) -> int:
+    _refuse_overwrite(args.out, args.file, "tree", "DOT")
     tree = _load(args.file, parse)
     _write(args.out, to_dot(tree))
     print(f"wrote {args.out}")
@@ -119,6 +126,7 @@ def cmd_risk_coverage(args) -> int:
 
 
 def cmd_sim_run(args) -> int:
+    _refuse_overwrite(args.out, args.scenario, "scenario", "report")
     config = _load(args.scenario, eov_sim.parse_scenario if args.seed is None else _scenario_reader(seed=args.seed))
     report = eov_sim.run_scenario(config)
     payload = report.to_json_bytes()
@@ -194,8 +202,7 @@ def cmd_policy_campaign(args) -> int:
         cae_path, _, evidence_id = args.link.rpartition(":")
         if not cae_path or not evidence_id:
             raise _Refused(PARSE_ERROR, f"--link takes <cae-file>:<evidence-id>, got {args.link!r}")
-        if Path(args.out).resolve() == Path(cae_path).resolve():  # the report would overwrite the tree it cites
-            raise _Refused(PARSE_ERROR, f"--out {args.out} is the --link tree {cae_path}; write the report elsewhere")
+        _refuse_overwrite(args.out, cae_path, "--link tree", "report")
 
         def read_tree(text: str) -> CaeTree:  # the evidence rule is checked here, so its error names the file
             tree = parse(text)
@@ -228,63 +235,69 @@ def cmd_policy_campaign(args) -> int:
     return OK if report.fraud_successes == 0 and report.censorship_successes == 0 else FINDINGS
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``, with command parsers for the group that its first non-option argument names only."""
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(prog="blockcase", description=__doc__)
     parser.add_argument("--version", action="version", version=f"blockcase {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
 
     cae = groups.add_parser("cae", help="check, render and evaluate assurance trees")
-    cae_sub = cae.add_subparsers(dest="command", required=True)
-    check = cae_sub.add_parser("check", help="well-formedness findings and root status")
-    check.add_argument("file")
-    check.set_defaults(func=cmd_cae_check)
-    render = cae_sub.add_parser("render", help="deterministic DOT rendering")
-    render.add_argument("file")
-    render.add_argument("--out", required=True, help="output path")
-    render.add_argument("--format", choices=("dot",), default="dot")
-    render.set_defaults(func=cmd_cae_render)
-    status = cae_sub.add_parser("status", help="root status and open assumptions")
-    status.add_argument("file")
-    status.set_defaults(func=cmd_cae_status)
+    if named == "cae":
+        cae_sub = cae.add_subparsers(dest="command", required=True)
+        check = cae_sub.add_parser("check", help="well-formedness findings and root status")
+        check.add_argument("file")
+        check.set_defaults(func=cmd_cae_check)
+        render = cae_sub.add_parser("render", help="deterministic DOT rendering")
+        render.add_argument("file")
+        render.add_argument("--out", required=True, help="output path")
+        render.add_argument("--format", choices=("dot",), default="dot")
+        render.set_defaults(func=cmd_cae_render)
+        status = cae_sub.add_parser("status", help="root status and open assumptions")
+        status.add_argument("file")
+        status.set_defaults(func=cmd_cae_status)
 
     risk = groups.add_parser("risk", help="risk registry checks")
-    risk_sub = risk.add_subparsers(dest="command", required=True)
-    coverage = risk_sub.add_parser("coverage", help="tie every risk to evidence or acceptance")
-    coverage.add_argument("registry")
-    coverage.add_argument("cae")
-    coverage.set_defaults(func=cmd_risk_coverage)
+    if named == "risk":
+        risk_sub = risk.add_subparsers(dest="command", required=True)
+        coverage = risk_sub.add_parser("coverage", help="tie every risk to evidence or acceptance")
+        coverage.add_argument("registry")
+        coverage.add_argument("cae")
+        coverage.set_defaults(func=cmd_risk_coverage)
 
     sim = groups.add_parser("sim", help="pipeline simulation")
-    sim_sub = sim.add_subparsers(dest="command", required=True)
-    run = sim_sub.add_parser("run", help="run one scenario and write its report")
-    run.add_argument("scenario")
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--out", default=None, help="report path (stdout when omitted)")
-    run.set_defaults(func=cmd_sim_run)
+    if named == "sim":
+        sim_sub = sim.add_subparsers(dest="command", required=True)
+        run = sim_sub.add_parser("run", help="run one scenario and write its report")
+        run.add_argument("scenario")
+        run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        run.add_argument("--out", default=None, help="report path (stdout when omitted)")
+        run.set_defaults(func=cmd_sim_run)
 
     policy = groups.add_parser("policy", help="endorsement-policy analysis")
-    policy_sub = policy.add_subparsers(dest="command", required=True)
-    tolerance = policy_sub.add_parser("tolerance", help="exact fraud/censorship tolerances")
-    tolerance.add_argument("policy")
-    tolerance.set_defaults(func=cmd_policy_tolerance)
-    campaign = policy_sub.add_parser("campaign", help="sampled fault campaign with an evidence report")
-    campaign.add_argument("policy")
-    campaign.add_argument("--runs", type=int, default=1000, help="number of sampled runs")
-    campaign.add_argument("--seed", type=int, default=0, help="campaign seed")
-    campaign.add_argument("--scenario", default=None, help="base scenario file (a default is built otherwise)")
-    campaign.add_argument("--prob", action="append", default=[], metavar="MODE=P",
-                          help="fault probability, e.g. fraudulent=0.3 (repeatable)")
-    campaign.add_argument("--out", required=True, help="evidence report path")
-    campaign.add_argument("--link", default=None, metavar="CAE:EVIDENCE_ID",
-                          help="link the written report into an assurance tree")
-    campaign.set_defaults(func=cmd_policy_campaign)
+    if named == "policy":
+        policy_sub = policy.add_subparsers(dest="command", required=True)
+        tolerance = policy_sub.add_parser("tolerance", help="exact fraud/censorship tolerances")
+        tolerance.add_argument("policy")
+        tolerance.set_defaults(func=cmd_policy_tolerance)
+        campaign = policy_sub.add_parser("campaign", help="sampled fault campaign with an evidence report")
+        campaign.add_argument("policy")
+        campaign.add_argument("--runs", type=int, default=1000, help="number of sampled runs")
+        campaign.add_argument("--seed", type=int, default=0, help="campaign seed")
+        campaign.add_argument("--scenario", default=None, help="base scenario file (a default is built otherwise)")
+        campaign.add_argument("--prob", action="append", default=[], metavar="MODE=P",
+                              help="fault probability, e.g. fraudulent=0.3 (repeatable)")
+        campaign.add_argument("--out", required=True, help="evidence report path")
+        campaign.add_argument("--link", default=None, metavar="CAE:EVIDENCE_ID",
+                              help="link the written report into an assurance tree")
+        campaign.set_defaults(func=cmd_policy_campaign)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except _Refused as refusal:

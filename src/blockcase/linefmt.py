@@ -8,16 +8,16 @@ and tabs are rejected in indentation so every document has a single
 canonical byte form. In a quoted string ``\\\\``, ``\\"``, ``\\n``, ``\\t``
 and ``\\r`` are escapes; a backslash before any other character is kept as
 written. ``read_node_line`` reads the ``kind id "text" key="value"...``
-shape that both formats use for their nodes. ``lex`` reads a line of that
-shape with one match; every other line goes through the atom scanner, the
-one source of lexing errors.
+shape that both formats use for their nodes. One ``LINE`` match reads each
+line: a node line from the match's groups, every other line through the
+atom scanner, the one source of lexing errors.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 ID_PATTERN = re.compile(r"\A[A-Za-z0-9.'\-_]+\Z")
 
@@ -74,9 +74,8 @@ class LexedLine:
     ``line_no`` and ``column`` locate its first character; ``span`` builds
     them into a ``SourceSpan`` when an error needs one. ``kind`` is None when
     the line failed to lex; such a line is kept so that its children find a
-    parent. ``node`` is set when one match read the line as a node line:
-    (id, id column, text, ((key, value, column), ...), kind column, text
-    column). Such a line builds its ``atoms`` on first use.
+    parent. ``node`` is the ``LINE`` match when one match read the line
+    as a node line; such a line builds its ``atoms`` on first use.
     """
 
     line_no: int
@@ -84,7 +83,7 @@ class LexedLine:
     level: int
     kind: str | None
     _atoms: tuple | None
-    node: tuple | None = None
+    node: re.Match | None = None
 
     @property
     def span(self) -> SourceSpan:
@@ -93,12 +92,13 @@ class LexedLine:
     @property
     def atoms(self) -> tuple:
         if self._atoms is None:
-            node_id, id_column, text, attrs, kind_column, text_column = self.node
+            node = self.node
+            before = node.start() - 1
             self._atoms = (
-                Token(self.kind, kind_column),
-                Token(node_id, id_column),
-                QString(text, text_column),
-                *(Attr(*attr) for attr in attrs),
+                Token(node[2], node.start(2) - before),
+                Token(node[3], node.start(3) - before),
+                QString(_unescape(node[4]), node.start(4) - before - 1),  # group 4 starts after the quote
+                *(Attr(*attr) for attr in _attrs(node)),
             )
         return self._atoms
 
@@ -107,20 +107,23 @@ _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _REVERSE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 _ESCAPE = re.compile(r'\\([\\"ntr])')
 LINE_END = re.compile(r"\r\n?|\n")
-_QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
+# White space and quoted strings never cross a line end: these patterns read lines in place in a document.
+_WS = r"[^\S\r\n]"
+_QUOTED = r'"([^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*)"'
 _KEY = r'[^\s"=]*'
 _BARE = r'[^\s"=]+'
 # One atom after optional white space: a quoted string (group 1), a key and
 # its quoted value (groups 2 and 3; 3 is None when no closed string follows
 # the "=") or a bare token (group 4). Nothing matches at the end of the line
 # or at an opening quote that is never closed.
-_ATOM = re.compile(rf'\s*(?:{_QUOTED}|({_KEY})=(?:{_QUOTED})?|({_BARE}))?', re.S)
-_ATTR = re.compile(rf'\s*({_KEY})={_QUOTED}', re.S)
-# A whole line that _ATOM splits into Token Token QString Attr* without
-# error: the kind (group 1), the id (group 2), the text (group 3) and the
-# attributes (group 4, read by _ATTR). Two bare tokens need white space
-# between them, or _ATOM would read them as one.
-_NODE_LINE = re.compile(rf'\s*({_BARE})\s+({_BARE})\s*{_QUOTED}((?:{_ATTR.pattern})*)\s*', re.S)
+_ATOM = re.compile(rf'{_WS}*(?:{_QUOTED}|({_KEY})=(?:{_QUOTED})?|({_BARE}))?')
+_ATTR = re.compile(rf'{_WS}*({_KEY})={_QUOTED}')
+# One line and its line end. A node line (_ATOM splits it into Token Token QString Attr* without error,
+# two spaces indent each level) has the indent (group 1), kind (2), id (3), text (4) and attributes (5,
+# read by _ATTR); any other line has group 1 None. Two bare tokens need white space between them, or
+# _ATOM would read them as one. Every line matches, so ``finditer`` reads a document line by line.
+_NODE = rf'((?:  )*)(?![ \t#]){_WS}*({_BARE}){_WS}+({_BARE}){_WS}*{_QUOTED}((?:{_ATTR.pattern})*){_WS}*'
+LINE = re.compile(rf"(?:{_NODE}|[^\r\n]*)(?:\r\n?|\n|\Z)")
 
 
 def quote(text: str) -> str:
@@ -153,107 +156,112 @@ def _scan(raw: str, pos: int) -> tuple[list, tuple[int, str, str] | None]:
             return atoms, (match.start(2) + 1, "BadAttribute", f"attribute {key!r} needs a quoted value")
 
 
-def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
-    """Split a document into lexed lines, recovering after per-line errors.
+def read_scanned(line: re.Match, line_no: int, prev_level: int, errors: list[ParseError]) -> LexedLine | None:
+    """Scan a ``LINE`` match that is no node line, or is one too deep; None for a blank line or a comment.
 
-    Lines that fail to lex are kept as placeholders (kind None) at their
-    indentation level so that the children of a bad line do not produce a
-    cascade of secondary errors.
+    A line that fails to lex is kept as a placeholder (kind None) at its level, so its children find a parent.
     """
+    raw = line[0].rstrip("\r\n")
+    if raw.strip() == "":
+        return None
+    stripped = raw.lstrip(" \t")
+    if stripped.startswith("#"):
+        return None
+
+    indent = raw[: len(raw) - len(stripped)]
+    bad = False
+    if "\t" in indent:
+        errors.append(
+            ParseError(SourceSpan(line_no, indent.index("\t") + 1), "BadIndent", "tabs are not allowed in indentation")
+        )
+        bad = True
+    spaces = len(indent)
+    if not bad and spaces % 2 != 0:
+        errors.append(ParseError(SourceSpan(line_no, spaces), "BadIndent", "indentation must use two spaces per level"))
+        bad = True
+    level = spaces // 2
+    if not bad and level > prev_level + 1:
+        errors.append(
+            ParseError(
+                SourceSpan(line_no, 1),
+                "BadIndent",
+                f"indentation jumps from level {max(prev_level, 0)} to level {level}",
+            )
+        )
+        level = prev_level + 1
+        bad = True
+
+    atoms, error = _scan(raw, spaces)
+    if error is not None:
+        errors.append(ParseError(SourceSpan(line_no, error[0]), error[1], error[2]))
+        bad = True
+    kind = None
+    if not bad:
+        if atoms and isinstance(atoms[0], Token):
+            kind = atoms[0].text
+        else:
+            errors.append(ParseError(SourceSpan(line_no, spaces + 1), "BadKind", "line must start with a kind token"))
+    return LexedLine(line_no, spaces + 1, level, kind, tuple(atoms))
+
+
+def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
+    """Split a document into lexed lines (see ``read_scanned``); a node line keeps its ``LINE`` match as ``node``."""
     lines: list[LexedLine] = []
     errors: list[ParseError] = []
-    prev_level = -1
-
-    for line_no, raw in enumerate(LINE_END.split(text), start=1):
-        if raw.strip() == "":
-            continue
-        stripped = raw.lstrip(" \t")
-        if stripped.startswith("#"):
-            continue
-
-        indent = raw[: len(raw) - len(stripped)]
-        bad = False
-        if "\t" in indent:
-            errors.append(
-                ParseError(
-                    SourceSpan(line_no, indent.index("\t") + 1), "BadIndent", "tabs are not allowed in indentation"
-                )
-            )
-            bad = True
-        spaces = len(indent)
-        if not bad and spaces % 2 != 0:
-            errors.append(
-                ParseError(SourceSpan(line_no, spaces), "BadIndent", "indentation must use two spaces per level")
-            )
-            bad = True
-        level = spaces // 2
-        if not bad and level > prev_level + 1:
-            errors.append(
-                ParseError(
-                    SourceSpan(line_no, 1),
-                    "BadIndent",
-                    f"indentation jumps from level {max(prev_level, 0)} to level {level}",
-                )
-            )
-            level = prev_level + 1
-            bad = True
-        prev_level = level
-
-        # a line with bad indentation goes to the scanner, which reports its other errors too
-        node = None if bad else _NODE_LINE.fullmatch(raw, spaces)
-        if node is not None:
-            found = _ATTR.finditer(raw, *node.span(4)) if node[4] else ()
-            attrs = tuple((a[1], _unescape(a[2]), a.start(1) + 1) for a in found)
-            shape = (node[2], node.start(2) + 1, _unescape(node[3]), attrs, node.start(1) + 1, node.start(3))
-            lines.append(LexedLine(line_no, spaces + 1, level, node[1], None, shape))
-            continue
-
-        atoms, error = _scan(raw, spaces)
-        if error is not None:
-            errors.append(ParseError(SourceSpan(line_no, error[0]), error[1], error[2]))
-            bad = True
-        kind = None
-        if not bad:
-            if atoms and isinstance(atoms[0], Token):
-                kind = atoms[0].text
-            else:
-                errors.append(
-                    ParseError(SourceSpan(line_no, spaces + 1), "BadKind", "line must start with a kind token")
-                )
-        lines.append(LexedLine(line_no, spaces + 1, level, kind, tuple(atoms)))
-
+    level = -1
+    for line_no, node in enumerate(LINE.finditer(text), start=1):
+        if (indent := node[1]) is not None and len(indent) <= 2 * level + 2:
+            level = len(indent) >> 1
+            lines.append(LexedLine(line_no, len(indent) + 1, level, node[2], None, node))
+        elif (line := read_scanned(node, line_no, level, errors)) is not None:
+            level = line.level
+            lines.append(line)
     return lines, errors
 
 
+def _attrs(node: re.Match) -> Iterator[tuple[str, str, int]]:
+    """(key, value, column) of each attribute of a node line's ``LINE`` match."""
+    before = node.start() - 1
+    return ((a[1], _unescape(a[2]), a.start(1) - before) for a in _ATTR.finditer(node.string, *node.span(5)))
+
+
 def read_node_line(
-    line: LexedLine, allowed: Collection[str], errors: list[ParseError], required: Sequence[str] = ()
+    line: LexedLine | tuple, allowed: Collection[str], errors: list[ParseError], required: Sequence[str] = ()
 ) -> tuple[str, str, dict[str, str]] | None:
     """Read a ``kind id "text" key="value"...`` line into (id, text, attrs).
 
-    The id must match ``ID_PATTERN``, every attribute key must be in
-    ``allowed`` and appear once, and every key in ``required`` must appear.
-    Each problem found is appended to ``errors``, and then None is returned.
+    ``line`` is a ``LexedLine`` or the (line number, ``LINE`` match)
+    pair of a node line. The id must match ``ID_PATTERN``, every attribute
+    key must be in ``allowed`` and appear once, and every key in
+    ``required`` must appear. Each problem found is appended to ``errors``,
+    and then None is returned.
     """
-    kind = line.kind
-    if line.node is not None:
-        node_id, column, text, attrs, _, _ = line.node
+    line_no, node = (line.line_no, line.node) if line.__class__ is LexedLine else line
+    if node is not None:
+        kind, node_id, text, attrs = node.group(2, 3, 4, 5)
+        if "\\" in text:
+            text = _unescape(text)
+        attrs = _attrs(node) if attrs else ()
     else:
-        rest = line.atoms[1:]
+        kind, rest = line.kind, line.atoms[1:]
         if not rest or not isinstance(rest[0], Token):
             errors.append(ParseError(line.span, "BadKind", f"{kind} line needs a node id"))
             return None
-        node_id, column = rest[0].text, rest[0].column
+        node_id = rest[0].text
         text = rest[1].text if len(rest) > 1 and isinstance(rest[1], QString) else None
         # an atom that is not an attribute has no key
         attrs = [(a.key, a.value, a.column) if isinstance(a, Attr) else (None, None, a.column) for a in rest[2:]]
     if not ID_PATTERN.match(node_id):
-        errors.append(ParseError(SourceSpan(line.line_no, column), "BadKind", f"invalid node id {node_id!r}"))
+        column = rest[0].column if node is None else node.start(3) - node.start() + 1
+        errors.append(ParseError(SourceSpan(line_no, column), "BadKind", f"invalid node id {node_id!r}"))
         return None
     if text is None:
         errors.append(ParseError(line.span, "BadKind", f"{kind} {node_id} needs a quoted text"))
         return None
 
     values: dict[str, str] = {}
+    if not attrs and not required:
+        return node_id, text, values
     failed = len(errors)
     for key, value, column in attrs:
         if key is None:
@@ -265,10 +273,11 @@ def read_node_line(
         else:
             values[key] = value
             continue
-        errors.append(ParseError(SourceSpan(line.line_no, column), *message))
+        errors.append(ParseError(SourceSpan(line_no, column), *message))
     for key in required:
         if key not in values:
-            errors.append(ParseError(line.span, "BadAttribute", f"{kind} {node_id} is missing the {key} attribute"))
+            span = line.span if node is None else SourceSpan(line_no, len(node[1]) + 1)
+            errors.append(ParseError(span, "BadAttribute", f"{kind} {node_id} is missing the {key} attribute"))
     if len(errors) > failed:
         return None
     return node_id, text, values

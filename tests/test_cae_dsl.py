@@ -68,6 +68,14 @@ class TestParse:
     def test_indent_jump_rejected(self):
         assert errors_of('claim C0 "root"\n      proof P0 "x"\n')[0].code == "BadIndent"
 
+    def test_a_line_under_an_odd_indentation_that_jumps_has_no_parent(self):
+        # an odd indentation is reported alone, so the line sits at level 3 and the next line finds no level 1
+        errors = errors_of('claim C0 "root"\n       claim C1 "x"\n    proof P0 "y"\n')
+        assert [(e.span.line, e.span.column, e.code, e.message) for e in errors] == [
+            (2, 7, "BadIndent", "indentation must use two spaces per level"),
+            (3, 5, "BadIndent", "no line at the enclosing indentation level"),
+        ]
+
     def test_unterminated_string(self):
         errors = errors_of('claim C0 "never closed\n')
         assert errors[0].code == "UnterminatedString"

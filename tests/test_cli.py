@@ -38,9 +38,13 @@ def workdir(tmp_path):
 @pytest.mark.parametrize(
     "argv, flags",
     [
-        (["cae", "render"], ["--out", "--format"]),
-        (["sim", "run"], ["--seed", "--out"]),
-        (["policy", "campaign"], ["--runs", "--seed", "--out", "--link"]),
+        (["cae", "check"], ["file"]),
+        (["cae", "render"], ["file", "--out", "--format"]),
+        (["cae", "status"], ["file"]),
+        (["risk", "coverage"], ["registry", "cae"]),
+        (["sim", "run"], ["scenario", "--seed", "--out"]),
+        (["policy", "tolerance"], ["policy"]),
+        (["policy", "campaign"], ["policy", "--runs", "--seed", "--scenario", "--prob", "--out", "--link"]),
     ],
 )
 def test_help_lists_the_documented_flags(capsys, argv, flags):
@@ -50,6 +54,29 @@ def test_help_lists_the_documented_flags(capsys, argv, flags):
     out = capsys.readouterr().out
     for flag in flags:
         assert flag in out
+
+
+# the choices that the top level and each group list, in order
+LEVEL_CHOICES = [
+    ([], "cae,risk,sim,policy"),
+    (["cae"], "check,render,status"),
+    (["risk"], "coverage"),
+    (["sim"], "run"),
+    (["policy"], "tolerance,campaign"),
+]
+
+
+@pytest.mark.parametrize(("argv", "choices"), LEVEL_CHOICES)
+def test_each_level_lists_its_choices_in_help_and_usage_errors(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--help"])
+    assert exit_info.value.code == 0
+    assert f"{{{choices}}}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["bogus"])
+    assert exit_info.value.code == PARSE_ERROR
+    listed = ", ".join(f"'{choice}'" for choice in choices.split(","))
+    assert f"invalid choice: 'bogus' (choose from {listed})" in capsys.readouterr().err
 
 
 class TestCaeCommands:
@@ -566,6 +593,28 @@ def test_a_report_over_its_link_tree_is_refused_before_the_campaign_runs(capsys,
     result = run(capsys, "policy", "campaign", "policy.txt", "--runs", "20", "--out", out, "--link", "fig5.cae:P1c.1.3")
     assert result == (PARSE_ERROR, "", f"--out {out} is the --link tree fig5.cae; write the report elsewhere\n")
     assert (sorted(workdir.iterdir()), Path("fig5.cae").read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, target, message",
+    [
+        (["cae", "render", "fig5.cae"], "fig5.cae", "is the tree fig5.cae; write the DOT elsewhere"),
+        (["sim", "run", "scenario.json"], "scenario.json", "is the scenario scenario.json; write the report elsewhere"),
+    ],
+    ids=["render", "sim-run"],
+)
+@pytest.mark.parametrize("spelling", ["{}", "./sub/../{}"], ids=["same-name", "same-file"])
+def test_an_output_over_its_own_input_is_refused_before_anything_is_written(
+    capsys, monkeypatch, workdir, argv, target, message, spelling
+):
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
+    monkeypatch.chdir(workdir)
+    (workdir / "sub").mkdir()
+    one_tx_scenario(workdir / "scenario.json")
+    before = sorted(workdir.iterdir()), Path(target).read_bytes()
+    out = spelling.format(target)
+    assert run(capsys, *argv, "--out", out) == (PARSE_ERROR, "", f"--out {out} {message}\n")
+    assert (sorted(workdir.iterdir()), Path(target).read_bytes()) == before
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

@@ -119,18 +119,18 @@ class TestReadNodeLine:
 # read, lines of stray characters, and documents that parse.
 # (part, its malformed or unusual variants) in line order
 _PARTS = (
-    (("", "  ", "    "), (" ", "\t", "  \t", "\x0b", " \x0b")),
+    (("", "  ", "    "), (" ", "     ", "\t", "  \t", "\x0b", " \x0b", "\x1c", "  \x1f", "\xa0 ", "\u2029", "  \u3000")),
     (("claim", "side-claim", "decomposition", "substitution", "concretization", "hypothesis", "proof", "risk",
       "mitigation", "accept", "clam"), ('"k"', "k=", "=", "#", "")),
-    ((" ", "  ", "\t", "\x0b", "\x0c ", "\u2028", "\x85"), ("",)),
+    ((" ", "  ", "\t", "\x0b", "\x0c ", "\u2028", "\x85", "\x1d", "\xa0", "\u3000"), ("",)),
     (("C0", "C1", "A1", "P1", "H1'", "R1", "prevention", "C/0"), ("C0=", '"', '=""', "")),
-    ((" ", "", "\t", "\x0b "), ("\u2028",)),
+    ((" ", "", "\t", "\x0b ", "\x1e", "\u2029"), ("\u2028",)),
     (('"t"', '""', '"a\\nb\\rc"', '"\\\\"', '"\\"q\\""', '"a\\qb"'), ('"open', '"end\\', "bare", "")),
 )
 _ATTRS = (('tag="t"', 'ref="r"', 'digest="d"', 'criticality="Low"', 'events="ValidRejected"', 'likelihood="Rare"',
            'evidence="P1"', 'evidence="P1\\n"', '=""'), ("k=", 'k="open', "x", '"y"', "=", "#"))
-_GAPS = (" ", "", "\t", "  ", "\x0c", "\u2028")
-_ALPHABET = ' \t\x0b\x0c\x85\u2028"\\=#Cc0\'-_.nrt'
+_GAPS = (" ", "", "\t", "  ", "\x0c", "\u2028", "\x1c", "\x1f ", "\xa0", "\u2029", "\u3000")
+_ALPHABET = ' \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000"\\=#Cc0\'-_.nrt'
 
 
 @st.composite
@@ -159,11 +159,30 @@ def _registry(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STRAY = _node_line() | st.text(_ALPHABET, max_size=16)
+
+
+@st.composite
+def _interleaved(draw) -> list[str]:
+    """The lines of a tree that parses, each followed by a stray line: up to 40 lines."""
+    good = cae_dsl.serialize(draw(cae_trees())).split("\n")[:-1][:20]
+    return [line for pair in zip(good, draw(st.lists(_STRAY, min_size=len(good), max_size=len(good)))) for line in pair]
+
+
+@st.composite
+def _joined(draw, lines) -> str:
+    """``lines`` joined by LF, CRLF and CR; the last line may also end in no line end."""
+    drawn = draw(lines)
+    ends = draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=len(drawn), max_size=len(drawn)))
+    if ends:
+        ends[-1] = draw(st.sampled_from(("\n", "\r\n", "\r", "")))
+    return "".join(line + end for line, end in zip(drawn, ends))
+
+
 _documents = st.one_of(
-    st.tuples(
-        st.lists(_node_line() | st.text(_ALPHABET, max_size=16), max_size=6),
-        st.lists(st.sampled_from(("\n", "\r\n", "\r")), min_size=6, max_size=6),
-    ).map(lambda drawn: "".join(line + end for line, end in zip(*drawn))),
+    _joined(st.lists(_STRAY, max_size=6)),
+    _joined(st.lists(_STRAY, min_size=20, max_size=40)),
+    _joined(_interleaved()),
     cae_trees().map(cae_dsl.serialize),
     _registry(),
 )
