@@ -25,6 +25,14 @@ That rule is stated once, in ``cae_model.misplaced_child``, which
 ``check_well_formed`` applies too. The remaining rules, argument arity and
 side-claim placement, are left to ``check_well_formed`` so that checking
 tools can report them as findings instead of refusing to read the document.
+
+A document is read in one pass over its ``LINE`` matches. Each well-formed
+node line is taken from its match's groups, and the child rule is one
+lookup in a table built at import from ``misplaced_child``; blank lines
+and comments are skipped. The first line that is neither stops the pass,
+and so does a bad or repeated id, and the checking loop then reads the
+document again from its first line. That loop is the only place that makes
+a ``ParseError``: it reports every error of the document.
 """
 
 from __future__ import annotations
@@ -40,10 +48,14 @@ from .cae_model import (
     EvidenceKind,
     EvidenceNode,
     Node,
+    _new_argument,
+    _new_claim,
+    _new_evidence,
     misplaced_child,
 )
 from .determinism import file_sha256
-from .linefmt import LINE, LINE_END, ParseError, ParseFailure, SourceSpan, quote, read_node_line, read_scanned
+from .linefmt import (ID_PATTERN, LINE, LINE_END, ParseError, ParseFailure, SourceSpan, lex, node_attrs, quote,
+                      read_node_line, skipped, unescape)
 
 __all__ = [
     "SourceSpan",
@@ -73,14 +85,92 @@ _ATTRS = {ClaimNode: {"tag"}, ArgumentNode: {"tag"}, EvidenceNode: {"ref", "dige
 _LEAF = (EvidenceNode, False, None)  # the stack frame of an evidence line: no child joins it
 
 
+def _child_rows() -> dict[tuple[type[Node], bool], dict]:
+    """``misplaced_child`` as a table, one row per (parent class, parent already has an argument).
+
+    A row maps each kind that may join such a parent to (the parent's row
+    once that node has joined, the node's own row).
+    """
+    rows = {(cls, saw): {} for cls in (ClaimNode, ArgumentNode, EvidenceNode) for saw in (False, True)}
+    for (parent, saw), row in rows.items():
+        for kind, child in _NODE_CLASS.items():
+            if misplaced_child(parent, child, saw) is None:
+                row[kind] = rows[parent, saw or child is ArgumentNode], rows[child, False]
+    return rows
+
+
+_ROWS = _child_rows()
+# the row above the root: one claim joins it, then nothing
+_ROOT_ROW = {kind: ({}, _ROWS[cls, False]) for kind, cls in _NODE_CLASS.items() if cls is ClaimNode}
+
+
 def parse(text: str) -> CaeTree:
     """Parse a document into a tree; raises ``ParseFailure`` with all errors.
 
     No partial tree is ever returned: either every line is acceptable and
-    the assembled tree comes back, or the full error list is raised.
+    the assembled tree comes back, or the full error list is raised. A
+    document is first read in one pass that stops at its first flaw; only
+    then does the checking loop read it again and report every error.
     """
-    lex_errors: list[ParseError] = []  # reported before the errors found here, as lines are read
-    errors: list[ParseError] = []
+    tree = _read_flawless(text)
+    return tree if tree is not None else _read_checked(text)
+
+
+def _read_flawless(text: str) -> CaeTree | None:
+    """The tree of a document in which the checking loop finds no error; None at the first flaw.
+
+    A flaw is a line that is neither skipped nor a node line that joins the
+    tree (its indentation, kind, place, id and attributes all acceptable),
+    or an id that ``ID_PATTERN`` refuses, checked once for all ids at the end.
+    """
+    nodes: dict[str, Node | None] = {}  # in document order; a claim or an argument is None until the end
+    pending: list[tuple[str, str, str, str | None, list[str]]] = []  # see _assemble
+    top = [_ROOT_ROW, []]
+    frames = {-1: top}  # level -> [row, child ids] of the latest line at that level
+    level = -1
+    for line in LINE.finditer(text):
+        indent, kind, node_id, node_text, attrs, _, _ = line.groups()
+        if indent is None or len(indent) > 2 * level + 2:
+            if skipped(line):
+                continue
+            return None
+        level = len(indent) >> 1
+        parent = frames[level - 1]
+        step = parent[0].get(kind)
+        if step is None or node_id in nodes:  # an unknown kind, a misplaced node or a repeated id
+            return None
+        parent[0], row = step
+        parent[1].append(node_id)
+        if "\\" in node_text:
+            node_text = unescape(node_text)
+        tag = ref = digest = None
+        if attrs:
+            allowed, values = _ATTRS[_NODE_CLASS[kind]], {}
+            for key, value, _ in node_attrs(line):
+                if key not in allowed or key in values:
+                    return None
+                values[key] = value
+            if "digest" in values and "ref" not in values:
+                return None
+            tag, ref, digest = values.get("tag"), values.get("ref"), values.get("digest")
+        evidence_kind = _EVIDENCE_KINDS.get(kind)
+        if evidence_kind is not None:
+            nodes[node_id] = _new_evidence(node_id, evidence_kind, node_text, ref, digest, tag)
+            frames[level] = [row, None]
+        else:
+            nodes[node_id] = None
+            children: list[str] = []
+            pending.append((node_id, kind, node_text, tag, children))
+            frames[level] = [row, children]
+    # ids are never empty, so all of them match ID_PATTERN (one character class, repeated) when their join does
+    if not top[1] or not ID_PATTERN.match("".join(nodes)):
+        return None
+    return _assemble(top[1][0], nodes, pending)
+
+
+def _read_checked(text: str) -> CaeTree:
+    """Read a document line by line, checking each line; raises ``ParseFailure`` with every error found."""
+    lines, errors = lex(text)  # the lexing errors, reported before those found here
     # in document order; a claim or an argument is None until every line is read
     nodes: dict[str, Node | None] = {}
     # (node_id, kind, text, tag, child ids) of each claim and argument
@@ -89,27 +179,21 @@ def parse(text: str) -> CaeTree:
     # stack[level]: [node class or None if the line failed, saw_argument, child ids or None], None if skipped
     stack: list[list | tuple | None] = []
 
-    level = -1
-    for line_no, node in enumerate(LINE.finditer(text), start=1):
-        if (indent := node[1]) is not None and len(indent) <= 2 * level + 2:
-            level, kind, column, line = len(indent) >> 1, node[2], len(indent) + 1, (line_no, node)
-        elif (line := read_scanned(node, line_no, level, lex_errors)) is not None:
-            level, kind, column = line.level, line.kind, line.column
-        else:
-            continue
+    for line in lines:
+        level, kind = line.level, line.kind
         del stack[level:]
         stack += [None] * (level - len(stack))  # the levels that a bad indentation skipped
 
         node_class = _NODE_CLASS.get(kind)
         if node_class is None:
             if kind is not None:  # None: the line failed to lex and is already reported
-                errors.append(ParseError(SourceSpan(line_no, column), "BadKind", f"unknown kind {kind!r}"))
+                errors.append(ParseError(line.span, "BadKind", f"unknown kind {kind!r}"))
             stack.append([None, False, None])
             continue
 
         shape = read_node_line(line, _ATTRS[node_class], errors)
         if shape is not None and "digest" in shape[2] and "ref" not in shape[2]:
-            errors.append(ParseError(SourceSpan(line_no, column), "BadAttribute", "digest requires a ref attribute"))
+            errors.append(ParseError(line.span, "BadAttribute", "digest requires a ref attribute"))
             shape = None
         if shape is None:
             stack.append([node_class, False, None])
@@ -132,10 +216,10 @@ def parse(text: str) -> CaeTree:
             elif node_class is ArgumentNode:
                 parent[1] = True
         if problem is not None:
-            errors.append(ParseError(SourceSpan(line_no, column), *problem))
+            errors.append(ParseError(line.span, *problem))
 
         if node_id in nodes:
-            errors.append(ParseError(SourceSpan(line_no, column), "DuplicateId", f"duplicate node id {node_id!r}"))
+            errors.append(ParseError(line.span, "DuplicateId", f"duplicate node id {node_id!r}"))
             stack.append([node_class, False, None])
             continue
 
@@ -145,7 +229,7 @@ def parse(text: str) -> CaeTree:
             elif stack[-1][2] is not None:
                 stack[-1][2].append(node_id)
         if node_class is EvidenceNode:  # a leaf: it is built at once
-            nodes[node_id] = EvidenceNode(
+            nodes[node_id] = _new_evidence(
                 node_id, _EVIDENCE_KINDS[kind], node_text, attrs.get("ref"), attrs.get("digest"), attrs.get("tag")
             )
             stack.append(_LEAF)
@@ -155,16 +239,23 @@ def parse(text: str) -> CaeTree:
             pending.append((node_id, kind, node_text, attrs.get("tag"), children))
             stack.append([node_class, False, children])
 
-    errors[:0] = lex_errors
     if root_id is None and not errors:
         errors.append(ParseError(SourceSpan(1, 1), "ChildRuleViolation", "document has no root claim"))
     if errors:
         raise ParseFailure(errors)
+    return _assemble(root_id, nodes, pending)
+
+
+def _assemble(
+    root_id: str, nodes: dict[str, Node | None], pending: list[tuple[str, str, str, str | None, list[str]]]
+) -> CaeTree:
+    """The tree, once each (node_id, kind, text, tag, child ids) in ``pending`` is built into ``nodes``."""
     for node_id, kind, node_text, tag, children in pending:
-        if kind in _ARGUMENT_KINDS:
-            nodes[node_id] = ArgumentNode(node_id, _ARGUMENT_KINDS[kind], node_text, tuple(children), tag)
+        argument_kind = _ARGUMENT_KINDS.get(kind)
+        if argument_kind is not None:
+            nodes[node_id] = _new_argument(node_id, argument_kind, node_text, tuple(children), tag)
         else:
-            nodes[node_id] = ClaimNode(node_id, node_text, tuple(children), tag, kind == "side-claim")
+            nodes[node_id] = _new_claim(node_id, node_text, tuple(children), tag, kind == "side-claim")
     return CaeTree(root=root_id, nodes=nodes)
 
 

@@ -189,6 +189,9 @@ def default_campaign_scenario(policy, *, seed: int = 0) -> "eov_sim.ScenarioConf
 
 
 def cmd_policy_campaign(args) -> int:
+    _refuse_overwrite(args.out, args.policy, "policy", "report")
+    if args.scenario:
+        _refuse_overwrite(args.out, args.scenario, "scenario", "report")
     policy = _load(args.policy, policy_analysis.parse_policy)
     if args.scenario:
         base = _load(args.scenario, _scenario_reader(policy=policy))

@@ -10,7 +10,12 @@ and ``\\r`` are escapes; a backslash before any other character is kept as
 written. ``read_node_line`` reads the ``kind id "text" key="value"...``
 shape that both formats use for their nodes. One ``LINE`` match reads each
 line: a node line from the match's groups, every other line through the
-atom scanner, the one source of lexing errors.
+atom scanner, the one source of lexing errors. ``lex`` reads a whole
+document into lines, and ``read_node_line`` reads one of them: the
+registry reader and the checking loop of ``cae_dsl.parse``, which reports
+a flawed document's errors, use both. ``cae_dsl.parse`` reads a document
+without a flaw in one pass over the ``LINE`` matches, with ``skipped``,
+``unescape`` and ``node_attrs``.
 """
 
 from __future__ import annotations
@@ -97,15 +102,13 @@ class LexedLine:
             self._atoms = (
                 Token(node[2], node.start(2) - before),
                 Token(node[3], node.start(3) - before),
-                QString(_unescape(node[4]), node.start(4) - before - 1),  # group 4 starts after the quote
-                *(Attr(*attr) for attr in _attrs(node)),
+                QString(unescape(node[4]), node.start(4) - before - 1),  # group 4 starts after the quote
+                *(Attr(*attr) for attr in node_attrs(node)),
             )
         return self._atoms
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _REVERSE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
-_ESCAPE = re.compile(r'\\([\\"ntr])')
 LINE_END = re.compile(r"\r\n?|\n")
 # White space and quoted strings never cross a line end: these patterns read lines in place in a document.
 _WS = r"[^\S\r\n]"
@@ -131,8 +134,17 @@ def quote(text: str) -> str:
     return '"' + text.translate(_REVERSE) + '"'
 
 
-def _unescape(body: str) -> str:
-    return _ESCAPE.sub(lambda m: _ESCAPES[m[1]], body) if "\\" in body else body
+def unescape(body: str) -> str:
+    """The text of a quoted string's body: each escape replaced by the character it stands for."""
+    if "\\" not in body:
+        return body
+    # Escapes are read from the left, so each pair of backslashes is one; in the parts between the pairs no
+    # backslash is next to another, and one before any character but " n t r is kept as written.
+    parts = body.split("\\\\")
+    for i, part in enumerate(parts):
+        if "\\" in part:
+            parts[i] = part.replace('\\"', '"').replace("\\n", "\n").replace("\\t", "\t").replace("\\r", "\r")
+    return "\\".join(parts)
 
 
 def _scan(raw: str, pos: int) -> tuple[list, tuple[int, str, str] | None]:
@@ -145,9 +157,9 @@ def _scan(raw: str, pos: int) -> tuple[list, tuple[int, str, str] | None]:
         if word is not None:
             atoms.append(Token(word, match.start(4) + 1))
         elif quoted is not None:
-            atoms.append(QString(_unescape(quoted), match.start(1)))  # group 1 starts after the quote
+            atoms.append(QString(unescape(quoted), match.start(1)))  # group 1 starts after the quote
         elif value is not None:
-            atoms.append(Attr(key, _unescape(value), match.start(2) + 1))
+            atoms.append(Attr(key, unescape(value), match.start(2) + 1))
         elif key is None and pos == len(raw):
             return atoms, None
         elif raw.startswith('"', pos):
@@ -156,17 +168,21 @@ def _scan(raw: str, pos: int) -> tuple[list, tuple[int, str, str] | None]:
             return atoms, (match.start(2) + 1, "BadAttribute", f"attribute {key!r} needs a quoted value")
 
 
+def skipped(line: re.Match) -> bool:
+    """Whether a ``LINE`` match is a blank line or a comment: no reader sees such a line."""
+    raw = line[0].rstrip("\r\n")
+    return raw.strip() == "" or raw.lstrip(" \t").startswith("#")
+
+
 def read_scanned(line: re.Match, line_no: int, prev_level: int, errors: list[ParseError]) -> LexedLine | None:
     """Scan a ``LINE`` match that is no node line, or is one too deep; None for a blank line or a comment.
 
     A line that fails to lex is kept as a placeholder (kind None) at its level, so its children find a parent.
     """
+    if skipped(line):
+        return None
     raw = line[0].rstrip("\r\n")
-    if raw.strip() == "":
-        return None
     stripped = raw.lstrip(" \t")
-    if stripped.startswith("#"):
-        return None
 
     indent = raw[: len(raw) - len(stripped)]
     bad = False
@@ -219,29 +235,27 @@ def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
     return lines, errors
 
 
-def _attrs(node: re.Match) -> Iterator[tuple[str, str, int]]:
+def node_attrs(node: re.Match) -> Iterator[tuple[str, str, int]]:
     """(key, value, column) of each attribute of a node line's ``LINE`` match."""
     before = node.start() - 1
-    return ((a[1], _unescape(a[2]), a.start(1) - before) for a in _ATTR.finditer(node.string, *node.span(5)))
+    return ((a[1], unescape(a[2]), a.start(1) - before) for a in _ATTR.finditer(node.string, *node.span(5)))
 
 
 def read_node_line(
-    line: LexedLine | tuple, allowed: Collection[str], errors: list[ParseError], required: Sequence[str] = ()
+    line: LexedLine, allowed: Collection[str], errors: list[ParseError], required: Sequence[str] = ()
 ) -> tuple[str, str, dict[str, str]] | None:
     """Read a ``kind id "text" key="value"...`` line into (id, text, attrs).
 
-    ``line`` is a ``LexedLine`` or the (line number, ``LINE`` match)
-    pair of a node line. The id must match ``ID_PATTERN``, every attribute
-    key must be in ``allowed`` and appear once, and every key in
-    ``required`` must appear. Each problem found is appended to ``errors``,
-    and then None is returned.
+    The id must match ``ID_PATTERN``, every attribute key must be in
+    ``allowed`` and appear once, and every key in ``required`` must appear.
+    Each problem found is appended to ``errors``, and then None is returned.
     """
-    line_no, node = (line.line_no, line.node) if line.__class__ is LexedLine else line
+    line_no, node = line.line_no, line.node
     if node is not None:
         kind, node_id, text, attrs = node.group(2, 3, 4, 5)
         if "\\" in text:
-            text = _unescape(text)
-        attrs = _attrs(node) if attrs else ()
+            text = unescape(text)
+        attrs = node_attrs(node) if attrs else ()
     else:
         kind, rest = line.kind, line.atoms[1:]
         if not rest or not isinstance(rest[0], Token):

@@ -193,6 +193,22 @@ def test_round_trip_reproduces_the_tree(tree):
 
 @settings(max_examples=40, deadline=None)
 @given(cae_trees())
+def test_parsed_nodes_are_the_frozen_nodes_their_constructors_build(tree):
+    # parse builds each node through its slots; the drawn tree's nodes come from the constructors
+    for nid, node in parse(serialize(tree)).nodes.items():
+        built = tree.nodes[nid]
+        assert (node, hash(node), repr(node)) == (built, hash(built), repr(built))
+        for field in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field.name, getattr(built, field.name))
+        changes = {"text": built.text + "x"}
+        if isinstance(node, EvidenceNode):  # the fields link_evidence replaces
+            changes.update(reference="r", digest="d")
+        assert dataclasses.replace(node, **changes) == dataclasses.replace(built, **changes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cae_trees())
 def test_serialize_is_a_fixpoint(tree):
     once = serialize(tree)
     assert serialize(parse(once)) == once

@@ -600,8 +600,12 @@ def test_a_report_over_its_link_tree_is_refused_before_the_campaign_runs(capsys,
     [
         (["cae", "render", "fig5.cae"], "fig5.cae", "is the tree fig5.cae; write the DOT elsewhere"),
         (["sim", "run", "scenario.json"], "scenario.json", "is the scenario scenario.json; write the report elsewhere"),
+        (["policy", "campaign", "policy.txt", "--runs", "20"], "policy.txt",
+         "is the policy policy.txt; write the report elsewhere"),
+        (["policy", "campaign", "policy.txt", "--runs", "20", "--scenario", "scenario.json"], "scenario.json",
+         "is the scenario scenario.json; write the report elsewhere"),
     ],
-    ids=["render", "sim-run"],
+    ids=["render", "sim-run", "campaign-policy", "campaign-scenario"],
 )
 @pytest.mark.parametrize("spelling", ["{}", "./sub/../{}"], ids=["same-name", "same-file"])
 def test_an_output_over_its_own_input_is_refused_before_anything_is_written(
@@ -611,6 +615,7 @@ def test_an_output_over_its_own_input_is_refused_before_anything_is_written(
     monkeypatch.chdir(workdir)
     (workdir / "sub").mkdir()
     one_tx_scenario(workdir / "scenario.json")
+    Path("policy.txt").write_text("outof(1,E1)")
     before = sorted(workdir.iterdir()), Path(target).read_bytes()
     out = spelling.format(target)
     assert run(capsys, *argv, "--out", out) == (PARSE_ERROR, "", f"--out {out} {message}\n")

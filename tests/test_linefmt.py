@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
 from unittest import mock
 
 import linefmt_reference as reference
@@ -221,3 +223,97 @@ def test_the_reader_agrees_with_the_atom_scanner_reference(text, keys):
     registry = _outcome(risk_ledger.parse_registry, text)
     with mock.patch.multiple(risk_ledger, lex=reference.lex, read_node_line=reference.read_node_line):
         assert registry == _outcome(risk_ledger.parse_registry, text)
+
+
+def _renamed(tree, prefix):
+    """``tree`` with ``prefix`` before every node id."""
+    def renamed(node):
+        if isinstance(node, cae_dsl.EvidenceNode):
+            return replace(node, id=prefix + node.id)
+        return replace(node, id=prefix + node.id, children=tuple(prefix + child for child in node.children))
+
+    return cae_dsl.CaeTree(prefix + tree.root, {prefix + nid: renamed(node) for nid, node in tree.nodes.items()})
+
+
+@st.composite
+def _long_document(draw) -> list[str]:
+    """The lines of a tree that parses, 50 to 400 of them: drawn trees, copied under one decomposition."""
+    trees = draw(st.lists(cae_trees(), min_size=1, max_size=3))
+    size = draw(st.integers(50, 400))
+    lines = ['claim R "root"', '  decomposition RA "over the drawn trees"']
+    for copy in itertools.count():
+        tree = _renamed(trees[copy % len(trees)], f"T{copy}.")
+        lines += ["    " + line for line in cae_dsl.serialize(tree).split("\n")[:-1]]
+        if len(lines) >= size:
+            # a prefix of a document in preorder is itself a tree
+            return lines[:size]
+
+
+def _split(line):
+    """(indent, kind, id, the rest) of a serialized node line."""
+    body = line.lstrip(" ")
+    kind, node_id, rest = body.split(" ", 2)
+    return line[: len(line) - len(body)], kind, node_id, rest
+
+
+def _with_id(line, node_id):
+    indent, kind, _, rest = _split(line)
+    return f"{indent}{kind} {node_id} {rest}"
+
+
+def _with_kind(line, kind):
+    indent, _, node_id, rest = _split(line)
+    return f"{indent}{kind} {node_id} {rest}"
+
+
+# (name, flaw): a flaw takes the lines, the flawed line's index and a draw, and returns (lines, line ends)
+# of the flawed document; None for the line ends means LF after every line
+_FLAWS = {
+    "duplicate-id": lambda lines, at, draw: (
+        lines[:at] + [_with_id(lines[at], _split(lines[draw(st.integers(0, max(0, at - 40)))])[2])] + lines[at + 1:],
+        None,
+    ),
+    "second-argument": lambda lines, at, draw: (
+        lines[:at] + ['    claim X "c"', '      substitution XA "a"', '        claim XC "d"',
+                      '      concretization XB "b"'] + lines[at:],
+        None,
+    ),
+    "digest-without-ref": lambda lines, at, draw: (
+        lines[:at] + ['    claim X "c"', '      proof XP "p" digest="00ff"'] + lines[at:], None
+    ),
+    "stray-line": lambda lines, at, draw: (lines[:at] + [draw(_STRAY)] + lines[at:], None),
+    "comment-or-blank": lambda lines, at, draw: (
+        lines[:at] + [draw(st.sampled_from(("# note", "    # note", "\t# note", "", "   ", " \x0c")))] + lines[at:],
+        None,
+    ),
+    "cr-or-crlf": lambda lines, at, draw: (
+        lines, ["\n"] * at + draw(st.sampled_from((["\r"], ["\r\n"], ["\r"] * (len(lines) - at))))
+        + ["\n"] * (len(lines) - at - 1),
+    ),
+    "tab-or-jump": lambda lines, at, draw: (
+        lines[:at] + [draw(st.sampled_from(("\t", "  \t", "    ", "  "))) + lines[at]] + lines[at + 1:], None
+    ),
+    "unknown-kind": lambda lines, at, draw: (lines[:at] + [_with_kind(lines[at], "clam")] + lines[at + 1:], None),
+    "bad-id": lambda lines, at, draw: (
+        lines[:at] + [_with_id(lines[at], draw(st.sampled_from(("C/0", "N=1", "é", '"x"'))))] + lines[at + 1:],
+        None,
+    ),
+    "attribute-not-allowed": lambda lines, at, draw: (
+        lines[:at] + [lines[at] + draw(st.sampled_from((' owner="x"', ' ref="r"', ' tag="a" tag="b"')))]
+        + lines[at + 1:],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("flaw", sorted(_FLAWS))
+@settings(max_examples=20, deadline=None)
+@given(lines=_long_document(), data=st.data())
+def test_one_flaw_deep_in_a_long_document_is_read_as_the_reference_reads_it(flaw, lines, data):
+    at = data.draw(st.integers(2, len(lines) - 1), label="at")
+    flawed, ends = _FLAWS[flaw](lines, at, data.draw)
+    text = "".join(line + end for line, end in zip(flawed, ends or ["\n"] * len(flawed)))
+    outcome = _outcome(cae_dsl.parse, text)
+    assert outcome == _outcome(reference.parse, text)
+    # the one-pass read returns the tree exactly when no error is found, and so the checking loop runs only then
+    assert (cae_dsl._read_flawless(text) is None) == isinstance(outcome, list)
