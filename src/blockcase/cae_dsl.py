@@ -26,17 +26,14 @@ That rule is stated once, in ``cae_model.misplaced_child``, which
 side-claim placement, are left to ``check_well_formed`` so that checking
 tools can report them as findings instead of refusing to read the document.
 
-A document is read in one pass over its ``LINE`` matches. Each well-formed
-node line is taken from its match's groups, and the child rule is one
-lookup in a table built at import from ``misplaced_child``; blank lines
-and comments are skipped. The first line that is neither stops the pass,
-and so does a bad or repeated id, and the checking loop then reads the
-document again from its first line. That loop is the only place that makes
-a ``ParseError``: it reports every error of the document.
+A document is read in one pass over its ``LINE`` matches, the child rule
+looked up in ``cae_model.child_rows``. At its first flaw the checking loop,
+the only place that makes a ``ParseError``, reads it again for every error.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -51,6 +48,7 @@ from .cae_model import (
     _new_argument,
     _new_claim,
     _new_evidence,
+    child_rows,
     misplaced_child,
 )
 from .determinism import file_sha256
@@ -83,25 +81,9 @@ KINDS = frozenset(_NODE_CLASS)
 # node class -> the attribute keys its lines may carry
 _ATTRS = {ClaimNode: {"tag"}, ArgumentNode: {"tag"}, EvidenceNode: {"ref", "digest", "tag"}}
 _LEAF = (EvidenceNode, False, None)  # the stack frame of an evidence line: no child joins it
-
-
-def _child_rows() -> dict[tuple[type[Node], bool], dict]:
-    """``misplaced_child`` as a table, one row per (parent class, parent already has an argument).
-
-    A row maps each kind that may join such a parent to (the parent's row
-    once that node has joined, the node's own row).
-    """
-    rows = {(cls, saw): {} for cls in (ClaimNode, ArgumentNode, EvidenceNode) for saw in (False, True)}
-    for (parent, saw), row in rows.items():
-        for kind, child in _NODE_CLASS.items():
-            if misplaced_child(parent, child, saw) is None:
-                row[kind] = rows[parent, saw or child is ArgumentNode], rows[child, False]
-    return rows
-
-
-_ROWS = _child_rows()
+_ROWS = child_rows(_NODE_CLASS)
 # the row above the root: one claim joins it, then nothing
-_ROOT_ROW = {kind: ({}, _ROWS[cls, False]) for kind, cls in _NODE_CLASS.items() if cls is ClaimNode}
+_ROOT_ROW = {kind: ({}, _ROWS[cls, False], None) for kind, cls in _NODE_CLASS.items() if cls is ClaimNode}
 
 
 def parse(text: str) -> CaeTree:
@@ -110,10 +92,18 @@ def parse(text: str) -> CaeTree:
     No partial tree is ever returned: either every line is acceptable and
     the assembled tree comes back, or the full error list is raised. A
     document is first read in one pass that stops at its first flaw; only
-    then does the checking loop read it again and report every error.
+    then does the checking loop read it again and report every error. The
+    cyclic garbage collector, if it runs, is paused meanwhile: what ``parse``
+    builds holds no cycle, so a collection would only walk the growing tree.
     """
-    tree = _read_flawless(text)
-    return tree if tree is not None else _read_checked(text)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tree = _read_flawless(text)
+        return tree if tree is not None else _read_checked(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read_flawless(text: str) -> CaeTree | None:
@@ -137,9 +127,9 @@ def _read_flawless(text: str) -> CaeTree | None:
         level = len(indent) >> 1
         parent = frames[level - 1]
         step = parent[0].get(kind)
-        if step is None or node_id in nodes:  # an unknown kind, a misplaced node or a repeated id
+        if step is None or step[2] is not None or node_id in nodes:  # an unknown kind, a misplaced node, a repeated id
             return None
-        parent[0], row = step
+        parent[0], row, _ = step
         parent[1].append(node_id)
         if "\\" in node_text:
             node_text = unescape(node_text)
@@ -171,10 +161,8 @@ def _read_flawless(text: str) -> CaeTree | None:
 def _read_checked(text: str) -> CaeTree:
     """Read a document line by line, checking each line; raises ``ParseFailure`` with every error found."""
     lines, errors = lex(text)  # the lexing errors, reported before those found here
-    # in document order; a claim or an argument is None until every line is read
-    nodes: dict[str, Node | None] = {}
-    # (node_id, kind, text, tag, child ids) of each claim and argument
-    pending: list[tuple[str, str, str, str | None, list[str]]] = []
+    nodes: dict[str, Node | None] = {}  # in document order; a claim or an argument is None until the end
+    pending: list[tuple[str, str, str, str | None, list[str]]] = []  # see _assemble
     root_id: str | None = None
     # stack[level]: [node class or None if the line failed, saw_argument, child ids or None], None if skipped
     stack: list[list | tuple | None] = []
@@ -266,19 +254,16 @@ def _kind_token(node: Node) -> str:
 
 
 def _attr_pairs(node: Node) -> list[tuple[str, str]]:
-    pairs = []
-    if isinstance(node, EvidenceNode):
-        if node.digest is not None:
-            pairs.append(("digest", node.digest))
-        if node.reference is not None:
-            pairs.append(("ref", node.reference))
-    if node.tag is not None:
-        pairs.append(("tag", node.tag))
-    return sorted(pairs)
+    """The (key, value) attributes of a node's line, in key order."""
+    if not isinstance(node, EvidenceNode):
+        return [] if node.tag is None else [("tag", node.tag)]
+    pairs = (("digest", node.digest), ("ref", node.reference), ("tag", node.tag))
+    return [pair for pair in pairs if pair[1] is not None]
 
 
 def serialize(tree: CaeTree) -> str:
     """Canonical text form: stable bytes for equal trees, LF line endings."""
+    tree.preorder()  # refuses a cycle, which this walk would follow forever
     out: list[str] = []
     stack = [(tree.root, 0)]
     while stack:
@@ -291,36 +276,35 @@ def serialize(tree: CaeTree) -> str:
 
 
 _FILL = {ClaimNode: "lightblue", ArgumentNode: "gold", EvidenceNode: "palegreen"}
-
-
-def _dot_escape(text: str) -> str:
-    text = text.replace("\\", "\\\\").replace('"', '\\"')
-    # a line break, cut as .cae lines are cut, is one DOT \n: each statement stays on one line
-    return "\\n".join(LINE_END.split(text)) if "\n" in text or "\r" in text else text
+# the label prefix of each argument and evidence kind
+_LABEL = {kind: f"{kind.value.capitalize()}: " for kind in (*ArgumentKind, *EvidenceKind)}
 
 
 def to_dot(tree: CaeTree) -> str:
     """Deterministic DOT rendering: claims blue, arguments yellow, evidence green.
 
     Nodes are emitted in document order and edges in child order, so equal
-    trees always yield byte-equal output. Only texts are escaped: an id that
+    trees always yield byte-equal output. Only texts are escaped, and only
+    those that hold a quote, a backslash or a line break: an id that
     ``parse`` accepts or ``check_well_formed`` passes matches ``ID_PATTERN``,
-    which leaves out quotes, backslashes and line breaks.
+    which leaves all of them out.
     """
+    nodes = tree.nodes
     lines = ["digraph cae {"]
-    order = list(tree.preorder())
-    for nid in order:
-        node = tree.nodes[nid]
-        if isinstance(node, ClaimNode):
-            label = f"{nid}\\n{_dot_escape(node.text)}"
-        else:
-            label = f"{nid}\\n{node.kind.value.capitalize()}: {_dot_escape(node.text)}"
-        lines.append(f'  "{nid}" [label="{label}", style=filled, fillcolor={_FILL[type(node)]}]')
-    for nid in order:
-        for child in tree.nodes[nid].children:
-            lines.append(f'  "{nid}" -> "{child}"')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges: list[str] = []
+    for nid in tree.preorder():
+        node = nodes[nid]
+        text = node.text
+        if "\\" in text or '"' in text or "\n" in text or "\r" in text:
+            # a line break, cut as .cae lines are cut, is one DOT \n: each statement stays on one line
+            text = "\\n".join(LINE_END.split(text.replace("\\", "\\\\").replace('"', '\\"')))
+        cls = type(node)
+        kind = "" if cls is ClaimNode else _LABEL[node.kind]
+        lines.append(f'  "{nid}" [label="{nid}\\n{kind}{text}", style=filled, fillcolor={_FILL[cls]}]')
+        if cls is not EvidenceNode:
+            for child in node.children:
+                edges.append(f'  "{nid}" -> "{child}"')
+    return "\n".join([*lines, *edges, "}", ""])
 
 
 def link_evidence(tree: CaeTree, node_id: str, reference: str, digest: str) -> CaeTree:
@@ -348,17 +332,15 @@ def verify_links(tree: CaeTree, base_dir: Path | str, only: set[str] | None = No
     skipped; evidence with a reference but no digest is only checked for
     existence. ``only`` restricts the check to the given node ids.
     """
-    base = Path(base_dir)
+    nodes = tree.nodes
     issues: list[LinkIssue] = []
     for nid in tree.preorder():
-        node = tree.nodes[nid]
-        if not isinstance(node, EvidenceNode) or node.reference is None:
-            continue
         if only is not None and nid not in only:
             continue
-        target = Path(node.reference)
-        if not target.is_absolute():
-            target = base / target
+        node = nodes[nid]
+        if type(node) is not EvidenceNode or node.reference is None:
+            continue
+        target = Path(base_dir, node.reference)  # an absolute reference stands for itself
         if not target.is_file():
             issues.append(LinkIssue(nid, "missing-file", f"referenced file {node.reference!r} does not exist"))
             continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .linefmt import ID_PATTERN
 
@@ -112,11 +112,9 @@ Node = ClaimNode | ArgumentNode | EvidenceNode
 def _slot_builder(cls: type) -> Callable[..., Node]:
     """A constructor of the frozen slots class ``cls`` that takes every field, in order, positionally.
 
-    It sets each slot through its descriptor, where the generated frozen
-    ``__init__`` goes through ``object.__setattr__`` once per field, at about
-    twice the cost. The node it builds is the one ``cls(...)`` builds: as
-    frozen, equal, hashable and ``repr``-identical. ``parse`` builds every
-    node of a document this way.
+    It sets each slot through its descriptor, at about half the cost of the
+    generated frozen ``__init__`` (``object.__setattr__`` per field), and
+    builds the node ``cls(...)`` builds. ``parse`` builds every node this way.
     """
     names = [f.name for f in fields(cls)]
     namespace = {"new": object.__new__, "cls": cls, **{f"set_{name}": getattr(cls, name).__set__ for name in names}}
@@ -150,16 +148,26 @@ class CaeTree:
             raise NotEvidenceError(f"node {node_id!r} is not evidence")
         return node
 
-    def preorder(self, start: str | None = None) -> Iterator[str]:
-        """Document order: each node before its children, children in order."""
-        stack = [start if start is not None else self.root]
+    def preorder(self, start: str | None = None) -> list[str]:
+        """Document order from ``start`` (default: the root), each node before its children; skips absent ids.
+
+        A walk that reaches more ids than the map holds, through a cycle or a
+        second parent, raises ``RuleError`` naming ``start``.
+        """
+        order, stack = [], [self.root if start is None else start]
         while stack:
             nid = stack.pop()
             node = self.nodes.get(nid)
             if node is None:
                 continue
-            yield nid
-            stack.extend(reversed(node.children))
+            order.append(nid)
+            if type(node) is not EvidenceNode and node.children:
+                stack += node.children[::-1]
+                if len(order) > len(self.nodes):
+                    break
+        if len(order) > len(self.nodes):
+            raise RuleError(Violation(order[0], "StructureRule", "a walk from it meets a cycle or a second parent"))
+        return order
 
 
 class Misplacement(enum.Enum):
@@ -231,11 +239,33 @@ def build_tree(root: ClaimNode, entries: Sequence[tuple[str, Node]]) -> CaeTree:
     return tree
 
 
+def child_rows(keys: dict) -> dict[tuple[type[Node], bool], dict]:
+    """``misplaced_child`` as a table, one row per (parent class, parent already has an argument).
+
+    A row maps each key of ``keys`` (a kind token or a node class, for the class it maps to) to (the
+    parent's row once such a node has joined, the node's own first row, the case it breaks or None).
+    """
+    rows = {(cls, saw): {} for cls in (ClaimNode, ArgumentNode, EvidenceNode) for saw in (False, True)}
+    for (parent, saw), row in rows.items():
+        for key, child in keys.items():
+            next_row = rows[parent, saw or child is ArgumentNode]
+            row[key] = next_row, rows[child, False], misplaced_child(parent, child, saw)
+    return rows
+
+
+_ROWS = child_rows({cls: cls for cls in (ClaimNode, ArgumentNode, EvidenceNode)})
+_SITS_UNDER = {
+    Misplacement.CLAIM_UNDER_CLAIM: "claim {!r} sits directly under claim {!r}",
+    Misplacement.ARGUMENT_UNDER_ARGUMENT: "argument {!r} sits under argument {!r}",
+}
+
+
 def check_well_formed(tree: CaeTree) -> list[Violation]:
     """Report every structural rule the tree breaks; empty means well-formed.
 
     Unlike ``build_tree`` this never raises: violations are data, so callers
-    can list all of them (the checking command relies on that).
+    can list all of them (the checking command relies on that). Ids and
+    reachability are checked node by node only when a check of all fails.
     """
     out: list[Violation] = []
     nodes = tree.nodes
@@ -246,81 +276,72 @@ def check_well_formed(tree: CaeTree) -> list[Violation]:
     if not isinstance(root_node, ClaimNode):
         out.append(Violation(tree.root, "RootRule", "root node must be a claim"))
 
-    for nid, node in nodes.items():
-        if not ID_PATTERN.match(nid or ""):
-            out.append(Violation(nid, "IdRule", f"node id {nid!r} is not a valid token"))
-        elif node.id != nid:
-            out.append(Violation(nid, "IdRule", f"node id {node.id!r} differs from its key {nid!r}"))
+    # an empty id is invalid; the others all are valid when their join is (ID_PATTERN: one character class, repeated)
+    if "" in nodes or not ID_PATTERN.match("".join(nodes)) or [node.id for node in nodes.values()] != list(nodes):
+        for nid, node in nodes.items():
+            if not ID_PATTERN.match(nid):
+                out.append(Violation(nid, "IdRule", f"node id {nid!r} is not a valid token"))
+            elif node.id != nid:
+                out.append(Violation(nid, "IdRule", f"node id {node.id!r} differs from its key {nid!r}"))
 
+    found: list[Violation] = []  # digest and child rule findings, reported after every structure finding
+    sides: list[str] = []  # side-claims
     parent_of: dict[str, str] = {}  # each child's first parent
     parent_count: dict[str, int] = {}  # only children with more than one parent
     for nid, node in nodes.items():
+        cls = type(node)
+        if cls is EvidenceNode:
+            if node.digest is not None and node.reference is None:
+                found.append(Violation(nid, "DigestRule", "evidence carries a digest but no reference"))
+            continue
+        if cls is ClaimNode and node.side:
+            sides.append(nid)
+        row = _ROWS[cls, False]
+        subclaims = extra_arguments = 0
         for child in node.children:
-            if child not in nodes:
+            kid = nodes.get(child)
+            if kid is None:
                 out.append(Violation(nid, "StructureRule", f"child {child!r} is not in the node map"))
-            elif child in parent_of:
+                continue
+            if child in parent_of:
                 parent_count[child] = parent_count.get(child, 1) + 1
             else:
                 parent_of[child] = nid
+            kid_cls = type(kid)
+            row, _, misplaced = row[kid_cls]
+            if misplaced is None:
+                if kid_cls is ClaimNode and not kid.side:
+                    subclaims += 1
+            elif misplaced is Misplacement.SECOND_ARGUMENT:
+                extra_arguments += 1
+            else:
+                found.append(Violation(nid, "ChildRuleViolation", _SITS_UNDER[misplaced].format(kid.id, nid)))
+        if extra_arguments:
+            found.append(Violation(nid, "MultipleArguments", f"claim has {extra_arguments + 1} argument children"))
+        if cls is ArgumentNode and subclaims < (needed := 2 if node.kind is ArgumentKind.DECOMPOSITION else 1):
+            message = f"{node.kind.value} argument needs at least {needed} subclaim(s), has {subclaims}"
+            found.append(Violation(nid, "ArityViolation", message))
 
-    for child in parent_of:
+    for child in parent_of if parent_count else ():
         if child in parent_count:
             out.append(Violation(child, "StructureRule", f"node has {parent_count[child]} parents"))
     if tree.root in parent_of:
         out.append(Violation(tree.root, "StructureRule", "root node has a parent"))
 
-    reachable = set()
-    stack = [tree.root]
+    reachable, stack = set(), [tree.root]
     while stack:
         nid = stack.pop()
-        if nid in reachable or nid not in nodes:
-            continue
-        reachable.add(nid)
-        stack.extend(nodes[nid].children)
-    for nid in nodes:
-        if nid not in reachable:
-            out.append(Violation(nid, "StructureRule", "node is not reachable from the root"))
+        if nid not in reachable and nid in nodes:
+            reachable.add(nid)
+            stack += nodes[nid].children
+    if len(reachable) != len(nodes):
+        unreachable = [nid for nid in nodes if nid not in reachable]
+        out += [Violation(nid, "StructureRule", "node is not reachable from the root") for nid in unreachable]
 
-    for nid, node in nodes.items():
-        if isinstance(node, EvidenceNode):
-            if node.digest is not None and node.reference is None:
-                out.append(Violation(nid, "DigestRule", "evidence carries a digest but no reference"))
-            continue
-        parent_kind = type(node)
-        arguments = subclaims = extra_arguments = 0
-        for kid in [nodes[c] for c in node.children if c in nodes]:
-            misplaced = misplaced_child(parent_kind, type(kid), arguments > 0)
-            if misplaced is Misplacement.CLAIM_UNDER_CLAIM:
-                out.append(
-                    Violation(nid, "ChildRuleViolation", f"claim {kid.id!r} sits directly under claim {nid!r}")
-                )
-            elif misplaced is Misplacement.ARGUMENT_UNDER_ARGUMENT:
-                out.append(
-                    Violation(nid, "ChildRuleViolation", f"argument {kid.id!r} sits under argument {nid!r}")
-                )
-            elif misplaced is Misplacement.SECOND_ARGUMENT:
-                extra_arguments += 1
-            if isinstance(kid, ArgumentNode):
-                arguments += 1
-            elif isinstance(kid, ClaimNode) and not kid.side:
-                subclaims += 1
-        if extra_arguments:
-            out.append(Violation(nid, "MultipleArguments", f"claim has {arguments} argument children"))
-        if isinstance(node, ArgumentNode):
-            needed = 2 if node.kind is ArgumentKind.DECOMPOSITION else 1
-            if subclaims < needed:
-                out.append(
-                    Violation(
-                        nid,
-                        "ArityViolation",
-                        f"{node.kind.value} argument needs at least {needed} subclaim(s), has {subclaims}",
-                    )
-                )
-
-    for nid in sorted(nid for nid, node in nodes.items() if isinstance(node, ClaimNode) and node.side):
+    out += found
+    for nid in sorted(sides):
         if not isinstance(nodes.get(parent_of.get(nid)), ArgumentNode):
             out.append(Violation(nid, "SideFlagViolation", "side-claim does not sit under an argument"))
-
     return out
 
 
@@ -330,28 +351,36 @@ def node_status(tree: CaeTree, node_id: str) -> Status:
     Proof -> SUPPORTED, hypothesis -> ASSUMED. A claim with no children is
     UNDEVELOPED; otherwise a claim takes the minimum over its argument child
     and its direct evidence. An argument takes the minimum over all of its
-    children, side-claims included.
+    children, side-claims included. So a node takes the least status of the
+    leaves below it. A child id missing from the map raises ``UnknownNodeError``.
     """
     tree.node(node_id)
-    status: dict[str, Status] = {}
-    for nid in reversed(list(tree.preorder(node_id))):  # children before their parent
-        node = tree.nodes[nid]
-        if isinstance(node, EvidenceNode):
-            status[nid] = Status.SUPPORTED if node.kind is EvidenceKind.PROOF else Status.ASSUMED
-        elif not node.children:
-            status[nid] = Status.UNDEVELOPED
+    nodes = tree.nodes
+    order = tree.preorder(node_id)
+    least = Status.SUPPORTED
+    edges = 0  # one fewer than the walk's length when no child id is missing from the map
+    for nid in order:
+        node = nodes[nid]
+        if type(node) is EvidenceNode:
+            if node.kind is EvidenceKind.HYPOTHESIS and least is Status.SUPPORTED:
+                least = Status.ASSUMED
+        elif node.children:
+            edges += len(node.children)
         else:
-            status[nid] = min(status[child] for child in node.children)
-    return status[node_id]
+            least = Status.UNDEVELOPED
+    if edges + 1 != len(order):  # name the first child id that is not in the map
+        tree.node(next(child for nid in order for child in nodes[nid].children if child not in nodes))
+    return least
 
 
 def assumptions_of(tree: CaeTree, node_id: str) -> list[str]:
     """Ids of every hypothesis leaf below the node, in document order."""
     tree.node(node_id)
+    nodes = tree.nodes
     return [
         nid
         for nid in tree.preorder(node_id)
-        if isinstance(tree.nodes[nid], EvidenceNode) and tree.nodes[nid].kind is EvidenceKind.HYPOTHESIS
+        if type(nodes[nid]) is EvidenceNode and nodes[nid].kind is EvidenceKind.HYPOTHESIS
     ]
 
 
@@ -379,14 +408,12 @@ def instantiate_template(
         ("A0", ClaimNode("C1", f"{app_name} registers only valid transactions")),
         ("C1", ArgumentNode("A1", ArgumentKind.CONCRETIZATION, "Validity is made concrete by the application's validity criteria")),
     ]
-    for i, criterion in enumerate(validity_criteria, start=1):
-        entries.append(("A1", ClaimNode(f"C1.{i}", criterion)))
+    entries += [("A1", ClaimNode(f"C1.{i}", criterion)) for i, criterion in enumerate(validity_criteria, start=1)]
     entries.append(("A0", ClaimNode("C2", f"{app_name} answers consistently to read requests")))
     entries.append(
         ("C2", ArgumentNode("A2", ArgumentKind.CONCRETIZATION, "Consistency is made concrete by the application's consistency criteria"))
     )
-    for i, criterion in enumerate(consistency_criteria, start=1):
-        entries.append(("A2", ClaimNode(f"C2.{i}", criterion)))
+    entries += [("A2", ClaimNode(f"C2.{i}", criterion)) for i, criterion in enumerate(consistency_criteria, start=1)]
     if include_liveness:
         entries.append(("A0", ClaimNode("C3", f"{app_name} registers any valid transaction eventually")))
 

@@ -14,7 +14,7 @@ coverage check reports which of the two holds (or fails) for each risk.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .cae_model import CaeTree, EvidenceNode
 from .linefmt import ID_PATTERN, Attr, LexedLine, ParseError, ParseFailure, QString, Token, lex, quote, read_node_line
@@ -71,7 +71,7 @@ class RiskRegistry:
 _RISK_ATTRS = ("criticality", "events", "likelihood")
 
 
-def _read_risk_line(line: LexedLine, errors: list[ParseError]) -> Risk | None:
+def _read_risk_line(line: LexedLine, errors: list[ParseError]) -> tuple[str, str, frozenset, str, str] | None:
     shape = read_node_line(line, _RISK_ATTRS, errors, required=_RISK_ATTRS)
     if shape is None:
         return None
@@ -84,22 +84,19 @@ def _read_risk_line(line: LexedLine, errors: list[ParseError]) -> Risk | None:
             errors.append(ParseError(span, "BadFearedEvent", f"unknown feared event {name.strip()!r}"))
             return None
         events.add(event)
-    if attrs["criticality"] not in CRITICALITY_LEVELS:
-        errors.append(ParseError(span, "BadAttribute", f"criticality must be one of {CRITICALITY_LEVELS}"))
-        return None
-    if attrs["likelihood"] not in LIKELIHOOD_LEVELS:
-        errors.append(ParseError(span, "BadAttribute", f"likelihood must be one of {LIKELIHOOD_LEVELS}"))
-        return None
-    return Risk(risk_id, description, frozenset(events), attrs["criticality"], attrs["likelihood"])
+    for key, levels in (("criticality", CRITICALITY_LEVELS), ("likelihood", LIKELIHOOD_LEVELS)):
+        if attrs[key] not in levels:
+            errors.append(ParseError(span, "BadAttribute", f"{key} must be one of {levels}"))
+            return None
+    return risk_id, description, frozenset(events), attrs["criticality"], attrs["likelihood"]
 
 
 def parse_registry(text: str) -> RiskRegistry:
-    """Parse a registry document, preserving risk order; raises ParseFailure."""
+    """Parse a registry document, preserving risk order; raises ParseFailure. Each risk is built once."""
     lines, errors = lex(text)
 
-    risks: list[Risk] = []
-    seen_ids: set[str] = set()
-    current: Risk | None = None  # the risk that the child lines below it add to
+    risks: dict[str, list] = {}  # risk id -> [risk line fields, mitigations, accept justification or None]
+    current: list | None = None  # the entry of ``risks`` that the child lines below it add to
     skip_under: int | None = None  # the level of a bad or misplaced line: the lines nested under it are skipped
     for line in lines:
         if skip_under is not None and line.level > skip_under:
@@ -112,15 +109,13 @@ def parse_registry(text: str) -> RiskRegistry:
             if line.kind != "risk":
                 errors.append(ParseError(line.span, "BadKind", "top-level lines must be risks"))
                 continue
-            current = _read_risk_line(line, errors)
-            if current is None:
+            fields = _read_risk_line(line, errors)
+            if fields is None:
                 continue
-            if current.id in seen_ids:
-                errors.append(ParseError(line.span, "DuplicateId", f"duplicate risk id {current.id!r}"))
-                current = None
+            if fields[0] in risks:
+                errors.append(ParseError(line.span, "DuplicateId", f"duplicate risk id {fields[0]!r}"))
                 continue
-            seen_ids.add(current.id)
-            risks.append(current)
+            current = risks[fields[0]] = [fields, [], None]
             skip_under = None
             continue
 
@@ -134,35 +129,31 @@ def parse_registry(text: str) -> RiskRegistry:
         rest = line.atoms[1:]
         if line.kind == "mitigation":
             if not rest or not isinstance(rest[0], Token):
-                errors.append(ParseError(line.span, "BadCategory", "mitigation line needs a category token"))
+                problem = "BadCategory", "mitigation line needs a category token"
+            elif (category := _CATEGORY_BY_NAME.get(rest[0].text)) is None:
+                problem = "BadCategory", f"unknown mitigation category {rest[0].text!r}"
+            elif len(rest) != 2 or not isinstance(rest[1], Attr) or rest[1].key != "evidence":
+                problem = "BadAttribute", "mitigation takes exactly one evidence attribute"
+            elif not ID_PATTERN.match(rest[1].value):
+                problem = "BadAttribute", f"invalid evidence id {rest[1].value!r}"
+            else:
+                current[1].append(Mitigation(category, rest[1].value))
                 continue
-            category = _CATEGORY_BY_NAME.get(rest[0].text)
-            if category is None:
-                errors.append(ParseError(line.span, "BadCategory", f"unknown mitigation category {rest[0].text!r}"))
-                continue
-            if len(rest) != 2 or not isinstance(rest[1], Attr) or rest[1].key != "evidence":
-                errors.append(ParseError(line.span, "BadAttribute", "mitigation takes exactly one evidence attribute"))
-                continue
-            if not ID_PATTERN.match(rest[1].value):
-                errors.append(ParseError(line.span, "BadAttribute", f"invalid evidence id {rest[1].value!r}"))
-                continue
-            current = replace(current, mitigations=current.mitigations + (Mitigation(category, rest[1].value),))
         elif line.kind == "accept":
             if len(rest) != 1 or not isinstance(rest[0], QString):
-                errors.append(ParseError(line.span, "BadKind", "accept line carries a single quoted justification"))
+                problem = "BadKind", "accept line carries a single quoted justification"
+            elif current[2] is not None:
+                problem = "ChildRuleViolation", "a risk carries at most one accept line"
+            else:
+                current[2] = rest[0].text
                 continue
-            if current.accepted_as_is is not None:
-                errors.append(ParseError(line.span, "ChildRuleViolation", "a risk carries at most one accept line"))
-                continue
-            current = replace(current, accepted_as_is=rest[0].text)
         else:
-            errors.append(ParseError(line.span, "BadKind", f"unknown kind {line.kind!r} under a risk"))
-            continue
-        risks[-1] = current
+            problem = "BadKind", f"unknown kind {line.kind!r} under a risk"
+        errors.append(ParseError(line.span, *problem))
 
     if errors:
         raise ParseFailure(errors)
-    return RiskRegistry(tuple(risks))
+    return RiskRegistry(tuple([Risk(*fields, tuple(cited), accepted) for fields, cited, accepted in risks.values()]))
 
 
 def serialize_registry(registry: RiskRegistry) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -360,3 +361,19 @@ class TestVerifyLinks:
 
     def test_unreferenced_evidence_is_skipped(self, tmp_path, corpus_trees):
         assert verify_links(corpus_trees["fig5.cae"], tmp_path) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("refused", [False, True], ids=["flawless", "refused"])
+def test_parse_leaves_the_cyclic_collector_as_it_found_it(enabled, refused):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if refused:
+            with pytest.raises(ParseFailure):
+                parse('claim C0 "root"\n  claim C1 "under a claim"\n')
+        else:
+            parse(corpus_text("fig5.cae"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
