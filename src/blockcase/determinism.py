@@ -9,13 +9,17 @@ independent of platform, locale or wall clock.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
+from bisect import bisect_right
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MASK64 = (1 << 64) - 1
 _U64 = struct.Struct(">Q")
+_INFINITY = float("inf")
+# above every 32-byte digest: the bound of a threshold that no draw reaches
+_UNREACHED = b"\xff" * 33
 
 
 def sha256_hex(data: bytes) -> str:
@@ -28,9 +32,73 @@ def file_sha256(path: Path | str) -> str:
 
 
 def canonical_json_bytes(obj) -> bytes:
-    """The one canonical JSON form: sorted keys, two-space indent, LF, UTF-8."""
-    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+    """The one canonical JSON form: sorted keys, two-space indent, LF, UTF-8.
+
+    The bytes of ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False)`` plus a final LF, for dicts with ``str`` keys,
+    lists, tuples, strings, ints, floats, booleans and None, written
+    without ``json``'s pure-Python indent encoder. A non-``str`` key raises
+    ``TypeError``.
+    """
+    parts: list[str] = []
+    _write_json(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts).encode("utf-8")
+
+
+def _write_json(value, parts: list[str], newline: str) -> None:
+    """Append ``value``'s canonical text to ``parts``; ``newline`` is LF plus the current indent.
+
+    Types are tested in ``json``'s order, so a ``bool`` is not an ``int``
+    and subclasses are written as their base type is.
+    """
+    if isinstance(value, str):
+        parts.append(encode_basestring(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            parts.append("NaN")
+        elif value == _INFINITY:
+            parts.append("Infinity")
+        elif value == -_INFINITY:
+            parts.append("-Infinity")
+        else:
+            parts.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            parts.append(lead)
+            _write_json(item, parts, inner)
+            lead = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):  # keys of mixed types raise TypeError here
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(lead)
+            parts.append(encode_basestring(key))
+            parts.append(": ")
+            _write_json(value[key], parts, inner)
+            lead = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _check_seed(seed: int) -> None:
@@ -64,7 +132,11 @@ class CounterRng:
         return int.from_bytes(block[:8], "big")
 
     def uniform(self) -> float:
-        """Float in [0, 1)."""
+        """Float in [0, 1], ``u64() / 2**64`` rounded to the nearest float.
+
+        The top 1,024 ``u64`` values (``2**64 - 1024`` and above) round up
+        to exactly 1.0, so 1.0 comes with probability 2**-54.
+        """
         return self.u64() / 2.0**64
 
     def randrange(self, n: int) -> int:
@@ -76,11 +148,41 @@ class CounterRng:
         return seq[self.randrange(len(seq))]
 
 
-def uniform_rows(seed: int, streams: Iterable[int], n: int) -> Iterator[list[float]]:
-    """Per stream, the first ``n`` values of ``CounterRng(seed, stream).uniform()``.
+def uniform_bounds(thresholds: Sequence[float]) -> list[bytes]:
+    """Per threshold ``t``, the least ``x`` in ``[0, 2**64)`` with ``x / 2**64 >= t``, as 8 big-endian bytes.
 
-    The same draws taken in a batch, with one prefix hash per stream and
-    one SHA-256 per draw, but no ``CounterRng`` object or method call.
+    The division is ``CounterRng.uniform``'s, and it never decreases as
+    ``x`` grows, so ``x`` is found by bisection. A threshold that no ``x``
+    reaches gets 33 bytes of 0xff, above every digest. A digest is at or
+    above a bound exactly when the ``u64`` of its first 8 bytes is, so for
+    nondecreasing thresholds ``bisect_right(bounds, digest)`` equals
+    ``bisect_right(thresholds, uniform)`` for the draw ``uniform`` the
+    digest gives.
+    """
+    bounds = []
+    for t in thresholds:
+        if not MASK64 / 2.0**64 >= t:
+            bounds.append(_UNREACHED)
+            continue
+        low, high = 0, MASK64  # the least x lies in [low, high]
+        while low < high:
+            middle = (low + high) // 2
+            if middle / 2.0**64 >= t:
+                high = middle
+            else:
+                low = middle + 1
+        bounds.append(_U64.pack(low))
+    return bounds
+
+
+def placed_rows(seed: int, streams: Iterable[int], n: int, bounds: Sequence[bytes]) -> Iterator[list[int]]:
+    """Per stream, where each of its first ``n`` draws falls among ``bounds`` (from ``uniform_bounds``).
+
+    Entry ``i`` of a row is ``bisect_right(bounds, digest)`` for draw ``i``
+    of ``CounterRng(seed, stream)``, which equals ``bisect_right`` of its
+    ``uniform()`` among the thresholds the bounds came from. One prefix
+    hash per stream and one SHA-256 and one byte compare per bound per
+    draw; no ``u64`` or float is made.
     """
     _check_seed(seed)
     counters = [_U64.pack(i) for i in range(n)]
@@ -90,5 +192,5 @@ def uniform_rows(seed: int, streams: Iterable[int], n: int) -> Iterator[list[flo
         for counter in counters:
             hasher = prefix.copy()
             hasher.update(counter)
-            row.append(_U64.unpack_from(hasher.digest())[0] / 2.0**64)
+            row.append(bisect_right(bounds, hasher.digest()))
         yield row

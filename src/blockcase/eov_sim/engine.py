@@ -17,7 +17,7 @@ reports.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..determinism import canonical_json_bytes
@@ -128,7 +128,7 @@ def _satisfies(
     ``verdicts`` memoizes ``eval_policy`` per endorsing set for the calls
     that share it; None evaluates afresh.
     """
-    signers = frozenset(e.endorser_id for e in endorsements)
+    signers = frozenset([e.endorser_id for e in endorsements])
     if verdicts is None:
         return eval_policy(policy, signers)
     verdict = verdicts.get(signers)
@@ -188,20 +188,23 @@ def ordering_step(
     emitted. A step in which no crash lands and no block is cut returns the
     given cluster itself.
     """
-    landing = {index for s, index in crash_schedule if s == step}
+    landing = {index for s, index in crash_schedule if s == step} if crash_schedule else ()
     if landing or cluster.leader in cluster.crashed:
-        crashed = cluster.crashed | landing
+        crashed = cluster.crashed.union(landing)
         leader = cluster.leader
         ready_at = cluster.leader_ready_at
         if leader is not None and leader in crashed:
             order = ((leader + offset) % cluster.n for offset in range(1, cluster.n + 1))
             leader = next((index for index in order if index not in crashed), None)
             ready_at = step + 1
-        cluster = replace(cluster, crashed=crashed, leader=leader, leader_ready_at=ready_at)
+        cluster = OrdererCluster(cluster.n, cluster.batch_size, crashed, leader, ready_at, cluster.next_block_no)
     if not (pending and cluster.live and cluster.leader is not None and step >= cluster.leader_ready_at):
         return [], cluster
     batch = tuple(pending.popleft() for _ in range(min(cluster.batch_size, len(pending))))
-    return [Block(cluster.next_block_no, batch)], replace(cluster, next_block_no=cluster.next_block_no + 1)
+    following = OrdererCluster(
+        cluster.n, cluster.batch_size, cluster.crashed, cluster.leader, cluster.leader_ready_at, cluster.next_block_no + 1
+    )
+    return [Block(cluster.next_block_no, batch)], following
 
 
 def validate_block(
@@ -226,21 +229,38 @@ def validate_block(
     flags: list[tuple[bool, str | None]] = []
     for index, submission in enumerate(block.submissions):
         endorsements = submission.endorsements
-        failed: str | None = None
-        if not _satisfies(policy, endorsements, verdicts):
-            failed = V4
-        elif any(e.endorser_id not in msp_endorsers or not e.signature_valid for e in endorsements):
-            failed = V5
-        elif any(e.rwset != endorsements[0].rwset for e in endorsements[1:]):
-            failed = V6
-        elif not skip_v7 and any(state.version(key) != version for key, version in endorsements[0].rwset.reads):
-            failed = V7
+        failed = _failed_criterion(state, endorsements, msp_endorsers, policy, skip_v7, verdicts)
         if failed is None:
             state.apply_writes(endorsements[0].rwset.writes, (block.block_no, index))
             flags.append((True, None))
         else:
             flags.append((False, failed))
     return flags, state
+
+
+def _failed_criterion(
+    state: KvStore,
+    endorsements: Sequence[Endorsement],
+    msp_endorsers: frozenset[str],
+    policy: EndorsementPolicy,
+    skip_v7: bool,
+    verdicts: dict[frozenset[str], bool] | None,
+) -> str | None:
+    """The first of V4–V7 that a transaction fails against ``state``, or None."""
+    if not _satisfies(policy, endorsements, verdicts):
+        return V4
+    for e in endorsements:
+        if e.endorser_id not in msp_endorsers or not e.signature_valid:
+            return V5
+    rwset = endorsements[0].rwset
+    for e in endorsements[1:]:
+        if e.rwset != rwset:
+            return V6
+    if not skip_v7:
+        for key, version in rwset.reads:
+            if state.version(key) != version:
+                return V7
+    return None
 
 
 @dataclass(frozen=True, slots=True)

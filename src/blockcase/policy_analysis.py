@@ -18,14 +18,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__, eov_sim
-from .determinism import MASK64, CounterRng, canonical_json_bytes, sha256_hex, uniform_rows
+from .determinism import MASK64, CounterRng, canonical_json_bytes, placed_rows, sha256_hex, uniform_bounds
 from .eov_sim.scenario import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST
 from .policy import (  # the whole algebra, which callers may also import from here
     And,
@@ -48,8 +47,11 @@ MAX_IDENTITIES = 20
 
 LABEL_MODES = frozenset({HONEST, FRAUDULENT, CENSORING, CRASHED})
 FAULT_MODES = (CENSORING, CRASHED, DOSED, FRAUDULENT)  # draw order for campaigns
-# A campaign's outcome bits cannot tell these modes apart, so it simulates each as crashed.
-_SILENT = {CENSORING: CRASHED, DOSED: CRASHED}
+# A campaign's outcome bits cannot tell the silent modes (censoring, crashed, dosed: the
+# first three of FAULT_MODES) apart, so it simulates each as crashed. Its draws are placed
+# among the cumulative thresholds after the silent modes and after fraudulent, so a draw's
+# place is its mode's index here, which is also the modes' name order.
+_PLACED = (CRASHED, FRAUDULENT, HONEST)
 
 
 class TooManyIdentitiesError(PolicyError):
@@ -298,19 +300,22 @@ def monte_carlo_campaign(
     ``endorser_behaviors``: every run draws each MSP endorser's mode afresh.
 
     The draws are ``draw_behavior_modes``'s, taken in one pass over the
-    runs: ``uniform_rows`` yields each run's stream values, equal to those
-    of ``CounterRng(seed, run_index)``, and each value is placed with
-    ``bisect_right`` among the cumulative thresholds, summed once in
-    ``FAULT_MODES`` order with the same float additions. The thresholds
-    never decrease, so the first one above the value is the mode the linear
-    scan picks, and a value at or above the last is honest.
+    runs. The cumulative thresholds are summed once in ``FAULT_MODES``
+    order with the same float additions. A value below the third (the
+    silent modes') is silent, one below the fourth fraudulent, and any
+    other honest. ``placed_rows`` gives each run's places among the
+    ``uniform_bounds`` of those two thresholds: one SHA-256 and a byte
+    compare per draw, equal to placing ``CounterRng(seed, run_index)``'s
+    ``uniform()`` values, so each place is the index of the run's mode in
+    ``_PLACED``.
 
     Before counting, each run's modes are put in canonical form in two
     steps, each sound on its own. First, every silent mode becomes
-    ``crashed``. A crashed endorser returns ``None`` from ``endorse``. A
-    drawn DoS covers the whole horizon (``behavior_from_mode`` gives it the
-    window 0..horizon, and ``run_pipeline`` steps within 0..horizon), so it
-    returns ``None`` at every step. A censoring endorser returns a
+    ``crashed``, as its place already says. A crashed endorser returns
+    ``None`` from ``endorse``. A drawn DoS covers the whole horizon
+    (``behavior_from_mode`` gives it the window 0..horizon, and
+    ``run_pipeline`` steps within 0..horizon), so it returns ``None`` at
+    every step. A censoring endorser returns a
     ``RefusalRecord``. None of the three adds an ``Endorsement``, so
     ``committed`` and ``submitted_tx_ids``, all that the two bits read, are
     equal under each of them. Second, within each of the policy's
@@ -320,7 +325,11 @@ def monte_carlo_campaign(
     only decides which endorsement is ``endorsements[0]``, and validation
     reads that only after V6 has found all endorsements equal. Collapsed or
     swapped runs differ only in their refusal records, which the campaign
-    does not read, so the report equals replaying every run as drawn.
+    does not read, so the report equals replaying every run as drawn. The
+    runs are counted by a key of places: the endorsers outside every class
+    first, then each class's places sorted. Places sort as mode names do,
+    so a key decodes, once, to the same representative the sorted names
+    give.
     Deterministic in (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
@@ -340,24 +349,29 @@ def monte_carlo_campaign(
     for mode in FAULT_MODES:
         accumulated += probs[mode]
         thresholds.append(accumulated)
-    outcome_of = [_SILENT.get(mode, mode) for mode in FAULT_MODES] + [HONEST]  # canonical mode per bisect index
+    bounds = uniform_bounds([thresholds[2], thresholds[3]])  # after the silent modes, after fraudulent
     position = {endorser: i for i, endorser in enumerate(endorsers)}
     class_positions = [[position[endorser] for endorser in cls] for cls in classes]
-    assignments: Counter[tuple[str, ...]] = Counter()
-    for draws in uniform_rows(seed, range(n_runs), len(endorsers)):
-        modes = [outcome_of[bisect_right(thresholds, u)] for u in draws]
-        for positions in class_positions:
-            for i, mode in zip(positions, sorted([modes[i] for i in positions])):
-                modes[i] = mode
-        assignments[tuple(modes)] += 1
+    classed = [i for positions in class_positions for i in positions]
+    free = [i for i in range(len(endorsers)) if i not in classed]
+    pickers = [operator.itemgetter(*positions) for positions in class_positions]
+    assignments: Counter[tuple[int, ...]] = Counter()
+    for places in placed_rows(seed, range(n_runs), len(endorsers), bounds):
+        key = [places[i] for i in free]
+        for pick in pickers:
+            key += sorted(pick(places))
+        assignments[tuple(key)] += 1
+
+    layout = free + classed  # the endorser position of each key slot
+    behavior_of = {
+        place: eov_sim.behavior_from_mode(mode, horizon=base_config.horizon)
+        for place, mode in enumerate(_PLACED)
+        if mode != HONEST
+    }
     fraud_hits = 0
     censorship_hits = 0
-    for assignment, runs in assignments.items():
-        behaviors = {
-            endorser: eov_sim.behavior_from_mode(mode, horizon=base_config.horizon)
-            for endorser, mode in zip(endorsers, assignment)
-            if mode != HONEST
-        }
+    for key, runs in assignments.items():
+        behaviors = {endorsers[i]: behavior_of[place] for i, place in sorted(zip(layout, key)) if place in behavior_of}
         run = eov_sim.run_pipeline(base_config.with_behaviors(behaviors))
         if eov_sim.detect_feared_events(run.committed, (), proposals)[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
             fraud_hits += runs

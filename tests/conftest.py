@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from blockcase import corpus_text, parse, parse_registry
@@ -14,6 +15,10 @@ from blockcase.cae_model import (
     EvidenceNode,
     build_tree,
 )
+
+# Tests that leave ``max_examples`` unset take it from the loaded profile: the default's
+# budget in a plain run, ten times that under ``pytest --hypothesis-profile=thorough``.
+settings.register_profile("thorough", max_examples=10 * settings.get_profile("default").max_examples)
 
 CAE_NAMES = ("fig2.cae", "fig3.cae", "fig4.cae", "fig5.cae", "fig6.cae")
 
