@@ -26,9 +26,10 @@ That rule is stated once, in ``cae_model.misplaced_child``, which
 side-claim placement, are left to ``check_well_formed`` so that checking
 tools can report them as findings instead of refusing to read the document.
 
-A document is read in one pass over its ``LINE`` matches, the child rule
-looked up in ``cae_model.child_rows``. At its first flaw the checking loop,
-the only place that makes a ``ParseError``, reads it again for every error.
+A document is read in one pass over its ``LINE`` matches. At its first
+flaw the checking loop, the only place that makes a ``ParseError``, reads it
+again for every error. Both reads look the child rule up in
+``cae_model.child_rows``, its table form.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .cae_model import (
     _new_claim,
     _new_evidence,
     child_rows,
-    misplaced_child,
 )
 from .determinism import file_sha256
 from .linefmt import (ID_PATTERN, LINE, LINE_END, ParseError, ParseFailure, SourceSpan, lex, node_attrs, quote,
@@ -80,7 +80,6 @@ _NODE_CLASS = {
 KINDS = frozenset(_NODE_CLASS)
 # node class -> the attribute keys its lines may carry
 _ATTRS = {ClaimNode: {"tag"}, ArgumentNode: {"tag"}, EvidenceNode: {"ref", "digest", "tag"}}
-_LEAF = (EvidenceNode, False, None)  # the stack frame of an evidence line: no child joins it
 _ROWS = child_rows(_NODE_CLASS)
 # the row above the root: one claim joins it, then nothing
 _ROOT_ROW = {kind: ({}, _ROWS[cls, False], None) for kind, cls in _NODE_CLASS.items() if cls is ClaimNode}
@@ -164,8 +163,8 @@ def _read_checked(text: str) -> CaeTree:
     nodes: dict[str, Node | None] = {}  # in document order; a claim or an argument is None until the end
     pending: list[tuple[str, str, str, str | None, list[str]]] = []  # see _assemble
     root_id: str | None = None
-    # stack[level]: [node class or None if the line failed, saw_argument, child ids or None], None if skipped
-    stack: list[list | tuple | None] = []
+    # stack[level]: [child row or None if the line failed, child ids or None], None if skipped
+    stack: list[list | None] = []
 
     for line in lines:
         level, kind = line.level, line.kind
@@ -176,7 +175,7 @@ def _read_checked(text: str) -> CaeTree:
         if node_class is None:
             if kind is not None:  # None: the line failed to lex and is already reported
                 errors.append(ParseError(line.span, "BadKind", f"unknown kind {kind!r}"))
-            stack.append([None, False, None])
+            stack.append([None, None])
             continue
 
         shape = read_node_line(line, _ATTRS[node_class], errors)
@@ -184,7 +183,7 @@ def _read_checked(text: str) -> CaeTree:
             errors.append(ParseError(line.span, "BadAttribute", "digest requires a ref attribute"))
             shape = None
         if shape is None:
-            stack.append([node_class, False, None])
+            stack.append([_ROWS[node_class, False], None])
             continue
         node_id, node_text, attrs = shape
 
@@ -198,34 +197,34 @@ def _read_checked(text: str) -> CaeTree:
             problem = "BadIndent", "no line at the enclosing indentation level"
         elif stack[-1][0] is not None:  # a parent line that failed is not checked again
             parent = stack[-1]
-            misplaced = misplaced_child(parent[0], node_class, parent[1])
+            next_row, _, misplaced = parent[0][kind]
             if misplaced is not None:
                 problem = "ChildRuleViolation", misplaced.value
-            elif node_class is ArgumentNode:
-                parent[1] = True
+            else:
+                parent[0] = next_row
         if problem is not None:
             errors.append(ParseError(line.span, *problem))
 
         if node_id in nodes:
             errors.append(ParseError(line.span, "DuplicateId", f"duplicate node id {node_id!r}"))
-            stack.append([node_class, False, None])
+            stack.append([_ROWS[node_class, False], None])
             continue
 
         if problem is None:
             if level == 0:
                 root_id = node_id
-            elif stack[-1][2] is not None:
-                stack[-1][2].append(node_id)
+            elif stack[-1][1] is not None:
+                stack[-1][1].append(node_id)
+        children: list[str] | None = None
         if node_class is EvidenceNode:  # a leaf: it is built at once
             nodes[node_id] = _new_evidence(
                 node_id, _EVIDENCE_KINDS[kind], node_text, attrs.get("ref"), attrs.get("digest"), attrs.get("tag")
             )
-            stack.append(_LEAF)
         else:
             nodes[node_id] = None
-            children: list[str] = []
+            children = []
             pending.append((node_id, kind, node_text, attrs.get("tag"), children))
-            stack.append([node_class, False, children])
+        stack.append([_ROWS[node_class, False], children])
 
     if root_id is None and not errors:
         errors.append(ParseError(SourceSpan(1, 1), "ChildRuleViolation", "document has no root claim"))

@@ -184,7 +184,8 @@ def misplaced_child(parent: type[Node], child: type[Node], parent_has_argument: 
 
     Both arguments are node classes. ``parent_has_argument`` says whether an
     earlier child of the parent is an argument. This is the one statement of
-    where a node may sit; ``parse`` and ``check_well_formed`` both apply it.
+    where a node may sit; ``parse`` and ``check_well_formed`` both apply it,
+    through its table ``child_rows``.
     """
     if parent is EvidenceNode:
         return Misplacement.EVIDENCE_LEAF

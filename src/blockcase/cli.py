@@ -35,15 +35,18 @@ class _Refused(Exception):
 def _load(path: str, reader):
     """Read ``path`` as UTF-8 text, a leading byte-order mark dropped, and apply ``reader`` to it.
 
-    Every refusal names the file: a missing one exits 3, text that is not
-    UTF-8 or that ``reader`` rejects exits 2. A reader rejects with a parse
-    failure or a scenario, policy or tree error: any ``CaeError``, so that
-    the ``--link`` reader can refuse an id that is unknown or not evidence.
+    Every refusal names the file: a missing one, or one that cannot be read
+    (a directory, say), exits 3, text that is not UTF-8 or that ``reader``
+    rejects exits 2. A reader rejects with a parse failure or a scenario,
+    policy or tree error: any ``CaeError``, so that the ``--link`` reader can
+    refuse an id that is unknown or not evidence.
     """
     try:
         return reader(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError as exc:
         raise _Refused(IO_ERROR, f"file not found: {exc.filename}") from None
+    except OSError as exc:
+        raise _Refused(IO_ERROR, f"cannot read {path}: {exc}") from None
     except ParseFailure as failure:
         raise _Refused(PARSE_ERROR, *(f"{path}:{error}" for error in failure.errors)) from None
     except (UnicodeDecodeError, eov_sim.ConfigInvalid, policy_analysis.PolicyError, CaeError) as exc:

@@ -7,13 +7,11 @@ first non-space character is ``#`` are comments, blank lines are ignored,
 and tabs are rejected in indentation so every document has a single
 canonical byte form. In a quoted string ``\\\\``, ``\\"``, ``\\n``, ``\\t``
 and ``\\r`` are escapes; a backslash before any other character is kept as
-written. ``read_node_line`` reads the ``kind id "text" key="value"...``
-shape that both formats use for their nodes. One ``LINE`` match reads each
-line: a node line from the match's groups, every other line through the
-atom scanner, the one source of lexing errors. ``lex`` reads a whole
-document into lines, and ``read_node_line`` reads one of them: the
-registry reader and the checking loop of ``cae_dsl.parse``, which reports
-a flawed document's errors, use both. ``cae_dsl.parse`` reads a document
+written. ``lex`` reads a document into lines through the atom scanner, the
+one source of lexing errors, and ``read_node_line`` reads the ``kind id
+"text" key="value"...`` shape that both formats use for their nodes: the
+registry reader and the checking loop of ``cae_dsl.parse``, which reports a
+flawed document's errors, use both. ``cae_dsl.parse`` reads a document
 without a flaw in one pass over the ``LINE`` matches, with ``skipped``,
 ``unescape`` and ``node_attrs``.
 """
@@ -79,33 +77,18 @@ class LexedLine:
     ``line_no`` and ``column`` locate its first character; ``span`` builds
     them into a ``SourceSpan`` when an error needs one. ``kind`` is None when
     the line failed to lex; such a line is kept so that its children find a
-    parent. ``node`` is the ``LINE`` match when one match read the line
-    as a node line; such a line builds its ``atoms`` on first use.
+    parent.
     """
 
     line_no: int
     column: int
     level: int
     kind: str | None
-    _atoms: tuple | None
-    node: re.Match | None = None
+    atoms: tuple
 
     @property
     def span(self) -> SourceSpan:
         return SourceSpan(self.line_no, self.column)
-
-    @property
-    def atoms(self) -> tuple:
-        if self._atoms is None:
-            node = self.node
-            before = node.start() - 1
-            self._atoms = (
-                Token(node[2], node.start(2) - before),
-                Token(node[3], node.start(3) - before),
-                QString(unescape(node[4]), node.start(4) - before - 1),  # group 4 starts after the quote
-                *(Attr(*attr) for attr in node_attrs(node)),
-            )
-        return self._atoms
 
 
 _REVERSE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
@@ -174,64 +157,50 @@ def skipped(line: re.Match) -> bool:
     return raw.strip() == "" or raw.lstrip(" \t").startswith("#")
 
 
-def read_scanned(line: re.Match, line_no: int, prev_level: int, errors: list[ParseError]) -> LexedLine | None:
-    """Scan a ``LINE`` match that is no node line, or is one too deep; None for a blank line or a comment.
+def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
+    """Split a document into lexed lines, recovering after per-line errors.
 
     A line that fails to lex is kept as a placeholder (kind None) at its level, so its children find a parent.
     """
-    if skipped(line):
-        return None
-    raw = line[0].rstrip("\r\n")
-    stripped = raw.lstrip(" \t")
-
-    indent = raw[: len(raw) - len(stripped)]
-    bad = False
-    if "\t" in indent:
-        errors.append(
-            ParseError(SourceSpan(line_no, indent.index("\t") + 1), "BadIndent", "tabs are not allowed in indentation")
-        )
-        bad = True
-    spaces = len(indent)
-    if not bad and spaces % 2 != 0:
-        errors.append(ParseError(SourceSpan(line_no, spaces), "BadIndent", "indentation must use two spaces per level"))
-        bad = True
-    level = spaces // 2
-    if not bad and level > prev_level + 1:
-        errors.append(
-            ParseError(
-                SourceSpan(line_no, 1),
-                "BadIndent",
-                f"indentation jumps from level {max(prev_level, 0)} to level {level}",
-            )
-        )
-        level = prev_level + 1
-        bad = True
-
-    atoms, error = _scan(raw, spaces)
-    if error is not None:
-        errors.append(ParseError(SourceSpan(line_no, error[0]), error[1], error[2]))
-        bad = True
-    kind = None
-    if not bad:
-        if atoms and isinstance(atoms[0], Token):
-            kind = atoms[0].text
-        else:
-            errors.append(ParseError(SourceSpan(line_no, spaces + 1), "BadKind", "line must start with a kind token"))
-    return LexedLine(line_no, spaces + 1, level, kind, tuple(atoms))
-
-
-def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
-    """Split a document into lexed lines (see ``read_scanned``); a node line keeps its ``LINE`` match as ``node``."""
     lines: list[LexedLine] = []
     errors: list[ParseError] = []
-    level = -1
-    for line_no, node in enumerate(LINE.finditer(text), start=1):
-        if (indent := node[1]) is not None and len(indent) <= 2 * level + 2:
-            level = len(indent) >> 1
-            lines.append(LexedLine(line_no, len(indent) + 1, level, node[2], None, node))
-        elif (line := read_scanned(node, line_no, level, errors)) is not None:
-            level = line.level
-            lines.append(line)
+    prev_level = -1
+    for line_no, raw in enumerate(LINE_END.split(text), start=1):
+        stripped = raw.lstrip(" \t")
+        if not stripped or stripped[0] == "#" or raw.isspace():
+            continue
+
+        indent = raw[: len(raw) - len(stripped)]
+        bad = False
+        if "\t" in indent:
+            column = indent.index("\t") + 1
+            errors.append(ParseError(SourceSpan(line_no, column), "BadIndent", "tabs are not allowed in indentation"))
+            bad = True
+        spaces = len(indent)
+        if not bad and spaces % 2 != 0:
+            message = "indentation must use two spaces per level"
+            errors.append(ParseError(SourceSpan(line_no, spaces), "BadIndent", message))
+            bad = True
+        level = spaces // 2
+        if not bad and level > prev_level + 1:
+            message = f"indentation jumps from level {max(prev_level, 0)} to level {level}"
+            errors.append(ParseError(SourceSpan(line_no, 1), "BadIndent", message))
+            level = prev_level + 1
+            bad = True
+
+        atoms, error = _scan(raw, spaces)
+        if error is not None:
+            errors.append(ParseError(SourceSpan(line_no, error[0]), error[1], error[2]))
+            bad = True
+        kind = None
+        if not bad:
+            if atoms and isinstance(atoms[0], Token):
+                kind = atoms[0].text
+            else:
+                message = "line must start with a kind token"
+                errors.append(ParseError(SourceSpan(line_no, spaces + 1), "BadKind", message))
+        lines.append(LexedLine(line_no, spaces + 1, level, kind, tuple(atoms)))
+        prev_level = level
     return lines, errors
 
 
@@ -250,48 +219,37 @@ def read_node_line(
     ``allowed`` and appear once, and every key in ``required`` must appear.
     Each problem found is appended to ``errors``, and then None is returned.
     """
-    line_no, node = line.line_no, line.node
-    if node is not None:
-        kind, node_id, text, attrs = node.group(2, 3, 4, 5)
-        if "\\" in text:
-            text = unescape(text)
-        attrs = node_attrs(node) if attrs else ()
-    else:
-        kind, rest = line.kind, line.atoms[1:]
-        if not rest or not isinstance(rest[0], Token):
-            errors.append(ParseError(line.span, "BadKind", f"{kind} line needs a node id"))
-            return None
-        node_id = rest[0].text
-        text = rest[1].text if len(rest) > 1 and isinstance(rest[1], QString) else None
-        # an atom that is not an attribute has no key
-        attrs = [(a.key, a.value, a.column) if isinstance(a, Attr) else (None, None, a.column) for a in rest[2:]]
-    if not ID_PATTERN.match(node_id):
-        column = rest[0].column if node is None else node.start(3) - node.start() + 1
-        errors.append(ParseError(SourceSpan(line_no, column), "BadKind", f"invalid node id {node_id!r}"))
+    kind, rest = line.kind, line.atoms[1:]
+    if not rest or not isinstance(rest[0], Token):
+        errors.append(ParseError(line.span, "BadKind", f"{kind} line needs a node id"))
         return None
-    if text is None:
+    node_id = rest[0].text
+    if not ID_PATTERN.match(node_id):
+        errors.append(ParseError(SourceSpan(line.line_no, rest[0].column), "BadKind", f"invalid node id {node_id!r}"))
+        return None
+    if len(rest) < 2 or not isinstance(rest[1], QString):
         errors.append(ParseError(line.span, "BadKind", f"{kind} {node_id} needs a quoted text"))
         return None
+    text = rest[1].text
 
     values: dict[str, str] = {}
-    if not attrs and not required:
+    if len(rest) == 2 and not required:
         return node_id, text, values
     failed = len(errors)
-    for key, value, column in attrs:
-        if key is None:
+    for atom in rest[2:]:
+        if not isinstance(atom, Attr):
             message = "BadKind", "unexpected trailing content after the node text"
-        elif key not in allowed:
-            message = "BadAttribute", f"attribute {key!r} is not allowed on {kind}"
-        elif key in values:
-            message = "BadAttribute", f"attribute {key!r} appears twice"
+        elif atom.key not in allowed:
+            message = "BadAttribute", f"attribute {atom.key!r} is not allowed on {kind}"
+        elif atom.key in values:
+            message = "BadAttribute", f"attribute {atom.key!r} appears twice"
         else:
-            values[key] = value
+            values[atom.key] = atom.value
             continue
-        errors.append(ParseError(SourceSpan(line_no, column), *message))
+        errors.append(ParseError(SourceSpan(line.line_no, atom.column), *message))
     for key in required:
         if key not in values:
-            span = line.span if node is None else SourceSpan(line_no, len(node[1]) + 1)
-            errors.append(ParseError(span, "BadAttribute", f"{kind} {node_id} is missing the {key} attribute"))
+            errors.append(ParseError(line.span, "BadAttribute", f"{kind} {node_id} is missing the {key} attribute"))
     if len(errors) > failed:
         return None
     return node_id, text, values

@@ -3,8 +3,10 @@
 ``lex`` and ``read_node_line`` are verbatim copies of ``blockcase.linefmt``,
 and ``_build_node`` and ``parse`` of ``blockcase.cae_dsl``, as they were
 when every line went through the atom scanner and ``parse`` built each node
-twice. ``test_linefmt.py`` checks that the reader gives the same
-lines, atoms, errors and results as this reference on random documents.
+twice. It is the reference for ``linefmt.lex``, which again reads every line
+through the atom scanner, and for the one-pass read ``cae_dsl._read_flawless``.
+``test_linefmt.py`` checks that the reader gives the same lines, atoms,
+errors and results as this reference on random documents.
 """
 
 from __future__ import annotations

@@ -583,6 +583,25 @@ def test_a_bad_link_is_refused_before_the_campaign_runs(capsys, monkeypatch, wor
     assert cae.read_bytes() == before
 
 
+@pytest.mark.parametrize("role", ["cae-check", "scenario", "link"])
+def test_a_directory_as_an_input_is_an_io_error_naming_it(capsys, monkeypatch, workdir, role):
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
+    folder, out = workdir / "folder", workdir / "campaign.json"
+    folder.mkdir()
+    policy = workdir / "policy.txt"
+    policy.write_text("outof(2,E1,E2,E3)")
+    argv = {
+        "cae-check": ["cae", "check", str(folder)],
+        "scenario": ["policy", "campaign", str(policy), "--runs", "20", "--out", str(out), "--scenario", str(folder)],
+        "link": ["policy", "campaign", str(policy), "--runs", "20", "--out", str(out), "--link", f"{folder}:P1"],
+    }[role]
+    before = sorted(workdir.iterdir())
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (IO_ERROR, "")
+    assert err.startswith(f"cannot read {folder}: ") and err.count("\n") == 1
+    assert sorted(workdir.iterdir()) == before
+
+
 @pytest.mark.parametrize("out", ["fig5.cae", "./sub/../fig5.cae"], ids=["same-name", "same-file"])
 def test_a_report_over_its_link_tree_is_refused_before_the_campaign_runs(capsys, monkeypatch, workdir, out):
     monkeypatch.setattr(sim, "run_pipeline", _no_simulation)

@@ -37,14 +37,8 @@ def test_lexer_error_positions(text, expected):
     assert lines[-1].kind is None
 
 
-# (line, atoms) for lines that lex without error
-LEX_ATOMS = [
-    ('claim C0 "a\\qb"', (Token("claim", 1), Token("C0", 7), QString("a\\qb", 10))),  # unknown escape kept
-    ('a"b"', (Token("a", 1), QString("b", 2))),  # a token and a string, not one atom
-    ('claim C0 "r" =""', (Token("claim", 1), Token("C0", 7), QString("r", 10), Attr("", "", 14))),
-    ('claim C0 "a\\\\\\"b\\n\\t\\r"', (Token("claim", 1), Token("C0", 7), QString('a\\"b\n\t\r', 10))),
-    ('k  x="1"\ty  "z"', (Token("k", 1), Attr("x", "1", 4), Token("y", 10), QString("z", 13))),
-    # node-shaped lines on the edge of the one-match read
+# (line, atoms) for node-shaped lines on the edge of the one-match read of ``cae_dsl.parse``
+ONE_MATCH_EDGE = [
     ('claim\tC0\t"t"\ttag="v"', (Token("claim", 1), Token("C0", 7), QString("t", 10), Attr("tag", "v", 14))),
     ('claim C0"t"', (Token("claim", 1), Token("C0", 7), QString("t", 9))),
     ('claim C0 "t"k="v"', (Token("claim", 1), Token("C0", 7), QString("t", 10), Attr("k", "v", 13))),
@@ -53,13 +47,15 @@ LEX_ATOMS = [
     ('claim C0 "t"=""', (Token("claim", 1), Token("C0", 7), QString("t", 10), Attr("", "", 13))),
     ('claim C0="x"', (Token("claim", 1), Attr("C0", "x", 7))),
 ]
-
-
-def _node_shaped(atoms) -> bool:
-    """Whether atoms read as ``kind id "text" key="value"...``."""
-    return [type(atom) for atom in atoms[:3]] == [Token, Token, QString] and all(
-        type(atom) is Attr for atom in atoms[3:]
-    )
+# (line, atoms) for lines that lex without error
+LEX_ATOMS = [
+    ('claim C0 "a\\qb"', (Token("claim", 1), Token("C0", 7), QString("a\\qb", 10))),  # unknown escape kept
+    ('a"b"', (Token("a", 1), QString("b", 2))),  # a token and a string, not one atom
+    ('claim C0 "r" =""', (Token("claim", 1), Token("C0", 7), QString("r", 10), Attr("", "", 14))),
+    ('claim C0 "a\\\\\\"b\\n\\t\\r"', (Token("claim", 1), Token("C0", 7), QString('a\\"b\n\t\r', 10))),
+    ('k  x="1"\ty  "z"', (Token("k", 1), Attr("x", "1", 4), Token("y", 10), QString("z", 13))),
+    *ONE_MATCH_EDGE,
+]
 
 
 @pytest.mark.parametrize(("line", "atoms"), LEX_ATOMS)
@@ -68,7 +64,14 @@ def test_lexer_atoms(line, atoms):
     assert errors == []
     assert lines[0].atoms == atoms
     assert lines[0].kind == atoms[0].text
-    assert (lines[0].node is not None) == _node_shaped(atoms)
+
+
+@pytest.mark.parametrize("line", [line for line, _ in ONE_MATCH_EDGE])
+def test_a_line_on_the_edge_of_the_one_match_read_is_read_as_the_reference_reads_it(line):
+    text = line + "\n"
+    outcome = _outcome(cae_dsl.parse, text)
+    assert outcome == _outcome(reference.parse, text)
+    assert (cae_dsl._read_flawless(text) is None) == isinstance(outcome, list)
 
 
 def test_lines_end_at_lf_crlf_and_cr_only():
@@ -211,8 +214,6 @@ def test_the_reader_agrees_with_the_atom_scanner_reference(text, keys):
         (line.span, line.level, line.kind, line.atoms) for line in ref_lines
     ]
     for line, ref_line in zip(lines, ref_lines):
-        # the one-match read takes exactly the lines that scan to a node shape
-        assert (line.node is not None) == (ref_line.kind is not None and _node_shaped(ref_line.atoms))
         if line.kind is not None:
             read, ref_read = [], []
             shape = read_node_line(line, allowed, read, required)

@@ -51,6 +51,12 @@ class TestParseRegistry:
         assert endorser_registry.risks[2].description == "Crashes of endorser peers"
         assert endorser_registry.risks[4].feared_events == frozenset({FearedEvent.INVALID_ACCEPTED})
 
+    def test_lf_crlf_cr_and_no_final_line_end_read_alike(self, endorser_registry):
+        text = corpus_text("endorser_risks.risk")
+        copies = [text, text.replace("\n", "\r\n"), text.replace("\n", "\r"), text.rstrip("\n")]
+        assert len(set(copies)) == 4
+        assert [parse_registry(copy) for copy in copies] == [endorser_registry] * 4
+
     def test_empty_file_is_an_empty_registry(self):
         assert len(parse_registry("")) == 0
 
