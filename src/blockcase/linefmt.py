@@ -12,7 +12,8 @@ one source of lexing errors, and ``read_node_line`` reads the ``kind id
 "text" key="value"...`` shape that both formats use for their nodes: the
 registry reader and the checking loop of ``cae_dsl.parse``, which reports a
 flawed document's errors, use both. ``cae_dsl.parse`` reads a document
-without a flaw in one pass over the ``LINE`` matches, with ``skipped``,
+without a flaw in one pass over the ``LINE`` matches, with ``skipped``
+(the one statement of a blank or comment line, which ``lex`` applies too),
 ``unescape`` and ``node_attrs``.
 """
 
@@ -104,17 +105,22 @@ _BARE = r'[^\s"=]+'
 # or at an opening quote that is never closed.
 _ATOM = re.compile(rf'{_WS}*(?:{_QUOTED}|({_KEY})=(?:{_QUOTED})?|({_BARE}))?')
 _ATTR = re.compile(rf'{_WS}*({_KEY})={_QUOTED}')
-# One line and its line end. A node line (_ATOM splits it into Token Token QString Attr* without error,
-# two spaces indent each level) has the indent (group 1), kind (2), id (3), text (4) and attributes (5,
-# read by _ATTR); any other line has group 1 None. Two bare tokens need white space between them, or
-# _ATOM would read them as one. Every line matches, so ``finditer`` reads a document line by line.
-_NODE = rf'((?:  )*)(?![ \t#]){_WS}*({_BARE}){_WS}+({_BARE}){_WS}*{_QUOTED}((?:{_ATTR.pattern})*){_WS}*'
-LINE = re.compile(rf"(?:{_NODE}|[^\r\n]*)(?:\r\n?|\n|\Z)")
+# One line and its line end. A node line (_ATOM splits it into Token Token QString Attr* without error
+# after an indent of spaces) has the indent (group 1), kind (2), id (3), text (4) and attributes (5, read
+# by _ATTR; 6 and 7 are _ATTR's own groups); any other line is group 8, without its line end, and has
+# group 1 None. The indent is one run of spaces, since ``re`` reads a repeated character far faster than
+# a repeated group: its width may be odd, and a reader must refuse that as a bad indentation. Two bare
+# tokens need white space between them, or _ATOM would read them as one. Every line matches, so
+# ``finditer`` reads a document line by line.
+_NODE = rf'( *)(?![ \t#]){_WS}*({_BARE}){_WS}+({_BARE}){_WS}*{_QUOTED}((?:{_ATTR.pattern})*){_WS}*'
+LINE = re.compile(rf"(?:{_NODE}|([^\r\n]*))(?:\r\n?|\n|\Z)")
 
 
 def quote(text: str) -> str:
     """Render text as a double-quoted string with canonical escapes."""
-    return '"' + text.translate(_REVERSE) + '"'
+    if "\\" in text or '"' in text or "\n" in text or "\t" in text or "\r" in text:
+        return '"' + text.translate(_REVERSE) + '"'
+    return f'"{text}"'  # nothing to escape: a substring search is far cheaper than ``translate``
 
 
 def unescape(body: str) -> str:
@@ -151,10 +157,10 @@ def _scan(raw: str, pos: int) -> tuple[list, tuple[int, str, str] | None]:
             return atoms, (match.start(2) + 1, "BadAttribute", f"attribute {key!r} needs a quoted value")
 
 
-def skipped(line: re.Match) -> bool:
-    """Whether a ``LINE`` match is a blank line or a comment: no reader sees such a line."""
-    raw = line[0].rstrip("\r\n")
-    return raw.strip() == "" or raw.lstrip(" \t").startswith("#")
+def skipped(raw: str) -> bool:
+    """Whether a line, without its line end, is blank or a comment: no reader sees such a line."""
+    stripped = raw.lstrip(" \t")
+    return not stripped or stripped[0] == "#" or raw.isspace()
 
 
 def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
@@ -166,10 +172,10 @@ def lex(text: str) -> tuple[list[LexedLine], list[ParseError]]:
     errors: list[ParseError] = []
     prev_level = -1
     for line_no, raw in enumerate(LINE_END.split(text), start=1):
-        stripped = raw.lstrip(" \t")
-        if not stripped or stripped[0] == "#" or raw.isspace():
+        if skipped(raw):
             continue
 
+        stripped = raw.lstrip(" \t")
         indent = raw[: len(raw) - len(stripped)]
         bad = False
         if "\t" in indent:

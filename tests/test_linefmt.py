@@ -74,6 +74,29 @@ def test_a_line_on_the_edge_of_the_one_match_read_is_read_as_the_reference_reads
     assert (cae_dsl._read_flawless(text) is None) == isinstance(outcome, list)
 
 
+# (the lines under a root claim, whether the document parses): the indentation of ``LINE`` is one run of
+# spaces, which stops before a tab or a comment, and whose width the one-pass read checks
+INDENT_EDGE = [
+    ([' proof P0 "x"'], False),  # an odd width
+    (['   proof P0 "x"'], False),  # an odd width past the first level
+    (["   # note"], True),  # a comment after an odd width
+    (['  \tproof P0 "x"'], False),  # a tab after the spaces
+    (['  \x0cproof P0 "x"'], True),  # white space between the indentation and the kind
+    (['    proof P0 "x"'], False),  # a jump of two levels
+    (['  proof P0 "x"', '   proof P1 "y"'], False),  # an odd width within the depth a jump check allows
+]
+
+
+@pytest.mark.parametrize(("lines", "parses"), INDENT_EDGE)
+def test_an_indentation_on_the_edge_of_the_one_pass_read_is_read_as_the_reference_reads_it(lines, parses):
+    text = "".join(f"{line}\n" for line in ['claim C0 "r"', *lines])
+    assert lex(text)[1] == reference.lex(text)[1]
+    outcome = _outcome(cae_dsl.parse, text)
+    assert outcome == _outcome(reference.parse, text)
+    assert isinstance(outcome, list) != parses
+    assert (cae_dsl._read_flawless(text) is None) == isinstance(outcome, list)
+
+
 def test_lines_end_at_lf_crlf_and_cr_only():
     # str.splitlines would also break at \x0b \x0c \x1c-\x1e \x85 \u2028 \u2029;
     # outside a string they are white space, inside one they are text
@@ -203,7 +226,7 @@ def _outcome(read, text):
     return result
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)  # ten times that when thorough
 @given(_documents, st.sampled_from([((), ()), (("tag", "ref", "digest"), ()), (("tag",), ("tag",))]))
 def test_the_reader_agrees_with_the_atom_scanner_reference(text, keys):
     allowed, required = keys
@@ -294,6 +317,7 @@ _FLAWS = {
     "tab-or-jump": lambda lines, at, draw: (
         lines[:at] + [draw(st.sampled_from(("\t", "  \t", "    ", "  "))) + lines[at]] + lines[at + 1:], None
     ),
+    "odd-indent": lambda lines, at, draw: (lines[:at] + [" " + lines[at]] + lines[at + 1:], None),
     "unknown-kind": lambda lines, at, draw: (lines[:at] + [_with_kind(lines[at], "clam")] + lines[at + 1:], None),
     "bad-id": lambda lines, at, draw: (
         lines[:at] + [_with_id(lines[at], draw(st.sampled_from(("C/0", "N=1", "é", '"x"'))))] + lines[at + 1:],
@@ -308,7 +332,7 @@ _FLAWS = {
 
 
 @pytest.mark.parametrize("flaw", sorted(_FLAWS))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=settings.default.max_examples // 5, deadline=None)  # ten times that when thorough
 @given(lines=_long_document(), data=st.data())
 def test_one_flaw_deep_in_a_long_document_is_read_as_the_reference_reads_it(flaw, lines, data):
     at = data.draw(st.integers(2, len(lines) - 1), label="at")

@@ -1,11 +1,13 @@
 """The tree checks and walks against frozen copies of their earlier, plainer forms.
 
-``check_well_formed``, ``node_status``, ``assumptions_of``, ``to_dot`` and
-``verify_links`` each make one tight pass over a tree. The reference copies
-below are the generator-walk versions they replaced, kept here unchanged
-(their walker is ``_reference_preorder``). On any node map, well-formed or
-not, each function must give what its reference gives, in the same order,
-with two exceptions that are stated and tested:
+``check_well_formed``, ``node_status``, ``assumptions_of``, ``to_dot``,
+``verify_links`` and ``serialize`` each make one tight pass over a tree. The
+reference copies below are the generator-walk versions they replaced, kept
+here unchanged (their walker is ``_reference_preorder``, but for
+``reference_serialize``, which checked the tree with ``CaeTree.preorder``
+first). On any node map, well-formed or not, each function must give what
+its reference gives, in the same order, with two exceptions that are stated
+and tested:
 
 - a walk that reaches more ids than the map holds (a cycle, or a node with
   a second parent) raises ``RuleError``; the references loop forever on a
@@ -20,6 +22,7 @@ import itertools
 from pathlib import Path
 
 import pytest
+from conftest import cae_trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -214,6 +217,39 @@ def reference_verify_links(tree, base_dir, only=None):
     return issues
 
 
+_REFERENCE_REVERSE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+
+
+def _reference_quote(text):
+    return '"' + text.translate(_REFERENCE_REVERSE) + '"'
+
+
+def _reference_kind_token(node):
+    if isinstance(node, ClaimNode):
+        return "side-claim" if node.side else "claim"
+    return node.kind.value
+
+
+def _reference_attr_pairs(node):
+    if not isinstance(node, EvidenceNode):
+        return [] if node.tag is None else [("tag", node.tag)]
+    pairs = (("digest", node.digest), ("ref", node.reference), ("tag", node.tag))
+    return [pair for pair in pairs if pair[1] is not None]
+
+
+def reference_serialize(tree):
+    tree.preorder()  # refuses a cycle, which this walk would follow forever
+    out = []
+    stack = [(tree.root, 0)]
+    while stack:
+        nid, level = stack.pop()
+        node = tree.nodes[nid]
+        attrs = "".join(f" {k}={_reference_quote(v)}" for k, v in _reference_attr_pairs(node))
+        out.append(f"{'  ' * level}{_reference_kind_token(node)} {nid} {_reference_quote(node.text)}{attrs}\n")
+        stack.extend((child, level + 1) for child in reversed(node.children))
+    return "".join(out)
+
+
 # ---------------------------------------------------------------- node maps, well-formed or not
 
 _EVIDENCE_BYTES = b"evidence\n"
@@ -326,6 +362,48 @@ def test_walks_give_what_the_reference_walks_give(tree):
             assert status is expected
         else:  # a child id missing from the map: the reference failed to look it up
             assert isinstance(expected, KeyError) and isinstance(status, UnknownNodeError)
+
+
+def _serialized(write, tree):
+    """What ``write`` gives, or the type and arguments of what it raises."""
+    kind, result = _outcome(write, tree)
+    return (kind, result) if kind == "value" else (kind, type(result), result.args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_maps())
+def test_serialize_gives_what_the_reference_gives_on_any_node_map(tree):
+    # a cycle or a second parent past the node count raises RuleError, a child missing from the map KeyError
+    assert _serialized(serialize, tree) == _serialized(reference_serialize, tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cae_trees())
+def test_serialize_writes_the_bytes_of_the_reference(tree):
+    assert serialize(tree) == reference_serialize(tree)
+
+
+@pytest.mark.parametrize(
+    ("children", "expected"),
+    [
+        pytest.param(("C1", "P1", "P1"), RuleError, id="overflow-on-an-evidence-leaf"),
+        pytest.param(("C1", "C1", "P1"), RuleError, id="overflow-on-a-claim-without-children"),
+        pytest.param(("C1", "P1", "GONE"), KeyError, id="missing-child"),
+        pytest.param(("GONE", "C1", "C1", "P1"), RuleError, id="overflow-after-a-missing-child"),
+    ],
+)
+def test_serialize_raises_what_the_reference_raises(children, expected):
+    tree = CaeTree(
+        root="C0",
+        nodes={
+            "C0": ClaimNode("C0", "root", ("A0",)),
+            "A0": ArgumentNode("A0", ArgumentKind.DECOMPOSITION, "split", children),
+            "C1": ClaimNode("C1", "one"),
+            "P1": EvidenceNode("P1", EvidenceKind.PROOF, "leaf"),
+        },
+    )
+    assert _serialized(serialize, tree) == _serialized(reference_serialize, tree)
+    assert _serialized(serialize, tree)[1] is expected
 
 
 @settings(max_examples=150, deadline=None)
