@@ -26,9 +26,10 @@ That rule is stated once, in ``cae_model.misplaced_child``, which
 side-claim placement, are left to ``check_well_formed`` so that checking
 tools can report them as findings instead of refusing to read the document.
 
-A document is read in one pass over its ``LINE`` matches. At its first
-flaw the checking loop, the only place that makes a ``ParseError``, reads it
-again for every error. Both reads look the child rule up in
+A tree is built in one place: a pass over the ``LINE`` matches, which
+stops at a document's first flaw. Only then does ``_diagnose``, the only
+place here that makes a ``ParseError``, read the document again to list
+every error; it builds no node. Both reads look the child rule up in
 ``cae_model.child_rows``, its table form.
 """
 
@@ -90,31 +91,36 @@ def parse(text: str) -> CaeTree:
     """Parse a document into a tree; raises ``ParseFailure`` with all errors.
 
     No partial tree is ever returned: either every line is acceptable and
-    the assembled tree comes back, or the full error list is raised. A
-    document is first read in one pass that stops at its first flaw; only
-    then does the checking loop read it again and report every error. The
-    cyclic garbage collector, if it runs, is paused meanwhile: what ``parse``
+    the tree comes back, or the full error list is raised. The tree is built
+    in one pass that stops at a document's first flaw; only then does
+    ``_diagnose`` read the document again and list every error. The cyclic
+    garbage collector, if it runs, is paused during the one pass: what it
     builds holds no cycle, so a collection would only walk the growing tree.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         tree = _read_flawless(text)
-        return tree if tree is not None else _read_checked(text)
     finally:
         if enabled:
             gc.enable()
+    if tree is not None:
+        return tree
+    errors = _diagnose(text)
+    if not errors:  # the two reads disagree: a fault of this module, never of the document
+        raise RuntimeError("the one-pass read refused a document in which the diagnosis finds no error")
+    raise ParseFailure(errors)
 
 
 def _read_flawless(text: str) -> CaeTree | None:
-    """The tree of a document in which the checking loop finds no error; None at the first flaw.
+    """The tree of a document in which ``_diagnose`` finds no error; None at the first flaw.
 
     A flaw is a line that is neither skipped nor a node line that joins the
     tree (its indentation, kind, place, id and attributes all acceptable),
     or an id that ``ID_PATTERN`` refuses, checked once for all ids at the end.
     """
     nodes: dict[str, Node | None] = {}  # in document order; a claim or an argument is None until the end
-    pending: list[tuple[str, str, str, str | None, list[str]]] = []  # see _assemble
+    pending: list[tuple[str, str, str, str | None, list[str]]] = []  # (id, kind, text, tag, child ids)
     top = [_ROOT_ROW, []]
     frames = {-1: top}  # level -> [row, child ids] of the latest line at that level
     level = -1
@@ -158,16 +164,21 @@ def _read_flawless(text: str) -> CaeTree | None:
     # ids are never empty, so all of them match ID_PATTERN (one character class, repeated) when their join does
     if not top[1] or not ID_PATTERN.match("".join(nodes)):
         return None
-    return _assemble(top[1][0], nodes, pending)
+    for node_id, kind, node_text, tag, children in pending:
+        argument_kind = _ARGUMENT_KINDS.get(kind)
+        if argument_kind is not None:
+            nodes[node_id] = _new_argument(node_id, argument_kind, node_text, tuple(children), tag)
+        else:
+            nodes[node_id] = _new_claim(node_id, node_text, tuple(children), tag, kind == "side-claim")
+    return CaeTree(root=top[1][0], nodes=nodes)
 
 
-def _read_checked(text: str) -> CaeTree:
-    """Read a document line by line, checking each line; raises ``ParseFailure`` with every error found."""
+def _diagnose(text: str) -> list[ParseError]:
+    """Every error of a document, line by line after its lexing errors; builds no node."""
     lines, errors = lex(text)  # the lexing errors, reported before those found here
-    nodes: dict[str, Node | None] = {}  # in document order; a claim or an argument is None until the end
-    pending: list[tuple[str, str, str, str | None, list[str]]] = []  # see _assemble
+    seen: set[str] = set()
     root_id: str | None = None
-    # stack[level]: [child row or None if the line failed, child ids or None], None if skipped
+    # stack[level]: [the child row of the latest line at that level, None if its children go unchecked], None if skipped
     stack: list[list | None] = []
 
     for line in lines:
@@ -179,75 +190,38 @@ def _read_checked(text: str) -> CaeTree:
         if node_class is None:
             if kind is not None:  # None: the line failed to lex and is already reported
                 errors.append(ParseError(line.span, "BadKind", f"unknown kind {kind!r}"))
-            stack.append([None, None])
+            stack.append([None])
             continue
 
         shape = read_node_line(line, _ATTRS[node_class], errors)
         if shape is not None and "digest" in shape[2] and "ref" not in shape[2]:
             errors.append(ParseError(line.span, "BadAttribute", "digest requires a ref attribute"))
-            shape = None
-        if shape is None:
-            stack.append([_ROWS[node_class, False], None])
-            continue
-        node_id, node_text, attrs = shape
-
-        problem = None  # (code, message) of a node that is read but does not join the tree
-        if level == 0:
-            if root_id is not None:
-                problem = "ChildRuleViolation", "a document holds a single root claim"
-            elif node_class is not ClaimNode:
-                problem = "ChildRuleViolation", "the root node must be a claim"
-        elif stack[-1] is None:
-            problem = "BadIndent", "no line at the enclosing indentation level"
-        elif stack[-1][0] is not None:  # a parent line that failed is not checked again
-            parent = stack[-1]
-            next_row, _, misplaced = parent[0][kind]
-            if misplaced is not None:
-                problem = "ChildRuleViolation", misplaced.value
-            else:
-                parent[0] = next_row
-        if problem is not None:
-            errors.append(ParseError(line.span, *problem))
-
-        if node_id in nodes:
-            errors.append(ParseError(line.span, "DuplicateId", f"duplicate node id {node_id!r}"))
-            stack.append([_ROWS[node_class, False], None])
-            continue
-
-        if problem is None:
+        elif shape is not None:
+            node_id = shape[0]
             if level == 0:
-                root_id = node_id
-            elif stack[-1][1] is not None:
-                stack[-1][1].append(node_id)
-        children: list[str] | None = None
-        if node_class is EvidenceNode:  # a leaf: it is built at once
-            nodes[node_id] = _new_evidence(
-                node_id, _EVIDENCE_KINDS[kind], node_text, attrs.get("ref"), attrs.get("digest"), attrs.get("tag")
-            )
-        else:
-            nodes[node_id] = None
-            children = []
-            pending.append((node_id, kind, node_text, attrs.get("tag"), children))
-        stack.append([_ROWS[node_class, False], children])
+                if root_id is not None:
+                    errors.append(ParseError(line.span, "ChildRuleViolation", "a document holds a single root claim"))
+                elif node_class is not ClaimNode:
+                    errors.append(ParseError(line.span, "ChildRuleViolation", "the root node must be a claim"))
+                elif node_id not in seen:
+                    root_id = node_id
+            elif stack[-1] is None:
+                errors.append(ParseError(line.span, "BadIndent", "no line at the enclosing indentation level"))
+            elif stack[-1][0] is not None:  # a parent line that failed is not checked again
+                parent = stack[-1]
+                next_row, _, misplaced = parent[0][kind]
+                if misplaced is not None:
+                    errors.append(ParseError(line.span, "ChildRuleViolation", misplaced.value))
+                else:
+                    parent[0] = next_row
+            if node_id in seen:
+                errors.append(ParseError(line.span, "DuplicateId", f"duplicate node id {node_id!r}"))
+            seen.add(node_id)
+        stack.append([_ROWS[node_class, False]])
 
     if root_id is None and not errors:
         errors.append(ParseError(SourceSpan(1, 1), "ChildRuleViolation", "document has no root claim"))
-    if errors:
-        raise ParseFailure(errors)
-    return _assemble(root_id, nodes, pending)
-
-
-def _assemble(
-    root_id: str, nodes: dict[str, Node | None], pending: list[tuple[str, str, str, str | None, list[str]]]
-) -> CaeTree:
-    """The tree, once each (node_id, kind, text, tag, child ids) in ``pending`` is built into ``nodes``."""
-    for node_id, kind, node_text, tag, children in pending:
-        argument_kind = _ARGUMENT_KINDS.get(kind)
-        if argument_kind is not None:
-            nodes[node_id] = _new_argument(node_id, argument_kind, node_text, tuple(children), tag)
-        else:
-            nodes[node_id] = _new_claim(node_id, node_text, tuple(children), tag, kind == "side-claim")
-    return CaeTree(root=root_id, nodes=nodes)
+    return errors
 
 
 def serialize(tree: CaeTree) -> str:

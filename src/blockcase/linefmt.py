@@ -10,8 +10,8 @@ and ``\\r`` are escapes; a backslash before any other character is kept as
 written. ``lex`` reads a document into lines through the atom scanner, the
 one source of lexing errors, and ``read_node_line`` reads the ``kind id
 "text" key="value"...`` shape that both formats use for their nodes: the
-registry reader and the checking loop of ``cae_dsl.parse``, which reports a
-flawed document's errors, use both. ``cae_dsl.parse`` reads a document
+registry reader and ``cae_dsl._diagnose``, which lists a flawed tree
+document's errors, use both. ``cae_dsl.parse`` builds the tree of a document
 without a flaw in one pass over the ``LINE`` matches, with ``skipped``
 (the one statement of a blank or comment line, which ``lex`` applies too),
 ``unescape`` and ``node_attrs``.

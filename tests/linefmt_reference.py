@@ -4,7 +4,8 @@
 and ``_build_node`` and ``parse`` of ``blockcase.cae_dsl``, as they were
 when every line went through the atom scanner and ``parse`` built each node
 twice. It is the reference for ``linefmt.lex``, which again reads every line
-through the atom scanner, and for the one-pass read ``cae_dsl._read_flawless``.
+through the atom scanner, for the errors that ``cae_dsl._diagnose`` lists and
+for the trees that ``cae_dsl._read_flawless``, the one-pass read, builds.
 ``test_linefmt.py`` checks that the reader gives the same lines, atoms,
 errors and results as this reference on random documents.
 """

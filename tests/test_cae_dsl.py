@@ -186,13 +186,13 @@ def _quote(text):
     return quote(text)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=settings.default.max_examples * 4 // 5, deadline=None)  # ten times that when thorough
 @given(cae_trees())
 def test_round_trip_reproduces_the_tree(tree):
     assert parse(serialize(tree)) == tree
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2 // 5, deadline=None)  # ten times that when thorough
 @given(cae_trees())
 def test_parsed_nodes_are_the_frozen_nodes_their_constructors_build(tree):
     # parse builds each node through its slots; the drawn tree's nodes come from the constructors

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcase import corpus_path, corpus_text, eov_sim as sim, parse
-from blockcase import cli
+from blockcase import cae_dsl, cli
 from blockcase.cli import FINDINGS, INTERNAL_ERROR, IO_ERROR, OK, PARSE_ERROR, main
 from blockcase.eov_sim.scenario import MAX_HORIZON, MAX_ORDERERS, MAX_PEERS
 from blockcase.policy_analysis import FRAUDULENT, all_of, out_of
@@ -98,6 +98,15 @@ class TestCaeCommands:
         code, _, err = run(capsys, "cae", "check", str(doc))
         assert code == PARSE_ERROR
         assert "UnterminatedString" in err and "1:10" in err
+
+    def test_a_document_the_two_reads_disagree_on_is_an_internal_error(self, capsys, monkeypatch):
+        # the one-pass read refuses a document in which the diagnosis finds no error: never an empty parse failure
+        monkeypatch.setattr(cae_dsl, "_read_flawless", lambda text: None)
+        code, out, err = run(capsys, "cae", "check", str(corpus_path("fig5.cae")))
+        assert code == INTERNAL_ERROR
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: ") and err.count("\n") == 1
+        assert "ParseFailure" not in err
 
     def test_check_missing_file_is_an_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "cae", "check", str(tmp_path / "absent.cae"))

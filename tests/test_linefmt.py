@@ -72,6 +72,7 @@ def test_a_line_on_the_edge_of_the_one_match_read_is_read_as_the_reference_reads
     outcome = _outcome(cae_dsl.parse, text)
     assert outcome == _outcome(reference.parse, text)
     assert (cae_dsl._read_flawless(text) is None) == isinstance(outcome, list)
+    assert (cae_dsl._diagnose(text) == []) == (cae_dsl._read_flawless(text) is not None)
 
 
 # (the lines under a root claim, whether the document parses): the indentation of ``LINE`` is one run of
@@ -95,6 +96,7 @@ def test_an_indentation_on_the_edge_of_the_one_pass_read_is_read_as_the_referenc
     assert outcome == _outcome(reference.parse, text)
     assert isinstance(outcome, list) != parses
     assert (cae_dsl._read_flawless(text) is None) == isinstance(outcome, list)
+    assert (cae_dsl._diagnose(text) == []) == (cae_dsl._read_flawless(text) is not None)
 
 
 def test_lines_end_at_lf_crlf_and_cr_only():
@@ -244,6 +246,7 @@ def test_the_reader_agrees_with_the_atom_scanner_reference(text, keys):
             assert read == ref_read
 
     assert _outcome(cae_dsl.parse, text) == _outcome(reference.parse, text)
+    assert (cae_dsl._diagnose(text) == []) == (cae_dsl._read_flawless(text) is not None)
     registry = _outcome(risk_ledger.parse_registry, text)
     with mock.patch.multiple(risk_ledger, lex=reference.lex, read_node_line=reference.read_node_line):
         assert registry == _outcome(risk_ledger.parse_registry, text)
@@ -340,5 +343,6 @@ def test_one_flaw_deep_in_a_long_document_is_read_as_the_reference_reads_it(flaw
     text = "".join(line + end for line, end in zip(flawed, ends or ["\n"] * len(flawed)))
     outcome = _outcome(cae_dsl.parse, text)
     assert outcome == _outcome(reference.parse, text)
-    # the one-pass read returns the tree exactly when no error is found, and so the checking loop runs only then
+    # the one-pass read returns the tree exactly when no error is found, so _diagnose runs only on a flawed document
     assert (cae_dsl._read_flawless(text) is None) == isinstance(outcome, list)
+    assert (cae_dsl._diagnose(text) == []) == (cae_dsl._read_flawless(text) is not None)
