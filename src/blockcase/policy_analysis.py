@@ -5,12 +5,12 @@ fast with truth tables held as integer bitsets) to find minimal satisfying sets,
 minimal blocking sets and the fraud/censorship tolerance of a policy. The
 Monte Carlo campaign samples endorser fault assignments and reports
 feared-event success rates with normal-approximation confidence intervals.
-It maps each drawn assignment onto one representative of its outcome class
-(censoring, crashed and whole-horizon DoS endorsers are all silent, and
-endorsers the policy cannot tell apart, found from its syntax, trade modes
-freely) and runs each distinct representative once through the simulator's
-ordering/commit stage; peer replay is skipped, because neither outcome bit
-reads a peer state. Equal inputs always produce byte-equal reports.
+A run's outcome is fixed by two policy verdicts, on its answering endorsers
+and on its fraudulent ones, so the campaign groups its runs by that pair
+and runs one representative per group through the simulator's
+ordering/commit stage: at most three simulations per campaign. Peer replay
+is skipped, because neither outcome bit reads a peer state. Equal inputs
+always produce byte-equal reports.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import __version__, eov_sim
 from .determinism import MASK64, CounterRng, canonical_json_bytes, placed_rows, sha256_hex, uniform_bounds
@@ -47,10 +47,10 @@ MAX_IDENTITIES = 20
 
 LABEL_MODES = frozenset({HONEST, FRAUDULENT, CENSORING, CRASHED})
 FAULT_MODES = (CENSORING, CRASHED, DOSED, FRAUDULENT)  # draw order for campaigns
-# A campaign's outcome bits cannot tell the silent modes (censoring, crashed, dosed: the
-# first three of FAULT_MODES) apart, so it simulates each as crashed. Its draws are placed
-# among the cumulative thresholds after the silent modes and after fraudulent, so a draw's
-# place is its mode's index here, which is also the modes' name order.
+# A campaign's draws are placed among the cumulative thresholds after the silent modes
+# (censoring, crashed, dosed: the first three of FAULT_MODES) and after fraudulent, so a
+# draw's place is its mode's index here. No silent endorser endorses, so a campaign
+# simulates every silent mode as crashed.
 _PLACED = (CRASHED, FRAUDULENT, HONEST)
 
 
@@ -214,32 +214,6 @@ class CampaignReport:
         return canonical_json_bytes(self.to_dict())
 
 
-def symmetry_classes(policy: EndorsementPolicy, msp_endorsers: Iterable[str]) -> list[tuple[str, ...]]:
-    """Classes of MSP endorsers that the policy's syntax makes interchangeable.
-
-    Identities that each occur exactly once in the policy, as plain ``Sig``
-    children of the same operator, form one class: every operator is
-    symmetric in its children, so swapping two of them leaves the policy
-    unchanged. MSP endorsers the policy never names form one more class. An
-    identity that occurs more than once belongs to no class. Only classes of
-    two or more endorsers are returned, each sorted, in sorted order.
-    """
-    msp = frozenset(msp_endorsers)
-    occurrences: Counter[str] = Counter()
-    sibling_groups: list[list[str]] = []
-    stack = [policy]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sig):
-            occurrences[node.identity] += 1
-            continue
-        sibling_groups.append([c.identity for c in node.children if isinstance(c, Sig)])
-        stack.extend(node.children)
-    groups = [[i for i in group if occurrences[i] == 1 and i in msp] for group in sibling_groups]
-    groups.append(list(msp - occurrences.keys()))
-    return sorted(tuple(sorted(group)) for group in groups if len(group) >= 2)
-
-
 def _ci95_halfwidth(rate: float, n: int) -> float:
     return 1.96 * math.sqrt(rate * (1.0 - rate) / n)
 
@@ -292,44 +266,46 @@ def monte_carlo_campaign(
     invalid against the ground truth, and as a censorship success when some
     ground-truth-valid transaction never reaches the ordering service
     (endorsement refusals or a policy shortfall). Both bits are read from
-    the canonical commit log and the submitted ids, so each run goes through
+    the canonical commit log and the submitted ids, so a run goes through
     the simulator's ordering/commit stage (``eov_sim.run_pipeline``) only;
-    no peer replays its blocks. That stage is a pure function of the
-    configuration, so each distinct assignment runs once and its outcome is
-    counted for every run that drew it. The draws replace the base's
+    no peer replays its blocks. The draws replace the base's
     ``endorser_behaviors``: every run draws each MSP endorser's mode afresh.
 
     The draws are ``draw_behavior_modes``'s, taken in one pass over the
     runs. The cumulative thresholds are summed once in ``FAULT_MODES``
-    order with the same float additions. A value below the third (the
-    silent modes') is silent, one below the fourth fraudulent, and any
-    other honest. ``placed_rows`` gives each run's places among the
-    ``uniform_bounds`` of those two thresholds: one SHA-256 and a byte
-    compare per draw, equal to placing ``CounterRng(seed, run_index)``'s
-    ``uniform()`` values, so each place is the index of the run's mode in
-    ``_PLACED``.
+    order with the same float additions, and ``placed_rows`` places each
+    draw's digest among the ``uniform_bounds`` of the thresholds after the
+    silent modes and after fraudulent, which equals placing
+    ``CounterRng(seed, run_index)``'s ``uniform()`` values. A place is the
+    index of the drawn mode in ``_PLACED``: crashed, fraudulent or honest.
 
-    Before counting, each run's modes are put in canonical form in two
-    steps, each sound on its own. First, every silent mode becomes
-    ``crashed``, as its place already says. A crashed endorser returns
-    ``None`` from ``endorse``. A drawn DoS covers the whole horizon
-    (``behavior_from_mode`` gives it the window 0..horizon, and
-    ``run_pipeline`` steps within 0..horizon), so it returns ``None`` at
-    every step. A censoring endorser returns a
-    ``RefusalRecord``. None of the three adds an ``Endorsement``, so
-    ``committed`` and ``submitted_tx_ids``, all that the two bits read, are
-    equal under each of them. Second, within each of the policy's
-    ``symmetry_classes``, the class's modes are sorted onto its sorted
-    endorsers. The engine treats MSP endorsers alike except through the
-    policy, which a swap within a class leaves unchanged; endorser order
-    only decides which endorsement is ``endorsements[0]``, and validation
-    reads that only after V6 has found all endorsements equal. Collapsed or
-    swapped runs differ only in their refusal records, which the campaign
-    does not read, so the report equals replaying every run as drawn. The
-    runs are counted by a key of places: the endorsers outside every class
-    first, then each class's places sorted. Places sort as mode names do,
-    so a key decodes, once, to the same representative the sorted names
-    give.
+    Each run has two endorser sets: A, the answering ones (honest or
+    fraudulent), and F, the fraudulent ones. The runs are grouped by the
+    policy's verdicts on A and on F, and one representative per group is
+    simulated, its outcome counted for every run of the group. That equals
+    simulating every run as drawn:
+    - a silent endorser adds no ``Endorsement``: a crashed one and a DoS
+      over the whole horizon (``behavior_from_mode`` gives it 0..horizon,
+      and ``run_pipeline`` steps within it) return None, a censoring one a
+      ``RefusalRecord``, which neither bit reads;
+    - for each proposal the endorsing set is A when execution succeeds, F
+      when it fails (honest endorsers refuse with V2), and empty when the
+      emitter is unregistered or the nonce replayed (V1, V3), since the
+      state, seen nonces and emitters are one for all of a proposal's
+      endorsers;
+    - every endorsement carries the same read/write set: ``claimed_effects``
+      equals ``execute_chaincode`` whenever execution succeeds, both going
+      through ``_transfer_effects``;
+    - policies are monotone and never satisfied by the empty set, so when A
+      fails nothing is ever submitted, whatever F's verdict; otherwise
+      whether a proposal is submitted reads only the verdict on its
+      endorsing set;
+    - at validation V4 repeats that verdict, V5 always passes, V6 finds the
+      read/write sets equal, and only then is endorser order read, by
+      taking ``endorsements[0]``'s writes.
+    So ``committed`` and ``submitted_tx_ids`` are equal across a group, and
+    there are at most three groups: A fails, A holds and F fails, both hold.
+    Each distinct place tuple is grouped once, for all the runs that drew it.
     Deterministic in (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
@@ -342,7 +318,6 @@ def monte_carlo_campaign(
     endorsers = sorted(base_config.msp_endorsers)
     proposals = base_config.proposals()
     valid_tx_ids = {p.tx_id for p in proposals if p.op.ground_truth_valid}
-    classes = symmetry_classes(base_config.policy, endorsers)
 
     thresholds: list[float] = []
     accumulated = 0.0
@@ -350,19 +325,18 @@ def monte_carlo_campaign(
         accumulated += probs[mode]
         thresholds.append(accumulated)
     bounds = uniform_bounds([thresholds[2], thresholds[3]])  # after the silent modes, after fraudulent
-    position = {endorser: i for i, endorser in enumerate(endorsers)}
-    class_positions = [[position[endorser] for endorser in cls] for cls in classes]
-    classed = [i for positions in class_positions for i in positions]
-    free = [i for i in range(len(endorsers)) if i not in classed]
-    pickers = [operator.itemgetter(*positions) for positions in class_positions]
-    assignments: Counter[tuple[int, ...]] = Counter()
-    for places in placed_rows(seed, range(n_runs), len(endorsers), bounds):
-        key = [places[i] for i in free]
-        for pick in pickers:
-            key += sorted(pick(places))
-        assignments[tuple(key)] += 1
+    drawn = Counter(map(tuple, placed_rows(seed, range(n_runs), len(endorsers), bounds)))
 
-    layout = free + classed  # the endorser position of each key slot
+    holds = functools.cache(functools.partial(eval_policy, base_config.policy))  # one verdict per endorser set
+    runs_of: Counter[tuple[bool, bool]] = Counter()  # keyed by (verdict on A, verdict on F)
+    representative: dict[tuple[bool, bool], tuple[int, ...]] = {}  # the first places drawn in each class
+    for places, runs in drawn.items():  # place 0 is silent, 1 fraudulent, 2 honest
+        answering = frozenset([e for e, place in zip(endorsers, places) if place])
+        fraudulent = frozenset([e for e, place in zip(endorsers, places) if place == 1])
+        verdicts = (holds(answering), holds(fraudulent))
+        representative.setdefault(verdicts, places)
+        runs_of[verdicts] += runs
+
     behavior_of = {
         place: eov_sim.behavior_from_mode(mode, horizon=base_config.horizon)
         for place, mode in enumerate(_PLACED)
@@ -370,8 +344,9 @@ def monte_carlo_campaign(
     }
     fraud_hits = 0
     censorship_hits = 0
-    for key, runs in assignments.items():
-        behaviors = {endorsers[i]: behavior_of[place] for i, place in sorted(zip(layout, key)) if place in behavior_of}
+    for verdicts, places in representative.items():
+        runs = runs_of[verdicts]
+        behaviors = {e: behavior_of[place] for e, place in zip(endorsers, places) if place in behavior_of}
         run = eov_sim.run_pipeline(base_config.with_behaviors(behaviors))
         if eov_sim.detect_feared_events(run.committed, (), proposals)[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
             fraud_hits += runs

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import pytest
@@ -26,16 +25,15 @@ from blockcase.policy_analysis import (
     censorship_possible,
     draw_behavior_modes,
     emit_evidence_report,
+    eval_policy,
     fraud_possible,
-    identities,
     monte_carlo_campaign,
     out_of,
     parse_policy,
     policy_digest,
     serialize_policy,
-    symmetry_classes,
 )
-from simgen import random_scenario
+from simgen import KEYS, random_scenario
 from test_policy_analysis import nested_policies
 
 E3 = ["E1", "E2", "E3"]
@@ -164,27 +162,6 @@ class TestCampaignMatchesRunByRunOracle:
         assert {len(campaign_base(seed, text).msp_endorsers) for seed, text in ORACLE_CASES} == {3, 5}
 
 
-class TestSymmetryClasses:
-    @pytest.mark.parametrize("policy_text, classes", [
-        ("outof(3,E1,E2,E3,E4,E5)", [("E1", "E2", "E3", "E4", "E5")]),
-        ("or(E1,and(E2,E3))", [("E2", "E3")]),
-        ("outof(2,E1,and(E2,E3),or(E4,E5))", [("E2", "E3"), ("E4", "E5")]),
-        ("or(and(E1,E2),and(E1,E3))", []),  # E1 repeats; E2 and E3 have different parents
-        ("and(E1,E1,E2,E3)", [("E2", "E3")]),
-        ("E1", []),
-    ])
-    def test_named_shapes(self, policy_text, classes):
-        policy = parse_policy(policy_text)
-        assert symmetry_classes(policy, identities(policy)) == classes
-
-    def test_endorsers_the_policy_never_names_form_one_class(self):
-        policy = parse_policy("or(E1,and(E2,E3))")
-        assert symmetry_classes(policy, ["E1", "E2", "E3", "E4", "E5", "E6"]) == [
-            ("E2", "E3"), ("E4", "E5", "E6")
-        ]
-        assert symmetry_classes(policy, ["E1", "E2", "E3", "E4"]) == [("E2", "E3")]  # a class of one is no class
-
-
 @st.composite
 def fault_probabilities(draw):
     """Per-mode probabilities at the edges of the draw path, the modes left out staying at zero.
@@ -217,7 +194,7 @@ def campaign_cases(draw):
 EDGE_BASE = campaign_base(0, "outof(2,E1,and(E2,E3),or(E4,E5))")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2 // 5, deadline=None)  # ten times that when thorough
 @given(campaign_cases())
 @example((EDGE_BASE, ALL_FAULTS, 0))
 @example((EDGE_BASE, {FRAUDULENT: 0.5, CENSORING: 0.25, DOSED: 0.25}, MASK64))  # sums to exactly 1.0
@@ -228,6 +205,105 @@ def test_symmetry_reduced_campaign_matches_the_oracle(case):
     base, probabilities, campaign_seed = case
     report = monte_carlo_campaign(base, probabilities, 60, campaign_seed)
     assert report.to_json_bytes() == run_by_run_campaign(base, probabilities, 60, campaign_seed).to_json_bytes()
+
+
+def verdict_class(policy, modes):
+    """The policy's verdicts on a run's answering (honest or fraudulent) endorsers and on its fraudulent ones."""
+    answering = {e for e, mode in modes.items() if mode in (HONEST, FRAUDULENT)}
+    fraudulent = {e for e, mode in modes.items() if mode == FRAUDULENT}
+    return eval_policy(policy, answering), eval_policy(policy, fraudulent)
+
+
+def pipeline_under(base, modes):
+    """The ordering/commit stage of ``base`` with each endorser in its mode, as a campaign run draws it."""
+    behaviors = {e: sim.behavior_from_mode(mode, horizon=base.horizon) for e, mode in modes.items() if mode != HONEST}
+    return sim.run_pipeline(base.with_behaviors(behaviors))
+
+
+def refused_base(scenario_seed, policy_text):
+    """``campaign_base`` plus a proposal from an emitter the MSP does not know (V1) and one that
+    replays the nonce of the guard-violating transfer (V3)."""
+    base = campaign_base(scenario_seed, policy_text)
+    stranger = sim.TxProposal("stranger", "unregistered", 1, sim.ChaincodeOp.set("k1", 7, valid=False))
+    replay = sim.TxProposal("replay", sorted(base.msp_emitters)[0], 999, sim.ChaincodeOp.set("k2", 9, valid=False))
+    return replace(base, workload=base.workload + ((1, stranger), (1, replay)))
+
+
+def test_refused_bases_reach_every_honest_refusal():
+    criteria = {
+        r.failed_criterion for seed in range(16) for r in pipeline_under(refused_base(seed, "E1"), {}).refusals
+    }
+    assert criteria == {sim.V1, sim.V2, sim.V3}
+
+
+@pytest.mark.parametrize("scenario_seed, policy_text", ORACLE_CASES)
+def test_refused_proposals_leave_the_report_equal_to_the_oracle(scenario_seed, policy_text):
+    base = refused_base(scenario_seed, policy_text)
+    report = monte_carlo_campaign(base, ALL_FAULTS, 120, 5)
+    assert report.to_json_bytes() == run_by_run_campaign(base, ALL_FAULTS, 120, 5).to_json_bytes()
+
+
+@st.composite
+def same_base_assignments(draw):
+    """A refused base under a nested policy that may repeat identities and leave MSP endorsers unnamed,
+    and four to six assignments of campaign modes, so that at least two share a verdict class."""
+    scenario_seed = draw(st.integers(0, 15))
+    endorsers = sorted(random_scenario(scenario_seed).msp_endorsers)
+    named = endorsers[: draw(st.integers(1, len(endorsers)))]
+    policy = draw(nested_policies(max_depth=3, idents=named))
+    modes = st.fixed_dictionaries({e: st.sampled_from((HONEST, *FAULT_MODES)) for e in endorsers})
+    return refused_base(scenario_seed, serialize_policy(policy)), draw(st.lists(modes, min_size=4, max_size=6))
+
+
+@settings(deadline=None)  # the loaded profile's budget: ten times as many when thorough
+@given(same_base_assignments())
+def test_assignments_of_one_verdict_class_commit_alike(case):
+    base, assignments = case
+    first_of_class = {}
+    for modes in assignments:
+        run = pipeline_under(base, modes)
+        outcome = (run.committed, run.submitted_tx_ids)
+        assert first_of_class.setdefault(verdict_class(base.policy, modes), outcome) == outcome
+
+
+stores = st.dictionaries(
+    st.sampled_from(KEYS), st.tuples(st.integers(0, 60), st.tuples(st.integers(0, 3), st.integers(0, 3))), max_size=3
+).map(sim.KvStore)
+chaincode_ops = st.one_of(
+    st.just(sim.ChaincodeOp.noop()),
+    st.builds(sim.ChaincodeOp.set, st.sampled_from(KEYS), st.integers(0, 50)),
+    st.tuples(st.permutations(KEYS), st.integers(1, 60)).map(
+        lambda t: sim.ChaincodeOp.transfer(t[0][0], t[0][1], t[1])
+    ),
+)
+
+
+@given(stores, chaincode_ops)
+def test_claimed_effects_equal_the_executed_effects_whenever_execution_succeeds(state, op):
+    claimed = sim.claimed_effects(state, op)
+    try:
+        executed = sim.execute_chaincode(state, op)
+    except sim.AppFailure:
+        return
+    assert claimed == executed
+
+
+H, F = HONEST, FRAUDULENT
+# pairs of assignments that agree on the verdict over their answering endorsers but not over their
+# fraudulent ones: a campaign that grouped runs by the first verdict alone would count them alike
+SPLIT_BY_THE_FRAUDULENT_VERDICT = [
+    ("outof(2,E1,E2,E3)", {"E1": F, "E2": F, "E3": H}, {"E1": F, "E2": H, "E3": H}),
+    ("or(E1,and(E2,E3))", {"E1": F, "E2": H, "E3": H}, {"E1": H, "E2": F, "E3": H}),
+    ("and(E1,outof(2,E2,E3,E4))", {"E1": F, "E2": F, "E3": F, "E4": CRASHED}, {"E1": F, "E2": F, "E3": H, "E4": H}),
+]
+
+
+@pytest.mark.parametrize("policy_text, fraud, no_fraud", SPLIT_BY_THE_FRAUDULENT_VERDICT)
+def test_the_fraudulent_verdict_splits_an_overdraft(policy_text, fraud, no_fraud):
+    base = fraud_base(parse_policy(policy_text))
+    assert verdict_class(base.policy, fraud) == (True, True) and verdict_class(base.policy, no_fraud) == (True, False)
+    assert [c.valid for c in pipeline_under(base, fraud).committed] == [True]
+    assert pipeline_under(base, no_fraud).committed == ()
 
 
 class TestSimulationsPerCampaign:
@@ -247,25 +323,37 @@ class TestSimulationsPerCampaign:
         ordered = {tuple(draw_behavior_modes(endorsers, probs, 11, run).items()) for run in range(n_runs)}
         return calls, ordered
 
-    def test_a_threshold_simulates_one_assignment_per_multiset_of_modes(self, monkeypatch):
+    def test_a_threshold_simulates_at_most_three_assignments(self, monkeypatch):
         base = campaign_base(0, "outof(3,E1,E2,E3,E4,E5)")
         calls, ordered = self.count_simulations(monkeypatch, base, 500)
-        assert 0 < len(calls) <= math.comb(7, 2)  # multisets of 3 outcome modes over 5 endorsers
+        assert 0 < len(calls) <= 3  # verdict classes: A fails, A holds and F fails, both hold
         assert len(calls) < len(ordered)
 
     def test_asymmetric_policy_simulates_each_outcome_class(self, monkeypatch):
         base = campaign_base(1, "or(and(E1,E2),and(E1,E3))")
-        assert len(base.msp_endorsers) == 3
+        endorsers = sorted(base.msp_endorsers)
+        assert len(endorsers) == 3
         calls, ordered = self.count_simulations(monkeypatch, base, 300)
-        simulated = {
-            tuple((e, config.endorser_behaviors[e].mode if e in config.endorser_behaviors else HONEST)
-                  for e in sorted(base.msp_endorsers))
+        simulated = [
+            tuple((e, config.endorser_behaviors[e].mode if e in config.endorser_behaviors else HONEST) for e in endorsers)
             for config in calls
-        }
+        ]
+        drawn_classes = {verdict_class(base.policy, dict(assignment)) for assignment in ordered}
+        assert sorted(verdict_class(base.policy, dict(modes)) for modes in simulated) == sorted(drawn_classes)
+        assert len(drawn_classes) == 3
         silent = {CENSORING: CRASHED, DOSED: CRASHED}  # modes that add no endorsement are simulated as crashed
         collapsed = {tuple((e, silent.get(mode, mode)) for e, mode in assignment) for assignment in ordered}
-        assert len(calls) == len(simulated) and simulated == collapsed
-        assert len(collapsed) < len(ordered)
+        assert set(simulated) <= collapsed  # each class is simulated under the modes one of its runs drew
+
+    def test_a_campaign_in_which_nothing_is_submittable_simulates_once(self, monkeypatch):
+        calls = []
+        real = sim.run_pipeline
+        monkeypatch.setattr(sim, "run_pipeline", lambda config: calls.append(config) or real(config))
+        base = campaign_base(0, "outof(3,E1,E2,E3,E4,E5)")
+        report = monte_carlo_campaign(base, {CENSORING: 0.5, CRASHED: 0.25, DOSED: 0.25}, 200, seed=4)
+        assert (report.fraud_successes, report.censorship_successes) == (0, 200)
+        assert len(calls) == 1  # every endorser is silent, simulated as crashed
+        assert calls[0].endorser_behaviors == {e: sim.EndorserBehavior(CRASHED) for e in base.msp_endorsers}
 
 
 class TestCampaignRunsOnlyTheOrderingCommitStage:
