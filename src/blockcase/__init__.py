@@ -55,7 +55,6 @@ from .risk_ledger import (
     MitigationCategory,
     Risk,
     RiskRegistry,
-    category_profile,
     coverage_check,
     parse_registry,
     serialize_registry,

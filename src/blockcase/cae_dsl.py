@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, replace
-from itertools import repeat
 from pathlib import Path
 
 from .cae_model import (
@@ -224,48 +223,31 @@ def _diagnose(text: str) -> list[ParseError]:
     return errors
 
 
-def serialize(tree: CaeTree) -> str:
-    """Canonical text form: stable bytes for equal trees, LF line endings.
+def _kind_token(node: Node) -> str:
+    if isinstance(node, ClaimNode):
+        return "side-claim" if node.side else "claim"
+    return node.kind.value
 
-    One walk writes every line, in document order. A walk that meets more
-    nodes than the map holds, through a cycle or a second parent, raises the
-    ``RuleError`` of ``CaeTree.preorder``; a child id missing from the map
-    raises ``KeyError`` once the walk is done.
-    """
-    nodes, limit = tree.nodes, len(tree.nodes)
+
+def _attr_pairs(node: Node) -> list[tuple[str, str]]:
+    """The (key, value) attributes of a node's line, in key order."""
+    if not isinstance(node, EvidenceNode):
+        return [] if node.tag is None else [("tag", node.tag)]
+    pairs = (("digest", node.digest), ("ref", node.reference), ("tag", node.tag))
+    return [pair for pair in pairs if pair[1] is not None]
+
+
+def serialize(tree: CaeTree) -> str:
+    """Canonical text form: stable bytes for equal trees, LF line endings."""
+    tree.preorder()  # refuses a cycle, which this walk would follow forever
     out: list[str] = []
-    stack = [(tree.root, "")]  # (id, indentation) of each line still to write
-    missing: list[str] = []
-    count = 0
+    stack = [(tree.root, 0)]
     while stack:
-        nid, indent = stack.pop()
-        node = nodes.get(nid)
-        if node is None:
-            missing.append(nid)
-            continue
-        count += 1
-        cls = type(node)
-        if cls is EvidenceNode:
-            line = f"{indent}{node.kind.value} {nid} {quote(node.text)}"
-            if node.digest is not None:
-                line += f" digest={quote(node.digest)}"
-            if node.reference is not None:
-                line += f" ref={quote(node.reference)}"
-        else:
-            kind = ("side-claim" if node.side else "claim") if cls is ClaimNode else node.kind.value
-            line = f"{indent}{kind} {nid} {quote(node.text)}"
-            children = node.children
-            if children:
-                stack += zip(children[::-1], repeat(indent + "  "))
-                if count > limit:  # a cycle, which this walk would follow forever
-                    break
-        if node.tag is not None:
-            line += f" tag={quote(node.tag)}"
-        out.append(line + "\n")
-    if count > limit:
-        tree.preorder()  # the same walk: it raises the RuleError that names its start
-    if missing:
-        raise KeyError(missing[0])
+        nid, level = stack.pop()
+        node = tree.nodes[nid]
+        attrs = "".join(f" {k}={quote(v)}" for k, v in _attr_pairs(node))
+        out.append(f"{'  ' * level}{_kind_token(node)} {nid} {quote(node.text)}{attrs}\n")
+        stack.extend((child, level + 1) for child in reversed(node.children))
     return "".join(out)
 
 

@@ -257,7 +257,6 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         render = cae_sub.add_parser("render", help="deterministic DOT rendering")
         render.add_argument("file")
         render.add_argument("--out", required=True, help="output path")
-        render.add_argument("--format", choices=("dot",), default="dot")
         render.set_defaults(func=cmd_cae_render)
         status = cae_sub.add_parser("status", help="root status and open assumptions")
         status.add_argument("file")

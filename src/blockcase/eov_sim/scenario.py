@@ -58,13 +58,6 @@ def dosed(from_step: int, to_step: int) -> EndorserBehavior:
     return EndorserBehavior(DOSED, from_step, to_step)
 
 
-def behavior_from_mode(mode: str, *, horizon: int) -> EndorserBehavior:
-    """Campaign draws name a mode; a drawn DoS covers the whole horizon."""
-    if mode == DOSED:
-        return EndorserBehavior(DOSED, 0, horizon)
-    return EndorserBehavior(mode)
-
-
 @dataclass(frozen=True, slots=True)
 class TxProposal:
     tx_id: str

@@ -7,10 +7,10 @@ Monte Carlo campaign samples endorser fault assignments and reports
 feared-event success rates with normal-approximation confidence intervals.
 A run's outcome is fixed by two policy verdicts, on its answering endorsers
 and on its fraudulent ones, so the campaign groups its runs by that pair
-and runs one representative per group through the simulator's
-ordering/commit stage: at most three simulations per campaign. Peer replay
-is skipped, because neither outcome bit reads a peer state. Equal inputs
-always produce byte-equal reports.
+and runs one fixed assignment per group (every endorser crashed, honest or
+fraudulent) through the simulator's ordering/commit stage: at most three
+simulations per campaign. Peer replay is skipped, because neither outcome
+bit reads a peer state. Equal inputs always produce byte-equal reports.
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ MAX_IDENTITIES = 20
 
 LABEL_MODES = frozenset({HONEST, FRAUDULENT, CENSORING, CRASHED})
 FAULT_MODES = (CENSORING, CRASHED, DOSED, FRAUDULENT)  # draw order for campaigns
-# A campaign's draws are placed among the cumulative thresholds after the silent modes
-# (censoring, crashed, dosed: the first three of FAULT_MODES) and after fraudulent, so a
-# draw's place is its mode's index here. No silent endorser endorses, so a campaign
-# simulates every silent mode as crashed.
-_PLACED = (CRASHED, FRAUDULENT, HONEST)
 
 
 class TooManyIdentitiesError(PolicyError):
@@ -276,17 +271,18 @@ def monte_carlo_campaign(
     order with the same float additions, and ``placed_rows`` places each
     draw's digest among the ``uniform_bounds`` of the thresholds after the
     silent modes and after fraudulent, which equals placing
-    ``CounterRng(seed, run_index)``'s ``uniform()`` values. A place is the
-    index of the drawn mode in ``_PLACED``: crashed, fraudulent or honest.
+    ``CounterRng(seed, run_index)``'s ``uniform()`` values. A place is 0
+    for a silent mode (censoring, crashed or dosed), 1 for fraudulent and
+    2 for honest.
 
     Each run has two endorser sets: A, the answering ones (honest or
     fraudulent), and F, the fraudulent ones. The runs are grouped by the
-    policy's verdicts on A and on F, and one representative per group is
-    simulated, its outcome counted for every run of the group. That equals
+    policy's verdicts on A and on F, and each group is simulated once,
+    its outcome counted for every run of the group. That equals
     simulating every run as drawn:
     - a silent endorser adds no ``Endorsement``: a crashed one and a DoS
-      over the whole horizon (``behavior_from_mode`` gives it 0..horizon,
-      and ``run_pipeline`` steps within it) return None, a censoring one a
+      over the whole horizon (``dosed(0, horizon)``, within which
+      ``run_pipeline`` steps) return None, a censoring one a
       ``RefusalRecord``, which neither bit reads;
     - for each proposal the endorsing set is A when execution succeeds, F
       when it fails (honest endorsers refuse with V2), and empty when the
@@ -306,6 +302,11 @@ def monte_carlo_campaign(
     So ``committed`` and ``submitted_tx_ids`` are equal across a group, and
     there are at most three groups: A fails, A holds and F fails, both hold.
     Each distinct place tuple is grouped once, for all the runs that drew it.
+    A group is simulated with every endorser in one mode: crashed when A
+    fails, honest when only A holds, fraudulent when F holds too. Each such
+    assignment lies in its group, since F is a subset of A, the policy names
+    only MSP endorsers (so all of them satisfy it) and the empty set
+    satisfies no policy.
     Deterministic in (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
@@ -329,24 +330,16 @@ def monte_carlo_campaign(
 
     holds = functools.cache(functools.partial(eval_policy, base_config.policy))  # one verdict per endorser set
     runs_of: Counter[tuple[bool, bool]] = Counter()  # keyed by (verdict on A, verdict on F)
-    representative: dict[tuple[bool, bool], tuple[int, ...]] = {}  # the first places drawn in each class
     for places, runs in drawn.items():  # place 0 is silent, 1 fraudulent, 2 honest
         answering = frozenset([e for e, place in zip(endorsers, places) if place])
         fraudulent = frozenset([e for e, place in zip(endorsers, places) if place == 1])
-        verdicts = (holds(answering), holds(fraudulent))
-        representative.setdefault(verdicts, places)
-        runs_of[verdicts] += runs
+        runs_of[holds(answering), holds(fraudulent)] += runs
 
-    behavior_of = {
-        place: eov_sim.behavior_from_mode(mode, horizon=base_config.horizon)
-        for place, mode in enumerate(_PLACED)
-        if mode != HONEST
-    }
     fraud_hits = 0
     censorship_hits = 0
-    for verdicts, places in representative.items():
-        runs = runs_of[verdicts]
-        behaviors = {e: behavior_of[place] for e, place in zip(endorsers, places) if place in behavior_of}
+    for (answering_holds, fraudulent_holds), runs in runs_of.items():
+        mode = FRAUDULENT if fraudulent_holds else HONEST if answering_holds else CRASHED
+        behaviors = dict.fromkeys(endorsers, eov_sim.EndorserBehavior(mode))
         run = eov_sim.run_pipeline(base_config.with_behaviors(behaviors))
         if eov_sim.detect_feared_events(run.committed, (), proposals)[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
             fraud_hits += runs

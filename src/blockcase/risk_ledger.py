@@ -220,12 +220,3 @@ def coverage_check(registry: RiskRegistry, tree: CaeTree) -> CoverageReport:
             entries.append(CoverageEntry(risk.id, UNCOVERED))
         counts[entries[-1].bucket] += 1
     return CoverageReport(tuple(entries), counts)
-
-
-def category_profile(registry: RiskRegistry) -> dict[MitigationCategory, int]:
-    """Count mitigation entries per category; absent categories count zero."""
-    profile = {category: 0 for category in MitigationCategory}
-    for risk in registry:
-        for mitigation in risk.mitigations:
-            profile[mitigation.category] += 1
-    return profile

@@ -93,6 +93,15 @@ class TestCampaign:
         assert report.tool.startswith("blockcase ")
 
 
+def drawn_behaviors(base, modes):
+    """Each endorser's behavior as a campaign run draws it: a drawn DoS covers the whole horizon."""
+    return {
+        e: sim.dosed(0, base.horizon) if mode == DOSED else sim.EndorserBehavior(mode)
+        for e, mode in modes.items()
+        if mode != HONEST
+    }
+
+
 def run_by_run_campaign(base, fault_probabilities, n_runs, seed):
     """Oracle: one full simulation (peer replay included) per run, with no sharing between runs."""
     probs = _normalize_probabilities(fault_probabilities)
@@ -101,12 +110,7 @@ def run_by_run_campaign(base, fault_probabilities, n_runs, seed):
     fraud_hits = censorship_hits = 0
     for run_index in range(n_runs):
         modes = draw_behavior_modes(endorsers, probs, seed, run_index)
-        behaviors = {
-            endorser: sim.behavior_from_mode(mode, horizon=base.horizon)
-            for endorser, mode in modes.items()
-            if mode != HONEST
-        }
-        result = sim.simulate(base.with_behaviors(behaviors))
+        result = sim.simulate(base.with_behaviors(drawn_behaviors(base, modes)))
         fraud_hits += result.report.feared_event_counts[sim.FearedEvent.INVALID_ACCEPTED] > 0
         censorship_hits += bool(valid_tx_ids - result.run.submitted_tx_ids)
     fraud_rate, censorship_rate = fraud_hits / n_runs, censorship_hits / n_runs
@@ -214,10 +218,13 @@ def verdict_class(policy, modes):
     return eval_policy(policy, answering), eval_policy(policy, fraudulent)
 
 
+# the mode a campaign gives every endorser to simulate a verdict class, keyed by (verdict on A, verdict on F)
+UNIFORM_MODE = {(False, False): CRASHED, (True, False): HONEST, (True, True): FRAUDULENT}
+
+
 def pipeline_under(base, modes):
     """The ordering/commit stage of ``base`` with each endorser in its mode, as a campaign run draws it."""
-    behaviors = {e: sim.behavior_from_mode(mode, horizon=base.horizon) for e, mode in modes.items() if mode != HONEST}
-    return sim.run_pipeline(base.with_behaviors(behaviors))
+    return sim.run_pipeline(base.with_behaviors(drawn_behaviors(base, modes)))
 
 
 def refused_base(scenario_seed, policy_text):
@@ -259,11 +266,16 @@ def same_base_assignments(draw):
 @given(same_base_assignments())
 def test_assignments_of_one_verdict_class_commit_alike(case):
     base, assignments = case
-    first_of_class = {}
+    endorsers = sorted(base.msp_endorsers)
+    of_class = {}  # each class's outcome under its uniform assignment
+    for verdicts, mode in UNIFORM_MODE.items():
+        uniform = dict.fromkeys(endorsers, mode)
+        assert verdict_class(base.policy, uniform) == verdicts
+        run = pipeline_under(base, uniform)
+        of_class[verdicts] = (run.committed, run.submitted_tx_ids)
     for modes in assignments:
         run = pipeline_under(base, modes)
-        outcome = (run.committed, run.submitted_tx_ids)
-        assert first_of_class.setdefault(verdict_class(base.policy, modes), outcome) == outcome
+        assert (run.committed, run.submitted_tx_ids) == of_class[verdict_class(base.policy, modes)]
 
 
 stores = st.dictionaries(
@@ -341,9 +353,10 @@ class TestSimulationsPerCampaign:
         drawn_classes = {verdict_class(base.policy, dict(assignment)) for assignment in ordered}
         assert sorted(verdict_class(base.policy, dict(modes)) for modes in simulated) == sorted(drawn_classes)
         assert len(drawn_classes) == 3
-        silent = {CENSORING: CRASHED, DOSED: CRASHED}  # modes that add no endorsement are simulated as crashed
-        collapsed = {tuple((e, silent.get(mode, mode)) for e, mode in assignment) for assignment in ordered}
-        assert set(simulated) <= collapsed  # each class is simulated under the modes one of its runs drew
+        # each class is simulated once, with every endorser in the mode of its class
+        assert sorted(simulated) == sorted(
+            tuple((e, UNIFORM_MODE[verdicts]) for e in endorsers) for verdicts in drawn_classes
+        )
 
     def test_a_campaign_in_which_nothing_is_submittable_simulates_once(self, monkeypatch):
         calls = []

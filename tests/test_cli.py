@@ -39,7 +39,7 @@ def workdir(tmp_path):
     "argv, flags",
     [
         (["cae", "check"], ["file"]),
-        (["cae", "render"], ["file", "--out", "--format"]),
+        (["cae", "render"], ["file", "--out"]),
         (["cae", "status"], ["file"]),
         (["risk", "coverage"], ["registry", "cae"]),
         (["sim", "run"], ["scenario", "--seed", "--out"]),

@@ -112,8 +112,8 @@ def test_a_campaign_draw_of_one_is_honest_although_honest_has_probability_zero(m
     probabilities = {CENSORING: 0.0, CRASHED: 0.0, DOSED: 0.0, FRAUDULENT: 1.0}
     assert policy_analysis.draw_behavior_modes(["E1"], probabilities, 0, 0) == {"E1": HONEST}
     bounds = uniform_bounds([0.0, 1.0])  # the cumulative thresholds after the silent modes and after fraudulent
-    assert policy_analysis._PLACED[bisect_right(bounds, digest_of(TOP, TAILS[0]))] == HONEST
-    assert policy_analysis._PLACED[bisect_right(bounds, digest_of(TOP - 1, TAILS[1]))] == FRAUDULENT
+    assert bisect_right(bounds, digest_of(TOP, TAILS[0])) == 2  # a campaign's honest place
+    assert bisect_right(bounds, digest_of(TOP - 1, TAILS[1])) == 1  # its fraudulent place
 
 
 thresholds_sets = st.lists(

@@ -572,7 +572,7 @@ def test_censoring_crashed_and_whole_horizon_dos_endorsers_commit_alike(case):
         for mode, behavior in (
             (CENSORING, sim.EndorserBehavior(CENSORING)),
             (CRASHED, sim.EndorserBehavior(CRASHED)),
-            (DOSED, sim.behavior_from_mode(DOSED, horizon=base.horizon)),
+            (DOSED, sim.dosed(0, base.horizon)),
         )
     }
     crashed = runs[CRASHED]

@@ -19,7 +19,6 @@ from blockcase.risk_ledger import (
     Risk,
     RiskRegistry,
     UNCOVERED,
-    category_profile,
     coverage_check,
     parse_registry,
     serialize_registry,
@@ -285,21 +284,3 @@ class TestCoverage:
         for entry_before, entry_after in zip(before.entries, after.entries):
             if entry_before.bucket == COVERED:
                 assert entry_after.bucket == COVERED
-
-
-class TestCategoryProfile:
-    def test_endorser_corpus_profile(self, endorser_registry):
-        profile = category_profile(endorser_registry)
-        assert profile == {
-            MitigationCategory.PREVENTION: 1,
-            MitigationCategory.ELIMINATION: 1,
-            MitigationCategory.TOLERANCE: 4,
-            MitigationCategory.FORECASTING: 0,
-        }
-
-    def test_empty_registry_is_all_zero(self):
-        assert set(category_profile(RiskRegistry()).values()) == {0}
-
-    def test_single_forecasting_entry(self):
-        registry = RiskRegistry((make_risk("R1", [Mitigation(MitigationCategory.FORECASTING, "P1")]),))
-        assert category_profile(registry)[MitigationCategory.FORECASTING] == 1

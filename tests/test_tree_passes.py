@@ -1,13 +1,13 @@
 """The tree checks and walks against frozen copies of their earlier, plainer forms.
 
-``check_well_formed``, ``node_status``, ``assumptions_of``, ``to_dot``,
-``verify_links`` and ``serialize`` each make one tight pass over a tree. The
-reference copies below are the generator-walk versions they replaced, kept
-here unchanged (their walker is ``_reference_preorder``, but for
-``reference_serialize``, which checked the tree with ``CaeTree.preorder``
-first). On any node map, well-formed or not, each function must give what
-its reference gives, in the same order, with two exceptions that are stated
-and tested:
+``check_well_formed``, ``node_status``, ``assumptions_of``, ``to_dot`` and
+``verify_links`` each make one tight pass over a tree. The reference copies
+below are the generator-walk versions they replaced, kept here unchanged
+(their walker is ``_reference_preorder``, but for ``reference_serialize``,
+which checks the tree with ``CaeTree.preorder`` first and is the form
+``serialize`` has again). On any node map, well-formed or not, each
+function must give what its reference gives, in the same order, with two
+exceptions that are stated and tested:
 
 - a walk that reaches more ids than the map holds (a cycle, or a node with
   a second parent) raises ``RuleError``; the references loop forever on a
