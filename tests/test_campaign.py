@@ -222,6 +222,18 @@ def verdict_class(policy, modes):
 UNIFORM_MODE = {(False, False): CRASHED, (True, False): HONEST, (True, True): FRAUDULENT}
 
 
+@given(st.data())
+def test_each_uniform_assignment_lies_in_its_verdict_class(data):
+    """All crashed, all honest and all fraudulent fall in the three classes, whichever endorsers the policy names."""
+    endorsers = [f"E{i}" for i in range(1, data.draw(st.integers(1, 6)) + 1)]
+    named = endorsers[: data.draw(st.integers(1, len(endorsers)))]
+    policy = data.draw(nested_policies(max_depth=3, idents=named))
+    for verdicts, mode in UNIFORM_MODE.items():
+        assert verdict_class(policy, dict.fromkeys(endorsers, mode)) == verdicts
+    for silent in (CENSORING, DOSED):
+        assert verdict_class(policy, dict.fromkeys(endorsers, silent)) == (False, False)
+
+
 def pipeline_under(base, modes):
     """The ordering/commit stage of ``base`` with each endorser in its mode, as a campaign run draws it."""
     return sim.run_pipeline(base.with_behaviors(drawn_behaviors(base, modes)))
@@ -357,6 +369,26 @@ class TestSimulationsPerCampaign:
         assert sorted(simulated) == sorted(
             tuple((e, UNIFORM_MODE[verdicts]) for e in endorsers) for verdicts in drawn_classes
         )
+
+    @settings(max_examples=settings.default.max_examples // 5, deadline=None)
+    @given(campaign_cases())
+    def test_each_drawn_class_is_simulated_once_with_every_endorser_in_its_mode(self, case):
+        base, probabilities, campaign_seed = case
+        calls = []
+        real = sim.run_pipeline
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "run_pipeline", lambda config: calls.append(config) or real(config))
+            monte_carlo_campaign(base, probabilities, 60, campaign_seed)
+        endorsers, probs = sorted(base.msp_endorsers), _normalize_probabilities(probabilities)
+        drawn_classes = {
+            verdict_class(base.policy, draw_behavior_modes(endorsers, probs, campaign_seed, run)) for run in range(60)
+        }
+        simulated_modes = []
+        for config in calls:  # every endorser is in one mode
+            mode = config.endorser_behaviors[endorsers[0]].mode
+            assert config.endorser_behaviors == dict.fromkeys(endorsers, sim.EndorserBehavior(mode))
+            simulated_modes.append(mode)
+        assert sorted(simulated_modes) == sorted(UNIFORM_MODE[verdicts] for verdicts in drawn_classes)
 
     def test_a_campaign_in_which_nothing_is_submittable_simulates_once(self, monkeypatch):
         calls = []

@@ -131,6 +131,14 @@ class TestCaeCommands:
         run(capsys, "cae", "render", str(corpus_path("fig5.cae")), "--out", str(out))
         assert out.read_text().count("fillcolor=palegreen") == 4
 
+    def test_render_has_no_format_option(self, capsys, tmp_path):
+        out = tmp_path / "fig5.dot"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cae", "render", str(corpus_path("fig5.cae")), "--out", str(out), "--format", "dot"])
+        assert exit_info.value.code == PARSE_ERROR
+        assert "unrecognized arguments: --format dot" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_status_lists_assumptions(self, capsys):
         code, out, _ = run(capsys, "cae", "status", str(corpus_path("fig6.cae")))
         assert code == OK
@@ -326,6 +334,23 @@ class TestPolicyCommands:
         report.unlink()
         code, out, _ = run(capsys, "risk", "coverage", str(workdir / "endorser_risks.risk"), str(cae))
         assert code == FINDINGS and "missing-file" in out
+
+
+    def test_campaign_link_rewrites_one_line_and_the_tree_still_checks(self, capsys, workdir):
+        policy = self.policy_file(workdir, "outof(2,E1,E2,E3)")
+        cae = workdir / "fig5.cae"
+        before = cae.read_text().splitlines()
+        code, *_ = run(capsys, "policy", "campaign", str(policy), "--runs", "20",
+                       "--out", str(workdir / "linked.json"), "--link", f"{cae}:P1c.1.3")
+        assert code == OK
+        after = cae.read_text().splitlines()
+        assert len(after) == len(before)
+        changed = [(old, new) for old, new in zip(before, after) if old != new]
+        assert len(changed) == 1  # serialize rewrote the tree, but only the linked evidence line differs
+        old, new = changed[0]
+        assert old.lstrip().startswith("proof P1c.1.3 ") and new.startswith(old) and 'ref="linked.json"' in new
+        assert run(capsys, "cae", "check", str(cae))[0] == OK
+        assert run(capsys, "risk", "coverage", str(workdir / "endorser_risks.risk"), str(cae))[0] == OK
 
 
 @pytest.mark.parametrize(
