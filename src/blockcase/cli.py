@@ -4,12 +4,16 @@ Exit codes separate findings from tool faults so CI gates can tell an
 assurance regression apart from a broken invocation: 0 success, 1 findings
 (violations, uncovered risks, feared events), 2 usage or parse errors,
 3 I/O errors, 4 internal errors (an unexpected exception, never a finding).
-Every command is deterministic given its inputs and flags.
+Every command is deterministic given its inputs and flags. A command line
+that starts with a group and one of its commands is parsed by that
+command's own parser; any other (--version, a group's help, an unknown
+choice) by the whole tree. One table builds both.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,8 +66,16 @@ def _write(path: str, data: str | bytes) -> None:
 
 
 def _refuse_overwrite(out: str | None, source: str, role: str, output: str) -> None:
-    """Refuse an ``--out`` that is the input file ``source``: the write would destroy that input."""
-    if out and Path(out).resolve() == Path(source).resolve():
+    """Refuse an ``--out`` that is the input file ``source``, by its path or by a hard link to it:
+    the write would truncate that input. An existing input is ``out`` when both are one inode; a
+    missing one, when both paths resolve to one path."""
+    if not out:
+        return
+    if os.path.exists(source):
+        same = os.path.exists(out) and os.path.samefile(out, source)
+    else:
+        same = os.path.realpath(out) == os.path.realpath(source)
+    if same:
         raise _Refused(PARSE_ERROR, f"--out {out} is the {role} {source}; write the {output} elsewhere")
 
 
@@ -241,70 +253,70 @@ def cmd_policy_campaign(args) -> int:
     return OK if report.fraud_successes == 0 and report.censorship_successes == 0 else FINDINGS
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``, with command parsers for the group that its first non-option argument names only."""
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
+# every group with its help, in the order the top level lists them
+_GROUPS = {
+    "cae": "check, render and evaluate assurance trees",
+    "risk": "risk registry checks",
+    "sim": "pipeline simulation",
+    "policy": "endorsement-policy analysis",
+}
+# (group, command) -> (help, arguments as (name, add_argument keywords)), each group's in the order it lists them;
+# the handler is the module's cmd_<group>_<command>, looked up by main when it is called
+_COMMANDS = {
+    ("cae", "check"): ("well-formedness findings and root status", [("file", {})]),
+    ("cae", "render"): ("deterministic DOT rendering", [
+        ("file", {}),
+        ("--out", {"required": True, "help": "output path"})]),
+    ("cae", "status"): ("root status and open assumptions", [("file", {})]),
+    ("risk", "coverage"): ("tie every risk to evidence or acceptance", [("registry", {}), ("cae", {})]),
+    ("sim", "run"): ("run one scenario and write its report", [
+        ("scenario", {}),
+        ("--seed", {"type": int, "default": None, "help": "override the scenario seed"}),
+        ("--out", {"default": None, "help": "report path (stdout when omitted)"})]),
+    ("policy", "tolerance"): ("exact fraud/censorship tolerances", [("policy", {})]),
+    ("policy", "campaign"): ("sampled fault campaign with an evidence report", [
+        ("policy", {}),
+        ("--runs", {"type": int, "default": 1000, "help": "number of sampled runs"}),
+        ("--seed", {"type": int, "default": 0, "help": "campaign seed"}),
+        ("--scenario", {"default": None, "help": "base scenario file (a default is built otherwise)"}),
+        ("--prob", {"action": "append", "default": [], "metavar": "MODE=P",
+                    "help": "fault probability, e.g. fraudulent=0.3 (repeatable)"}),
+        ("--out", {"required": True, "help": "evidence report path"}),
+        ("--link", {"default": None, "metavar": "CAE:EVIDENCE_ID",
+                    "help": "link the written report into an assurance tree"})]),
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, group: str, command: str) -> argparse.ArgumentParser:
+    """``parser`` given the arguments of ``group command``, which it parses into a namespace naming them."""
+    for name, keywords in _COMMANDS[group, command][1]:
+        parser.add_argument(name, **keywords)
+    parser.set_defaults(group=group, command=command)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: the top level, every group and every command in it."""
     parser = argparse.ArgumentParser(prog="blockcase", description=__doc__)
     parser.add_argument("--version", action="version", version=f"blockcase {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    cae = groups.add_parser("cae", help="check, render and evaluate assurance trees")
-    if named == "cae":
-        cae_sub = cae.add_subparsers(dest="command", required=True)
-        check = cae_sub.add_parser("check", help="well-formedness findings and root status")
-        check.add_argument("file")
-        check.set_defaults(func=cmd_cae_check)
-        render = cae_sub.add_parser("render", help="deterministic DOT rendering")
-        render.add_argument("file")
-        render.add_argument("--out", required=True, help="output path")
-        render.set_defaults(func=cmd_cae_render)
-        status = cae_sub.add_parser("status", help="root status and open assumptions")
-        status.add_argument("file")
-        status.set_defaults(func=cmd_cae_status)
-
-    risk = groups.add_parser("risk", help="risk registry checks")
-    if named == "risk":
-        risk_sub = risk.add_subparsers(dest="command", required=True)
-        coverage = risk_sub.add_parser("coverage", help="tie every risk to evidence or acceptance")
-        coverage.add_argument("registry")
-        coverage.add_argument("cae")
-        coverage.set_defaults(func=cmd_risk_coverage)
-
-    sim = groups.add_parser("sim", help="pipeline simulation")
-    if named == "sim":
-        sim_sub = sim.add_subparsers(dest="command", required=True)
-        run = sim_sub.add_parser("run", help="run one scenario and write its report")
-        run.add_argument("scenario")
-        run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        run.add_argument("--out", default=None, help="report path (stdout when omitted)")
-        run.set_defaults(func=cmd_sim_run)
-
-    policy = groups.add_parser("policy", help="endorsement-policy analysis")
-    if named == "policy":
-        policy_sub = policy.add_subparsers(dest="command", required=True)
-        tolerance = policy_sub.add_parser("tolerance", help="exact fraud/censorship tolerances")
-        tolerance.add_argument("policy")
-        tolerance.set_defaults(func=cmd_policy_tolerance)
-        campaign = policy_sub.add_parser("campaign", help="sampled fault campaign with an evidence report")
-        campaign.add_argument("policy")
-        campaign.add_argument("--runs", type=int, default=1000, help="number of sampled runs")
-        campaign.add_argument("--seed", type=int, default=0, help="campaign seed")
-        campaign.add_argument("--scenario", default=None, help="base scenario file (a default is built otherwise)")
-        campaign.add_argument("--prob", action="append", default=[], metavar="MODE=P",
-                              help="fault probability, e.g. fraudulent=0.3 (repeatable)")
-        campaign.add_argument("--out", required=True, help="evidence report path")
-        campaign.add_argument("--link", default=None, metavar="CAE:EVIDENCE_ID",
-                              help="link the written report into an assurance tree")
-        campaign.set_defaults(func=cmd_policy_campaign)
-
+    for group, group_help in _GROUPS.items():
+        commands = groups.add_parser(group, help=group_help).add_subparsers(dest="command", required=True)
+        for (owner, command), (command_help, _) in _COMMANDS.items():
+            if owner == group:
+                _with_arguments(commands.add_parser(command, help=command_help), group, command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    if tuple(argv[:2]) in _COMMANDS:  # the command's own parser, built as the tree builds its subparser
+        parser = _with_arguments(argparse.ArgumentParser(prog=f"blockcase {argv[0]} {argv[1]}"), *argv[:2])
+        args = parser.parse_args(argv[2:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.group}_{args.command}"](args)
     except _Refused as refusal:
         code, *lines = refusal.args
         print("\n".join(lines), file=sys.stderr)

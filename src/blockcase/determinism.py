@@ -101,17 +101,20 @@ def _write_json(value, parts: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _check_seed(seed: int) -> None:
+def _seeded(seed: int):
+    """The SHA-256 state after the generator's tag and ``seed``; a stream's prefix continues a copy of it."""
     if not 0 <= seed <= MASK64:
         raise ValueError("seed must be an unsigned 64-bit integer")
-
-
-def _stream_prefix(seed: int, stream: int):
-    return hashlib.sha256(b"blockcase.rng" + struct.pack(">QQ", seed, stream & MASK64))
+    return hashlib.sha256(b"blockcase.rng" + _U64.pack(seed))
 
 
 class CounterRng:
     """Counter-based generator: draw i depends only on (seed, stream, i).
+
+    Draw i is the first 8 bytes, big-endian, of the SHA-256 of
+    ``b"blockcase.rng"`` followed by seed, stream and i as 8 big-endian
+    bytes each (the stream taken mod 2**64); ``placed_rows`` hashes the
+    same bytes.
 
     Streams are independent by construction, so consumers can hand one stream
     per campaign run and reordering or skipping runs cannot perturb the draws
@@ -119,9 +122,9 @@ class CounterRng:
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        _check_seed(seed)
-        # the prefix is hashed once; each draw hashes only its counter onto a copy
-        self._prefix = _stream_prefix(seed, stream)
+        # the prefix (tag, seed, stream) is hashed once; each draw hashes only its counter onto a copy
+        self._prefix = _seeded(seed)
+        self._prefix.update(_U64.pack(stream & MASK64))
         self._counter = 0
 
     def u64(self) -> int:
@@ -180,14 +183,16 @@ def placed_rows(seed: int, streams: Iterable[int], n: int, bounds: Sequence[byte
 
     Entry ``i`` of a row is ``bisect_right(bounds, digest)`` for draw ``i``
     of ``CounterRng(seed, stream)``, which equals ``bisect_right`` of its
-    ``uniform()`` among the thresholds the bounds came from. One prefix
-    hash per stream and one SHA-256 and one byte compare per bound per
-    draw; no ``u64`` or float is made.
+    ``uniform()`` among the thresholds the bounds came from. The tag and
+    seed are hashed once, and each stream's prefix continues a copy of
+    that state with the stream's 8 bytes; then one SHA-256 per draw and
+    one byte compare per bound; no ``u64`` or float is made.
     """
-    _check_seed(seed)
+    seeded = _seeded(seed)
     counters = [_U64.pack(i) for i in range(n)]
     for stream in streams:
-        prefix = _stream_prefix(seed, stream)
+        prefix = seeded.copy()
+        prefix.update(_U64.pack(stream & MASK64))
         row = []
         for counter in counters:
             hasher = prefix.copy()

@@ -20,6 +20,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -331,8 +332,8 @@ def monte_carlo_campaign(
     holds = functools.cache(functools.partial(eval_policy, base_config.policy))  # one verdict per endorser set
     runs_of: Counter[tuple[bool, bool]] = Counter()  # keyed by (verdict on A, verdict on F)
     for places, runs in drawn.items():  # place 0 is silent, 1 fraudulent, 2 honest
-        answering = frozenset([e for e, place in zip(endorsers, places) if place])
-        fraudulent = frozenset([e for e, place in zip(endorsers, places) if place == 1])
+        answering = frozenset(compress(endorsers, places))
+        fraudulent = frozenset(compress(endorsers, map((1).__eq__, places)))
         runs_of[holds(answering), holds(fraudulent)] += runs
 
     fraud_hits = 0

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
 import shutil
 import tempfile
@@ -77,6 +78,47 @@ def test_each_level_lists_its_choices_in_help_and_usage_errors(capsys, argv, cho
     assert exit_info.value.code == PARSE_ERROR
     listed = ", ".join(f"'{choice}'" for choice in choices.split(","))
     assert f"invalid choice: 'bogus' (choose from {listed})" in capsys.readouterr().err
+
+
+COMMANDS = [["cae", "check"], ["cae", "render"], ["cae", "status"], ["risk", "coverage"], ["sim", "run"],
+            ["policy", "tolerance"], ["policy", "campaign"]]
+# command lines that argparse answers itself: each command's help, each command with a required argument
+# missing, and a --runs or --seed that is no integer
+PARSER_EXITS = [
+    *([*command, "--help"] for command in COMMANDS),
+    *COMMANDS,
+    ["cae", "render", "tree.cae"],
+    ["risk", "coverage", "registry.risk"],
+    ["policy", "campaign", "policy.txt"],
+    ["sim", "run", "scenario.json", "--seed", "x"],
+    ["policy", "campaign", "policy.txt", "--out", "r.json", "--runs", "x"],
+    ["policy", "campaign", "policy.txt", "--out", "r.json", "--seed", "1.5"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_a_command_parser_answers_as_the_whole_tree_does(capsys, argv):
+    assert sorted(map(tuple, COMMANDS)) == sorted(cli._COMMANDS)
+    outcomes = []
+    for parse in (lambda: main(argv), lambda: cli.build_parser().parse_args(argv)):
+        with pytest.raises(SystemExit) as exit_info:
+            parse()
+        outcomes.append((exit_info.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    if "--help" in argv:
+        assert (code, err) == (OK, "") and out.startswith(f"usage: blockcase {argv[0]} {argv[1]} ")
+    else:
+        assert (code, out) == (PARSE_ERROR, "") and f"blockcase {argv[0]} {argv[1]}: error: " in err
+
+
+def test_main_calls_the_handler_the_module_binds_when_main_is_called(monkeypatch):
+    called = []
+    monkeypatch.setattr(cli, "cmd_policy_campaign", lambda args: called.append(("campaign", args.policy)) or OK)
+    monkeypatch.setattr(cli, "cmd_cae_check", lambda args: called.append(("check", args.file)) or FINDINGS)
+    assert main(["policy", "campaign", "policy.txt", "--out", "r.json"]) == OK
+    assert main(["cae", "check", "tree.cae"]) == FINDINGS
+    assert called == [("campaign", "policy.txt"), ("check", "tree.cae")]
 
 
 class TestCaeCommands:
@@ -660,7 +702,7 @@ def test_a_report_over_its_link_tree_is_refused_before_the_campaign_runs(capsys,
     ],
     ids=["render", "sim-run", "campaign-policy", "campaign-scenario"],
 )
-@pytest.mark.parametrize("spelling", ["{}", "./sub/../{}"], ids=["same-name", "same-file"])
+@pytest.mark.parametrize("spelling", ["{}", "./sub/../{}", "link-to-{}"], ids=["same-name", "same-file", "hard-link"])
 def test_an_output_over_its_own_input_is_refused_before_anything_is_written(
     capsys, monkeypatch, workdir, argv, target, message, spelling
 ):
@@ -669,10 +711,27 @@ def test_an_output_over_its_own_input_is_refused_before_anything_is_written(
     (workdir / "sub").mkdir()
     one_tx_scenario(workdir / "scenario.json")
     Path("policy.txt").write_text("outof(1,E1)")
-    before = sorted(workdir.iterdir()), Path(target).read_bytes()
     out = spelling.format(target)
+    if spelling.startswith("link-to-"):  # another name of the input's inode: a write through it truncates the input
+        os.link(target, out)
+    before = sorted(workdir.iterdir()), Path(target).read_bytes()
     assert run(capsys, *argv, "--out", out) == (PARSE_ERROR, "", f"--out {out} {message}\n")
     assert (sorted(workdir.iterdir()), Path(target).read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cae", "render", "absent.cae"], "is the tree absent.cae; write the DOT elsewhere"),
+        (["policy", "campaign", "absent.cae"], "is the policy absent.cae; write the report elsewhere"),
+    ],
+    ids=["render", "campaign-policy"],
+)
+def test_an_output_over_a_missing_input_by_the_same_path_is_refused(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run(capsys, *argv, "--out", "sub/../absent.cae") == (PARSE_ERROR, "", f"--out sub/../absent.cae {message}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["sub"]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
