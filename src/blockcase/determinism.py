@@ -4,11 +4,16 @@ Every document this package writes (scenario files, run reports, evidence
 documents) goes through ``canonical_json_bytes`` and every digest through
 ``sha256_hex``, so equal values always produce equal bytes and equal hashes,
 independent of platform, locale or wall clock.
+
+A draw is a 64-bit word ``x``, placed with no float made from it: ``x`` lies
+below a threshold ``t`` when ``x < t * 2.0**64``. Scaling by a power of two is
+exact, and Python compares an int with a float exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from bisect import bisect_right
 from json.encoder import encode_basestring
@@ -114,7 +119,7 @@ class CounterRng:
     Draw i is the first 8 bytes, big-endian, of the SHA-256 of
     ``b"blockcase.rng"`` followed by seed, stream and i as 8 big-endian
     bytes each (the stream taken mod 2**64); ``placed_rows`` hashes the
-    same bytes.
+    same bytes. Draw ``x`` lies below a threshold ``t`` when ``x < t * 2.0**64``.
 
     Streams are independent by construction, so consumers can hand one stream
     per campaign run and reordering or skipping runs cannot perturb the draws
@@ -134,14 +139,6 @@ class CounterRng:
         self._counter += 1
         return int.from_bytes(block[:8], "big")
 
-    def uniform(self) -> float:
-        """Float in [0, 1], ``u64() / 2**64`` rounded to the nearest float.
-
-        The top 1,024 ``u64`` values (``2**64 - 1024`` and above) round up
-        to exactly 1.0, so 1.0 comes with probability 2**-54.
-        """
-        return self.u64() / 2.0**64
-
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
@@ -152,29 +149,17 @@ class CounterRng:
 
 
 def uniform_bounds(thresholds: Sequence[float]) -> list[bytes]:
-    """Per threshold ``t``, the least ``x`` in ``[0, 2**64)`` with ``x / 2**64 >= t``, as 8 big-endian bytes.
+    """Per threshold ``t``, the least ``x`` in ``[0, 2**64)`` with ``x >= t * 2**64``, as 8 big-endian bytes.
 
-    The division is ``CounterRng.uniform``'s, and it never decreases as
-    ``x`` grows, so ``x`` is found by bisection. A threshold that no ``x``
-    reaches gets 33 bytes of 0xff, above every digest. A digest is at or
-    above a bound exactly when the ``u64`` of its first 8 bytes is, so for
-    nondecreasing thresholds ``bisect_right(bounds, digest)`` equals
-    ``bisect_right(thresholds, uniform)`` for the draw ``uniform`` the
-    digest gives.
+    That is the ceiling of the exact ``t * 2.0**64``; a threshold that no
+    ``x`` reaches gets 33 bytes of 0xff, above every digest. A digest is at
+    or above a bound exactly when the ``u64`` of its first 8 bytes is, so
+    ``bisect_right(bounds, digest)`` counts the thresholds that ``u64`` is not below.
     """
     bounds = []
     for t in thresholds:
-        if not MASK64 / 2.0**64 >= t:
-            bounds.append(_UNREACHED)
-            continue
-        low, high = 0, MASK64  # the least x lies in [low, high]
-        while low < high:
-            middle = (low + high) // 2
-            if middle / 2.0**64 >= t:
-                high = middle
-            else:
-                low = middle + 1
-        bounds.append(_U64.pack(low))
+        scaled = t * 2.0**64
+        bounds.append(_U64.pack(math.ceil(scaled)) if scaled <= MASK64 else _UNREACHED)
     return bounds
 
 
@@ -182,8 +167,8 @@ def placed_rows(seed: int, streams: Iterable[int], n: int, bounds: Sequence[byte
     """Per stream, where each of its first ``n`` draws falls among ``bounds`` (from ``uniform_bounds``).
 
     Entry ``i`` of a row is ``bisect_right(bounds, digest)`` for draw ``i``
-    of ``CounterRng(seed, stream)``, which equals ``bisect_right`` of its
-    ``uniform()`` among the thresholds the bounds came from. The tag and
+    of ``CounterRng(seed, stream)``: the number of thresholds ``t``, among
+    those the bounds came from, with ``u64() >= t * 2**64``. The tag and
     seed are hashed once, and each stream's prefix continues a copy of
     that state with the stream's 8 bytes; then one SHA-256 per draw and
     one byte compare per bound; no ``u64`` or float is made.

@@ -238,12 +238,12 @@ def draw_behavior_modes(
     rng = CounterRng(seed, stream=run_index)
     modes: dict[str, str] = {}
     for endorser in endorsers:
-        u = rng.uniform()
+        x = rng.u64()
         accumulated = 0.0
         chosen = HONEST
         for mode in FAULT_MODES:
             accumulated += probs[mode]
-            if u < accumulated:
+            if x < accumulated * 2.0**64:
                 chosen = mode
                 break
         modes[endorser] = chosen
@@ -268,13 +268,12 @@ def monte_carlo_campaign(
     ``endorser_behaviors``: every run draws each MSP endorser's mode afresh.
 
     The draws are ``draw_behavior_modes``'s, taken in one pass over the
-    runs. The cumulative thresholds are summed once in ``FAULT_MODES``
-    order with the same float additions, and ``placed_rows`` places each
-    draw's digest among the ``uniform_bounds`` of the thresholds after the
-    silent modes and after fraudulent, which equals placing
-    ``CounterRng(seed, run_index)``'s ``uniform()`` values. A place is 0
-    for a silent mode (censoring, crashed or dosed), 1 for fraudulent and
-    2 for honest.
+    runs. Its thresholds after the silent modes and after fraudulent are
+    summed here by the same float additions in the same order, and
+    ``placed_rows`` places each draw's digest among their ``uniform_bounds``
+    by its exact rule: draw ``x`` lies below ``t`` when ``x < t * 2.0**64``.
+    A place is 0 for a silent mode (censoring, crashed or dosed), 1 for
+    fraudulent and 2 for honest.
 
     Each run has two endorser sets: A, the answering ones (honest or
     fraudulent), and F, the fraudulent ones. The runs are grouped by the
@@ -321,12 +320,8 @@ def monte_carlo_campaign(
     proposals = base_config.proposals()
     valid_tx_ids = {p.tx_id for p in proposals if p.op.ground_truth_valid}
 
-    thresholds: list[float] = []
-    accumulated = 0.0
-    for mode in FAULT_MODES:
-        accumulated += probs[mode]
-        thresholds.append(accumulated)
-    bounds = uniform_bounds([thresholds[2], thresholds[3]])  # after the silent modes, after fraudulent
+    silent = probs[CENSORING] + probs[CRASHED] + probs[DOSED]
+    bounds = uniform_bounds([silent, silent + probs[FRAUDULENT]])
     drawn = Counter(map(tuple, placed_rows(seed, range(n_runs), len(endorsers), bounds)))
 
     holds = functools.cache(functools.partial(eval_policy, base_config.policy))  # one verdict per endorser set

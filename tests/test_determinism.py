@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from blockcase import policy_analysis
 from blockcase.determinism import MASK64, CounterRng, canonical_json_bytes, placed_rows, uniform_bounds
-from blockcase.eov_sim.scenario import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST
+from blockcase.eov_sim.scenario import CENSORING, CRASHED, DOSED, FRAUDULENT
 
 
 def reference_u64(seed: int, stream: int, i: int) -> int:
@@ -40,12 +40,16 @@ def test_the_stream_keeps_its_values():
 THRESHOLDS = [0.1, 0.25, 0.25, 0.7]
 
 
+def placed(thresholds, x: int) -> int:
+    """The reference place of word ``x``: how many thresholds ``t`` it is not below, ``x >= t * 2**64``."""
+    return sum(x >= t * 2**64 for t in thresholds)
+
+
 @pytest.mark.parametrize("seed, streams", [(0, range(3)), (MASK64, [2**64 + 5, 0, 7]), (404, range(9, 12))])
 def test_placed_rows_place_uniform_draws(seed, streams):
     rows = list(placed_rows(seed, streams, 6, uniform_bounds(THRESHOLDS)))
     assert rows == [
-        [bisect_right(THRESHOLDS, rng.uniform()) for _ in range(6)]
-        for rng in (CounterRng(seed, stream) for stream in streams)
+        [placed(THRESHOLDS, rng.u64()) for _ in range(6)] for rng in (CounterRng(seed, stream) for stream in streams)
     ]
 
 
@@ -55,76 +59,84 @@ def digest_of(x: int, tail: bytes) -> bytes:
 
 
 TAILS = (b"\x00" * 24, b"\xff" * 24)
-TOP = 2**64 - 1024  # from here up, x / 2**64 rounds to 1.0
+TOP = 2**64 - 1024  # from here up, a float division x / 2**64 would round to 1.0
+UNREACHED = b"\xff" * 33
 
 
-def assert_placed_alike(thresholds, xs):
-    """Each digest falls among the bounds where its uniform value falls among the thresholds."""
+def assert_placed_exactly(thresholds, xs):
+    """Each digest falls among the bounds where the reference places its word."""
     bounds = uniform_bounds(thresholds)
     for x in xs:
         if 0 <= x <= MASK64:
             for tail in TAILS:
-                assert bisect_right(bounds, digest_of(x, tail)) == bisect_right(thresholds, x / 2.0**64), (x, tail)
+                assert bisect_right(bounds, digest_of(x, tail)) == placed(thresholds, x), (x, tail)
 
 
-@pytest.mark.parametrize("threshold", [0.0, 5e-324, 0.1, 1.0, 1.0 + 1e-13])
+@pytest.mark.parametrize("threshold", [0.0, 5e-324, 0.1, 0.25, 1.0, 1.0 + 1e-13])
 def test_a_bound_places_the_draws_around_it_as_its_threshold_does(threshold):
     (bound,) = uniform_bounds([threshold])
     ends = [0, TOP - 1, TOP, MASK64]
     if len(bound) == 8:
         x = int.from_bytes(bound, "big")
-        assert x / 2.0**64 >= threshold and (x == 0 or (x - 1) / 2.0**64 < threshold)
-        ends += [x - 1, x, x + 1]
-    assert_placed_alike([threshold], ends)
+        assert x >= threshold * 2**64 and (x == 0 or x - 1 < threshold * 2**64)
+        ends += range(x - 2, x + 3)
+    else:
+        assert bound == UNREACHED and MASK64 < threshold * 2**64
+    assert_placed_exactly([threshold], ends)
 
 
 def test_the_named_bounds():
-    values = uniform_bounds([0.0, 5e-324, 1.0, 1.0 + 1e-13])
-    assert values[:3] == [(0).to_bytes(8, "big"), (1).to_bytes(8, "big"), TOP.to_bytes(8, "big")]
-    assert values[3] == b"\xff" * 33  # no draw reaches a threshold above 1.0, so none is placed past it
+    values = uniform_bounds([0.0, 5e-324, 0.25, 1.0, 1.0 + 1e-13])
+    assert values[:3] == [(0).to_bytes(8, "big"), (1).to_bytes(8, "big"), (2**62).to_bytes(8, "big")]
+    assert values[3:] == [UNREACHED, UNREACHED]  # no word reaches 1.0 or more, so none is placed past it
     assert bisect_right(values[3:], b"\xff" * 32) == 0
+    for tail in TAILS:  # 0.25 * 2**64 is the integer 2**62: the word below it lies below the bound
+        assert bisect_right(values[2:3], digest_of(2**62 - 1, tail)) == 0
+        assert bisect_right(values[2:3], digest_of(2**62, tail)) == 1
 
 
-def test_a_draw_of_one_is_placed_past_thresholds_that_sum_to_one():
-    """``uniform()`` is 1.0 for the top 1,024 ``u64`` values. With cumulative thresholds that end at
-    exactly 1.0, such a draw lands past every threshold, in the slot that has probability 0 (a
-    campaign's honest slot), and the byte placement keeps that."""
+def test_a_top_draw_is_placed_within_thresholds_that_end_at_one():
+    """With cumulative thresholds that end at exactly 1.0, every word lies below the last one, so
+    no draw lands in the slot past it (a campaign's honest slot, which then has probability 0)."""
     thresholds = [0.25, 0.5, 0.75, 1.0]
-    assert TOP / 2.0**64 == 1.0 and (TOP - 1) / 2.0**64 < 1.0
     bounds = uniform_bounds(thresholds)
-    for tail in TAILS:
-        assert bisect_right(bounds, digest_of(TOP, tail)) == bisect_right(thresholds, 1.0) == 4
-        assert bisect_right(bounds, digest_of(TOP - 1, tail)) == 3
+    for x in (TOP - 1, TOP, MASK64):
+        assert placed(thresholds, x) == 3
+        for tail in TAILS:
+            assert bisect_right(bounds, digest_of(x, tail)) == 3, (x, tail)
 
 
-def test_a_campaign_draw_of_one_is_honest_although_honest_has_probability_zero(monkeypatch):
+def test_a_campaign_top_draw_is_fraudulent_when_fraudulent_has_probability_one(monkeypatch):
     """With ``fraudulent=1.0`` the run-at-a-time reference and the campaign's placement both give
-    such a draw the honest mode, as they always have."""
+    the top words the fraudulent mode, never the honest one."""
+    words = iter([TOP - 1, TOP, MASK64])
 
     class TopDraws:
         def __init__(self, seed, stream=0):
             pass
 
-        def uniform(self):
-            return TOP / 2.0**64
+        def u64(self):
+            return next(words)
 
     monkeypatch.setattr(policy_analysis, "CounterRng", TopDraws)
     probabilities = {CENSORING: 0.0, CRASHED: 0.0, DOSED: 0.0, FRAUDULENT: 1.0}
-    assert policy_analysis.draw_behavior_modes(["E1"], probabilities, 0, 0) == {"E1": HONEST}
+    endorsers = ["E1", "E2", "E3"]
+    assert policy_analysis.draw_behavior_modes(endorsers, probabilities, 0, 0) == dict.fromkeys(endorsers, FRAUDULENT)
     bounds = uniform_bounds([0.0, 1.0])  # the cumulative thresholds after the silent modes and after fraudulent
-    assert bisect_right(bounds, digest_of(TOP, TAILS[0])) == 2  # a campaign's honest place
-    assert bisect_right(bounds, digest_of(TOP - 1, TAILS[1])) == 1  # its fraudulent place
+    for x in (TOP - 1, TOP, MASK64):
+        for tail in TAILS:
+            assert bisect_right(bounds, digest_of(x, tail)) == 1, (x, tail)  # a campaign's fraudulent place
 
 
 thresholds_sets = st.lists(
-    st.sampled_from((0.0, 5e-324, 0.5, 1.0, 1.0 + 1e-13)) | st.floats(0.0, 1.0 + 1e-12), min_size=1, max_size=5
+    st.sampled_from((0.0, 5e-324, 0.25, 0.5, 1.0, 1.0 + 1e-13)) | st.floats(0.0, 1.0 + 1e-12), min_size=1, max_size=5
 ).map(sorted)
 
 
 @settings(deadline=None)
 @given(thresholds=thresholds_sets, data=st.data())
 @example(thresholds=[0.0, 0.0, 1.0], data=None)
-def test_byte_placement_equals_float_placement(thresholds, data):
+def test_byte_placement_equals_exact_placement(thresholds, data):
     """At each bound and two either side of it, at the ends of the range and at drawn values."""
     bounds = uniform_bounds(thresholds)
     xs = [0, 1, TOP - 1025, TOP - 1, TOP, MASK64]
@@ -134,7 +146,7 @@ def test_byte_placement_equals_float_placement(thresholds, data):
             xs += range(x - 2, x + 3)
     if data is not None:
         xs += data.draw(st.lists(st.integers(0, MASK64), max_size=20))
-    assert_placed_alike(thresholds, xs)
+    assert_placed_exactly(thresholds, xs)
 
 
 # ---------------------------------------------------------------- canonical JSON
