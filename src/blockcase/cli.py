@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, eov_sim, policy_analysis
 from .cae_dsl import link_evidence, parse, serialize, to_dot, verify_links
 from .cae_model import CaeError, CaeTree, assumptions_of, check_well_formed, node_status
-from .determinism import sha256_hex
+from .determinism import MASK64, sha256_hex
 from .linefmt import ParseFailure
 from .risk_ledger import coverage_check, parse_registry
 
@@ -79,15 +79,6 @@ def _refuse_overwrite(out: str | None, source: str, role: str, output: str) -> N
         raise _Refused(PARSE_ERROR, f"--out {out} is the {role} {source}; write the {output} elsewhere")
 
 
-def _scenario_reader(**changes):
-    """A reader of scenario documents that applies ``changes`` and checks the result again."""
-    def read(text: str):
-        config = replace(eov_sim.parse_scenario(text), **changes)
-        eov_sim.validate_config(config)
-        return config
-    return read
-
-
 def cmd_cae_check(args) -> int:
     tree = _load(args.file, parse)
     violations = check_well_formed(tree)
@@ -142,7 +133,12 @@ def cmd_risk_coverage(args) -> int:
 
 def cmd_sim_run(args) -> int:
     _refuse_overwrite(args.out, args.scenario, "scenario", "report")
-    config = _load(args.scenario, eov_sim.parse_scenario if args.seed is None else _scenario_reader(seed=args.seed))
+    config = _load(args.scenario, eov_sim.parse_scenario)
+    if args.seed is not None:
+        try:
+            config = replace(config, seed=args.seed)
+        except eov_sim.ConfigInvalid as exc:  # only the seed changed, so only its check can fail
+            raise _Refused(PARSE_ERROR, f"--seed: {exc}") from None
     report = eov_sim.run_scenario(config)
     payload = report.to_json_bytes()
     if args.out:
@@ -209,13 +205,13 @@ def cmd_policy_campaign(args) -> int:
         _refuse_overwrite(args.out, args.scenario, "scenario", "report")
     policy = _load(args.policy, policy_analysis.parse_policy)
     if args.scenario:
-        base = _load(args.scenario, _scenario_reader(policy=policy))
+        base = _load(args.scenario, lambda text: replace(eov_sim.parse_scenario(text), policy=policy))
         if base.endorser_behaviors:  # the campaign's draws would replace them, and the report would not say so
             raise _Refused(PARSE_ERROR, f"--scenario: {args.scenario} sets endorser_behaviors for "
                                         f"{', '.join(sorted(base.endorser_behaviors))}; a campaign draws every "
                                         "endorser's behavior, so its base must leave them out")
-    else:
-        base = default_campaign_scenario(policy, seed=args.seed)
+    else:  # the campaign refuses an out-of-range --seed, after --runs and --prob; the base takes 0 for it
+        base = default_campaign_scenario(policy, seed=args.seed if 0 <= args.seed <= MASK64 else 0)
     if args.link:  # read and checked before the campaign runs, so a refused --link writes nothing
         cae_path, _, evidence_id = args.link.rpartition(":")
         if not cae_path or not evidence_id:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..determinism import canonical_json_bytes
-from ..policy import EndorsementPolicy, eval_policy
+from ..policy import Verdicts, verdicts_of
 from ..risk_ledger import FearedEvent
 from .scenario import (
     CENSORING,
@@ -34,7 +34,6 @@ from .scenario import (
     ScenarioConfig,
     TxProposal,
     scenario_digest,
-    validate_config,
 )
 from .state import AppFailure, KvStore, ReadWriteSet, claimed_effects, execute_chaincode
 
@@ -120,33 +119,12 @@ class Block:
     submissions: tuple[Submission, ...]
 
 
-def _satisfies(
-    policy: EndorsementPolicy, endorsements: Sequence[Endorsement], verdicts: dict[frozenset[str], bool] | None
-) -> bool:
-    """Whether the endorsing identities satisfy the policy.
-
-    ``verdicts`` memoizes ``eval_policy`` per endorsing set for the calls
-    that share it; None evaluates afresh.
-    """
-    signers = frozenset([e.endorser_id for e in endorsements])
-    if verdicts is None:
-        return eval_policy(policy, signers)
-    verdict = verdicts.get(signers)
-    if verdict is None:
-        verdict = verdicts[signers] = eval_policy(policy, signers)
-    return verdict
-
-
 def assemble_submission(
-    proposal: TxProposal,
-    endorsements: Sequence[Endorsement],
-    policy: EndorsementPolicy,
-    verdicts: dict[frozenset[str], bool] | None = None,
+    proposal: TxProposal, endorsements: Sequence[Endorsement], holds: Verdicts
 ) -> Submission | None:
     """Bundle the endorsements for the ordering service, or None when the
-    collected endorsing identities do not satisfy the policy (looked up in
-    ``verdicts`` when given)."""
-    if not _satisfies(policy, endorsements, verdicts):
+    collected endorsing identities do not satisfy the policy (``holds``)."""
+    if not holds(frozenset([e.endorser_id for e in endorsements])):
         return None
     return Submission(proposal, tuple(endorsements))
 
@@ -211,25 +189,24 @@ def validate_block(
     peer_state: KvStore,
     block: Block,
     msp_endorsers: frozenset[str],
-    policy: EndorsementPolicy,
+    holds: Verdicts,
     skip_v7: bool,
-    verdicts: dict[frozenset[str], bool] | None = None,
 ) -> tuple[list[tuple[bool, str | None]], KvStore]:
     """Validate and apply a block on a copy of the peer state.
 
     Per transaction, in order: the endorsing set satisfies the policy
-    (looked up in ``verdicts`` when given), the endorsers are legitimate
-    with valid signatures, all endorsements agree on the effects, and
-    (unless the peer is injected with ``skip_v7``) every read still sees
-    the version it was computed against. Valid transactions
-    apply their writes immediately, so later transactions in the same block
-    see them. Reporting stops at the first failed criterion.
+    (``holds``), the endorsers are legitimate with valid signatures, all
+    endorsements agree on the effects, and (unless the peer is injected
+    with ``skip_v7``) every read still sees the version it was computed
+    against. Valid transactions apply their writes immediately, so later
+    transactions in the same block see them. Reporting stops at the first
+    failed criterion.
     """
     state = peer_state.copy()
     flags: list[tuple[bool, str | None]] = []
     for index, submission in enumerate(block.submissions):
         endorsements = submission.endorsements
-        failed = _failed_criterion(state, endorsements, msp_endorsers, policy, skip_v7, verdicts)
+        failed = _failed_criterion(state, endorsements, msp_endorsers, holds, skip_v7)
         if failed is None:
             state.apply_writes(endorsements[0].rwset.writes, (block.block_no, index))
             flags.append((True, None))
@@ -242,12 +219,11 @@ def _failed_criterion(
     state: KvStore,
     endorsements: Sequence[Endorsement],
     msp_endorsers: frozenset[str],
-    policy: EndorsementPolicy,
+    holds: Verdicts,
     skip_v7: bool,
-    verdicts: dict[frozenset[str], bool] | None,
 ) -> str | None:
     """The first of V4–V7 that a transaction fails against ``state``, or None."""
-    if not _satisfies(policy, endorsements, verdicts):
+    if not holds(frozenset([e.endorser_id for e in endorsements])):
         return V4
     for e in endorsements:
         if e.endorser_id not in msp_endorsers or not e.signature_valid:
@@ -372,15 +348,13 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
     order. That equals calling ``endorse`` per endorser: between one
     proposal's endorsers the canonical state, the seen nonces and the MSP
     emitters do not change, and the outcome reads the endorser only to
-    carry its id. One memo of the policy's verdict per endorsing set serves
-    both the submission check and V4. The steps stop early once the
-    workload is exhausted, nothing is pending and no scheduled crash
-    remains: no later step could cut a block or lose liveness.
-
-    The config is taken as valid; ``simulate`` checks it. No peer runs here.
+    carry its id. One ``verdicts_of`` memo serves both the submission
+    check and V4. The steps stop early once the workload is exhausted,
+    nothing is pending and no scheduled crash remains: no later step could
+    cut a block or lose liveness. No peer runs here.
     """
     endorsers = [(e, config.endorser_behaviors.get(e, HONEST_BEHAVIOR)) for e in sorted(config.msp_endorsers)]
-    policy = config.policy
+    holds = verdicts_of(config.policy)
     msp_endorsers = config.msp_endorsers
     schedule = config.orderers.crash_schedule
 
@@ -398,7 +372,6 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
     committed: list[CommittedTx] = []
     blocks_log: list[Block] = []
     liveness_lost_at: int | None = None
-    verdicts: dict[frozenset[str], bool] = {}
 
     for step in range(config.horizon + 1):
         proposals = by_step.get(step, ())
@@ -422,7 +395,7 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
                 else:
                     refusals.append(outcome)
             seen_nonces.add((proposal.client_id, proposal.nonce))
-            submission = assemble_submission(proposal, endorsements, policy, verdicts)
+            submission = assemble_submission(proposal, endorsements, holds)
             if submission is not None:
                 pending.append(submission)
                 submitted.add(proposal.tx_id)
@@ -433,7 +406,7 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
 
         for block in cut:
             blocks_log.append(block)
-            flags, canonical_state = validate_block(canonical_state, block, msp_endorsers, policy, False, verdicts)
+            flags, canonical_state = validate_block(canonical_state, block, msp_endorsers, holds, False)
             for (valid, failed), submission in zip(flags, block.submissions):
                 committed.append(CommittedTx(block.block_no, submission.proposal.tx_id, valid, failed))
         if step >= last_event and not pending:
@@ -459,17 +432,16 @@ class SimResult:
 
 
 def simulate(config: ScenarioConfig) -> SimResult:
-    """Check the config, run the ordering/commit stage, then replay its blocks on every peer."""
-    validate_config(config)
+    """Run the ordering/commit stage, then replay its blocks on every peer."""
     run = run_pipeline(config)
 
     peer_states = [KvStore() for _ in range(config.peers)]
     digests: list[PeerDigest] = []
-    verdicts: dict[frozenset[str], bool] = {}
+    holds = verdicts_of(config.policy)
     for block in run.blocks:
         for peer in range(config.peers):
             _, updated = validate_block(
-                peer_states[peer], block, config.msp_endorsers, config.policy, peer in config.skip_v7_peers, verdicts
+                peer_states[peer], block, config.msp_endorsers, holds, peer in config.skip_v7_peers
             )
             # the digest is a function of the entries alone, so a peer whose
             # state equals its predecessor's shares that peer's digest

@@ -75,6 +75,9 @@ class OrdererConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A run's whole configuration, valid once built: every construction, ``replace``
+    and ``with_behaviors`` goes through ``validate_config``."""
+
     msp_emitters: frozenset[str]
     msp_endorsers: frozenset[str]
     endorser_behaviors: dict[str, EndorserBehavior]
@@ -85,6 +88,9 @@ class ScenarioConfig:
     workload: tuple[tuple[int, TxProposal], ...] = ()
     horizon: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        validate_config(self)
 
     def with_behaviors(self, behaviors: Mapping[str, EndorserBehavior]) -> "ScenarioConfig":
         return replace(self, endorser_behaviors=dict(behaviors))
@@ -262,9 +268,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ConfigInvalid("scenario nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("scenario document must be a JSON object")
-    config = scenario_from_dict(data)
-    validate_config(config)
-    return config
+    return scenario_from_dict(data)
 
 
 def standalone_scenario(

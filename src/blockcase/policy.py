@@ -8,9 +8,10 @@ text form is ``E1``, ``and(E1,E2)``, ``or(E1,and(E2,E3))``,
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .determinism import sha256_hex
 
@@ -107,6 +108,14 @@ def eval_policy(policy: EndorsementPolicy, signers: Iterable[str]) -> bool:
         return False
 
     return walk(policy)
+
+
+Verdicts = Callable[[frozenset[str]], bool]  # a policy's verdict on each signer set, as verdicts_of builds it
+
+
+def verdicts_of(policy: EndorsementPolicy) -> Verdicts:
+    """``eval_policy`` of ``policy`` as a function of the signer set, evaluated once per set."""
+    return functools.cache(functools.partial(eval_policy, policy))
 
 
 def serialize_policy(policy: EndorsementPolicy) -> str:

@@ -42,6 +42,7 @@ from .policy import (  # the whole algebra, which callers may also import from h
     parse_policy,
     policy_digest,
     serialize_policy,
+    verdicts_of,
 )
 
 MAX_IDENTITIES = 20
@@ -314,7 +315,6 @@ def monte_carlo_campaign(
     probs = _normalize_probabilities(fault_probabilities)
     if not 0 <= seed <= MASK64:
         raise BadProbabilityError("seed", "seed must be an unsigned 64-bit integer")
-    eov_sim.validate_config(base_config)
     config_digest = eov_sim.scenario_digest(base_config)
     endorsers = sorted(base_config.msp_endorsers)
     proposals = base_config.proposals()
@@ -324,7 +324,7 @@ def monte_carlo_campaign(
     bounds = uniform_bounds([silent, silent + probs[FRAUDULENT]])
     drawn = Counter(map(tuple, placed_rows(seed, range(n_runs), len(endorsers), bounds)))
 
-    holds = functools.cache(functools.partial(eval_policy, base_config.policy))  # one verdict per endorser set
+    holds = verdicts_of(base_config.policy)
     runs_of: Counter[tuple[bool, bool]] = Counter()  # keyed by (verdict on A, verdict on F)
     for places, runs in drawn.items():  # place 0 is silent, 1 fraudulent, 2 honest
         answering = frozenset(compress(endorsers, places))

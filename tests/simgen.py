@@ -51,7 +51,11 @@ def random_scenario(
     orderer_crashes=True,
     seed_funds=True,
 ):
-    """A small scenario with random topology, workload and fault injection."""
+    """A small scenario with random topology, workload and fault injection.
+
+    ``skip_v7`` names the peers injected with ``skip_v7``; those at or past the
+    drawn peer count are left out, since a config may name only its own peers.
+    """
     rng = CounterRng(seed, stream=77)
     n_endorsers = 3 + rng.randrange(3)
     endorsers = [f"E{i}" for i in range(1, n_endorsers + 1)]
@@ -90,7 +94,7 @@ def random_scenario(
         policy=policy,
         orderers=sim.OrdererConfig(n=n_orderers, batch_size=1 + rng.randrange(3), crash_schedule=crash_schedule),
         peers=peers,
-        skip_v7_peers=frozenset(skip_v7),
+        skip_v7_peers=frozenset(peer for peer in skip_v7 if peer < peers),
         workload=tuple(workload),
         horizon=horizon,
         seed=seed,

@@ -748,6 +748,15 @@ def test_a_campaign_seed_out_of_range_is_a_parse_error(capsys, monkeypatch, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_a_sim_run_seed_out_of_range_names_the_flag(capsys, monkeypatch, tmp_path, seed):
+    monkeypatch.setattr(sim, "run_scenario", _no_simulation)
+    out = tmp_path / "out.json"
+    argv = ["sim", "run", str(one_tx_scenario(tmp_path / "scenario.json")), "--seed", seed, "--out", str(out)]
+    assert run(capsys, *argv) == (PARSE_ERROR, "", "--seed: seed must be an unsigned 64-bit integer\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -2,7 +2,8 @@
 
 ``ordering_step`` skips the crash scan when the schedule is empty and builds
 its clusters with the constructor, ``validate_block`` checks V5–V7 with
-plain loops, and ``_satisfies`` builds its signer set from a list. The
+plain loops, and the policy's verdicts come from ``verdicts_of``, one
+memo per signer set, where the references fill a dict of their own. The
 reference copies below are the versions they replaced, kept here
 unchanged, with the ``run_pipeline`` that called them. On every input each
 function must give what its reference gives: the same blocks, clusters,
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from blockcase import eov_sim as sim
 from blockcase.eov_sim.engine import V4, V5, V6, V7, _answering_mode
-from blockcase.policy import eval_policy
+from blockcase.policy import eval_policy, verdicts_of
 from blockcase.policy_analysis import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST, all_of, any_of
 from simgen import random_scenario
 from test_policy_analysis import nested_policies
@@ -177,14 +178,19 @@ def assert_blocks_validate_alike(config, blocks):
     for peer in range(config.peers):
         skip_v7 = peer in config.skip_v7_peers
         state = reference_state = sim.KvStore()
-        verdicts, reference_verdicts = {}, {}
+        holds, asked, reference_verdicts = verdicts_of(config.policy), {}, {}
+
+        def recorded(signers):
+            asked[signers] = holds(signers)
+            return asked[signers]
+
         for block in blocks:
-            flags, state = sim.validate_block(state, block, config.msp_endorsers, config.policy, skip_v7, verdicts)
+            flags, state = sim.validate_block(state, block, config.msp_endorsers, recorded, skip_v7)
             expected, reference_state = reference_validate_block(
                 reference_state, block, config.msp_endorsers, config.policy, skip_v7, reference_verdicts
             )
             assert (flags, state) == (expected, reference_state)
-        assert verdicts == reference_verdicts
+        assert asked == reference_verdicts
 
 
 @settings(deadline=None)
@@ -285,7 +291,7 @@ def test_a_block_failing_one_criterion_validates_as_the_reference(case, skip_v7)
     block = sim.Block(2, (submission("t0", [valid], 1), submission("t1", endorsements, 2),
                           submission("t2", [valid], 3)))
     start = sim.KvStore({"k": (1, (1, 0))})
-    flags, state = sim.validate_block(start, block, frozenset(E3), policy, skip_v7)
+    flags, state = sim.validate_block(start, block, frozenset(E3), verdicts_of(policy), skip_v7)
     assert (flags, state) == reference_validate_block(start, block, frozenset(E3), policy, skip_v7)
     expected = None if criterion == V7 and skip_v7 else criterion  # a skip_v7 peer lets a stale read commit
     assert flags[1] == (expected is None, expected)

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcase import eov_sim as sim
-from blockcase.policy_analysis import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST, all_of, any_of
+from blockcase.policy_analysis import (
+    CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST, all_of, any_of, eval_policy, verdicts_of,
+)
 from blockcase.risk_ledger import FearedEvent
 from simgen import random_scenario, replay_committed
 from test_policy_analysis import nested_policies
@@ -132,17 +135,19 @@ class TestEndorse:
 
 
 class TestAssembleSubmission:
+    NOOP = proposal("t", sim.ChaincodeOp.noop())
+
     def test_any_policy_accepts_a_single_endorsement(self):
         endorsement = sim.Endorsement("E2", sim.EMPTY_RWSET)
-        submission = sim.assemble_submission(proposal("t", sim.ChaincodeOp.noop()), [endorsement], any_of(E3))
+        submission = sim.assemble_submission(self.NOOP, [endorsement], verdicts_of(any_of(E3)))
         assert submission is not None and submission.endorsements == (endorsement,)
 
     def test_all_policy_needs_every_endorser(self):
         endorsements = [sim.Endorsement("E1", sim.EMPTY_RWSET), sim.Endorsement("E3", sim.EMPTY_RWSET)]
-        assert sim.assemble_submission(proposal("t", sim.ChaincodeOp.noop()), endorsements, all_of(E3)) is None
+        assert sim.assemble_submission(self.NOOP, endorsements, verdicts_of(all_of(E3))) is None
 
     def test_empty_endorsements_never_satisfy(self):
-        assert sim.assemble_submission(proposal("t", sim.ChaincodeOp.noop()), [], any_of(E3)) is None
+        assert sim.assemble_submission(self.NOOP, [], verdicts_of(any_of(E3))) is None
 
 
 class TestOrderingStep:
@@ -209,7 +214,7 @@ def endorsed_submission(tx_id, reads, writes, endorsers=("E1",), nonce=None, rws
 class TestValidateBlock:
     def validate(self, block, *, state=None, policy=None, skip=False, endorsers=E3):
         return sim.validate_block(
-            state or sim.KvStore(), block, frozenset(endorsers), policy or any_of(E3), skip
+            state or sim.KvStore(), block, frozenset(endorsers), verdicts_of(policy or any_of(E3)), skip
         )
 
     def test_same_key_conflict_invalidates_the_second_tx(self):
@@ -388,12 +393,11 @@ class TestRunScenario:
 def own_digests(config, result):
     """Each peer's state digest after each block, from that peer's own validation chain."""
     digests = {}
+    holds = verdicts_of(config.policy)
     for peer in range(config.peers):
         state = sim.KvStore()
         for block in result.run.blocks:
-            _, state = sim.validate_block(
-                state, block, config.msp_endorsers, config.policy, peer in config.skip_v7_peers
-            )
+            _, state = sim.validate_block(state, block, config.msp_endorsers, holds, peer in config.skip_v7_peers)
             digests[peer, block.block_no] = state.digest()
     return digests
 
@@ -473,6 +477,7 @@ def per_endorser_pipeline(config):
     0..horizon.
     """
     endorser_order = sorted(config.msp_endorsers)
+    fresh = partial(eval_policy, config.policy)  # no memo: every call evaluates the policy
     by_step = {}
     for step, tx in config.workload:
         by_step.setdefault(step, []).append(tx)
@@ -493,7 +498,7 @@ def per_endorser_pipeline(config):
                 elif outcome is not None:
                     refusals.append(outcome)
             seen_nonces.add((tx.client_id, tx.nonce))
-            submission = sim.assemble_submission(tx, endorsements, config.policy)
+            submission = sim.assemble_submission(tx, endorsements, fresh)
             if submission is not None:
                 pending.append(submission)
                 submitted.add(tx.tx_id)
@@ -502,9 +507,7 @@ def per_endorser_pipeline(config):
             liveness_lost_at = step
         for block in cut:
             blocks_log.append(block)
-            flags, canonical_state = sim.validate_block(
-                canonical_state, block, config.msp_endorsers, config.policy, False
-            )
+            flags, canonical_state = sim.validate_block(canonical_state, block, config.msp_endorsers, fresh, False)
             for (valid, failed), submission in zip(flags, block.submissions):
                 committed.append(sim.CommittedTx(block.block_no, submission.proposal.tx_id, valid, failed))
     return sim.PipelineRun(tuple(committed), tuple(refusals), tuple(blocks_log), canonical_state,
@@ -650,21 +653,28 @@ class TestScenarioDocuments:
         assert data.endswith(b"\n")
 
     def test_config_validation(self):
-        config = basic_config([(0, proposal("t", sim.ChaincodeOp.noop(), nonce=1))])
-        for broken in (
-            replace(config, peers=0),
-            replace(config, horizon=-1),
-            replace(config, orderers=sim.OrdererConfig(n=0)),
-            replace(config, skip_v7_peers=frozenset({5})),
-            replace(config, endorser_behaviors={"EX": sim.HONEST_BEHAVIOR}),
-            replace(config, workload=((9, proposal("t", sim.ChaincodeOp.noop(), nonce=1)),)),
-            replace(config, orderers=sim.OrdererConfig(n=3, batch_size=0)),
-            replace(config, orderers=sim.OrdererConfig(n=3, crash_schedule=((1, 3),))),
-            replace(config, orderers=sim.OrdererConfig(n=3, crash_schedule=((-1, 0),))),
-            replace(config, seed=-1),
+        tx = proposal("t", sim.ChaincodeOp.noop(), nonce=1)
+        config = basic_config([(0, tx)])
+        for changes, message in (
+            ({"peers": 0}, "peer count must lie in 1..1000"),
+            ({"horizon": -1}, "horizon must lie in 0..1000000"),
+            ({"orderers": sim.OrdererConfig(n=0)}, "orderer count must lie in 1..1000"),
+            ({"skip_v7_peers": frozenset({5})}, "skip_v7 peer 5 is out of range"),
+            ({"endorser_behaviors": {"EX": sim.HONEST_BEHAVIOR}},
+             "behaviors name endorsers outside the MSP set: ['EX']"),
+            ({"workload": ((9, tx),)}, "workload step 9 is outside 0..horizon"),
+            ({"orderers": sim.OrdererConfig(n=3, batch_size=0)}, "batch size must be at least 1"),
+            ({"orderers": sim.OrdererConfig(n=3, crash_schedule=((1, 3),))},
+             "crash schedule entry (1, 3) is out of range"),
+            ({"orderers": sim.OrdererConfig(n=3, crash_schedule=((-1, 0),))},
+             "crash schedule entry (-1, 0) is out of range"),
+            ({"seed": -1}, "seed must be an unsigned 64-bit integer"),
         ):
-            with pytest.raises(sim.ConfigInvalid):
-                sim.validate_config(broken)
+            with pytest.raises(sim.ConfigInvalid) as caught:
+                replace(config, **changes)  # building the broken config raises
+            assert str(caught.value) == message
+        with pytest.raises(sim.ConfigInvalid, match=r"^behaviors name endorsers outside the MSP set: \['EX'\]$"):
+            config.with_behaviors({"EX": sim.HONEST_BEHAVIOR})
 
     @pytest.mark.parametrize(
         ("mode", "window", "message"),
@@ -680,14 +690,13 @@ class TestScenarioDocuments:
         assert str(caught.value) == message
 
     def test_duplicate_tx_ids_rejected(self):
-        config = basic_config(
-            [
-                (0, proposal("t", sim.ChaincodeOp.noop(), nonce=1)),
-                (1, proposal("t", sim.ChaincodeOp.noop(), nonce=2)),
-            ]
-        )
-        with pytest.raises(sim.ConfigInvalid):
-            sim.validate_config(config)
+        with pytest.raises(sim.ConfigInvalid, match="^duplicate tx_id 't'$"):
+            basic_config(
+                [
+                    (0, proposal("t", sim.ChaincodeOp.noop(), nonce=1)),
+                    (1, proposal("t", sim.ChaincodeOp.noop(), nonce=2)),
+                ]
+            )
 
     def test_malformed_json_rejected(self):
         with pytest.raises(sim.ConfigInvalid):

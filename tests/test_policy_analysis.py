@@ -35,6 +35,7 @@ from blockcase.policy_analysis import (
     parse_policy,
     policy_digest,
     serialize_policy,
+    verdicts_of,
 )
 
 E3 = ["E1", "E2", "E3"]
@@ -264,6 +265,9 @@ def test_nested_policies_match_brute_force(policy):
     assert minimal_sets(policy, blocking=True) == [tuple(sorted(s)) for s in brute_min_blocking(policy)]
     assert fraud_tolerance(policy) == brute_fraud_tolerance(policy)
     assert censorship_tolerance(policy) == brute_censorship_tolerance(policy)
+    # the memo answers as eval_policy does, on a first lookup and on a repeated one
+    subsets, holds = all_subsets(sorted(identities(policy))), verdicts_of(policy)
+    assert [holds(s) for s in subsets + subsets] == [eval_policy(policy, s) for s in subsets] * 2
 
 
 @pytest.mark.parametrize("k", [1, 3, 18, 20])
