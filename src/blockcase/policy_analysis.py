@@ -5,12 +5,12 @@ fast with truth tables held as integer bitsets) to find minimal satisfying sets,
 minimal blocking sets and the fraud/censorship tolerance of a policy. The
 Monte Carlo campaign samples endorser fault assignments and reports
 feared-event success rates with normal-approximation confidence intervals.
-A run's outcome is fixed by two policy verdicts, on its answering endorsers
-and on its fraudulent ones, so the campaign groups its runs by that pair
-and runs one fixed assignment per group (every endorser crashed, honest or
-fraudulent) through the simulator's ordering/commit stage: at most three
-simulations per campaign. Peer replay is skipped, because neither outcome
-bit reads a peer state. Equal inputs always produce byte-equal reports.
+A run whose answering endorsers fail the policy submits nothing, so its
+outcome is stated; any other run's is fixed by the policy's verdict on its
+fraudulent endorsers, and one assignment per verdict (every endorser honest
+or fraudulent) runs through the simulator's ordering/commit stage: at most
+two simulations per campaign. Peer replay is skipped, because neither
+outcome bit reads a peer state. Equal inputs give byte-equal reports.
 """
 
 from __future__ import annotations
@@ -277,9 +277,10 @@ def monte_carlo_campaign(
     fraudulent and 2 for honest.
 
     Each run has two endorser sets: A, the answering ones (honest or
-    fraudulent), and F, the fraudulent ones. The runs are grouped by the
-    policy's verdicts on A and on F, and each group is simulated once,
-    its outcome counted for every run of the group. That equals
+    fraudulent), and F, the fraudulent ones. A run whose A fails the policy
+    is silenced: it counts no fraud, and censorship exactly when the base
+    has a ground-truth-valid proposal. The other runs are grouped by the
+    verdict on F, each group simulated once for all its runs. That equals
     simulating every run as drawn:
     - a silent endorser adds no ``Endorsement``: a crashed one and a DoS
       over the whole horizon (``dosed(0, horizon)``, within which
@@ -300,14 +301,13 @@ def monte_carlo_campaign(
     - at validation V4 repeats that verdict, V5 always passes, V6 finds the
       read/write sets equal, and only then is endorser order read, by
       taking ``endorsements[0]``'s writes.
-    So ``committed`` and ``submitted_tx_ids`` are equal across a group, and
-    there are at most three groups: A fails, A holds and F fails, both hold.
-    Each distinct place tuple is grouped once, for all the runs that drew it.
-    A group is simulated with every endorser in one mode: crashed when A
-    fails, honest when only A holds, fraudulent when F holds too. Each such
-    assignment lies in its group, since F is a subset of A, the policy names
-    only MSP endorsers (so all of them satisfy it) and the empty set
-    satisfies no policy.
+    So a silenced run submits nothing, ``committed`` and ``submitted_tx_ids``
+    are equal across a group, and there are at most two groups: F fails, F
+    holds. Each distinct place tuple is classed once, for all the runs that
+    drew it; F, a subset of A, is asked about only when A holds. A group is
+    simulated with every endorser honest when F fails, fraudulent when F
+    holds, each in its group: the policy names only MSP endorsers, so all
+    of them satisfy it, and the empty set satisfies none.
     Deterministic in (base_config, fault_probabilities, n_runs, seed).
     """
     if n_runs < 1:
@@ -325,16 +325,15 @@ def monte_carlo_campaign(
     drawn = Counter(map(tuple, placed_rows(seed, range(n_runs), len(endorsers), bounds)))
 
     holds = verdicts_of(base_config.policy)
-    runs_of: Counter[tuple[bool, bool]] = Counter()  # keyed by (verdict on A, verdict on F)
+    runs_in: Counter[str] = Counter()  # keyed by the mode a class is simulated in; silenced runs are in none
     for places, runs in drawn.items():  # place 0 is silent, 1 fraudulent, 2 honest
-        answering = frozenset(compress(endorsers, places))
-        fraudulent = frozenset(compress(endorsers, map((1).__eq__, places)))
-        runs_of[holds(answering), holds(fraudulent)] += runs
+        if holds(frozenset(compress(endorsers, places))):  # else the run is silenced
+            fraudulent = frozenset(compress(endorsers, map((1).__eq__, places)))
+            runs_in[FRAUDULENT if holds(fraudulent) else HONEST] += runs
 
     fraud_hits = 0
-    censorship_hits = 0
-    for (answering_holds, fraudulent_holds), runs in runs_of.items():
-        mode = FRAUDULENT if fraudulent_holds else HONEST if answering_holds else CRASHED
+    censorship_hits = n_runs - runs_in.total() if valid_tx_ids else 0  # a silenced run submits nothing
+    for mode, runs in runs_in.items():
         behaviors = dict.fromkeys(endorsers, eov_sim.EndorserBehavior(mode))
         run = eov_sim.run_pipeline(base_config.with_behaviors(behaviors))
         if eov_sim.detect_feared_events(run.committed, (), proposals)[eov_sim.FearedEvent.INVALID_ACCEPTED] > 0:
