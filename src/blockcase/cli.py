@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, eov_sim, policy_analysis
 from .cae_dsl import link_evidence, parse, serialize, to_dot, verify_links
 from .cae_model import CaeError, CaeTree, assumptions_of, check_well_formed, node_status
-from .determinism import MASK64, sha256_hex
+from .determinism import sha256_hex
 from .linefmt import ParseFailure
 from .risk_ledger import coverage_check, parse_registry
 
@@ -134,11 +134,6 @@ def cmd_risk_coverage(args) -> int:
 def cmd_sim_run(args) -> int:
     _refuse_overwrite(args.out, args.scenario, "scenario", "report")
     config = _load(args.scenario, eov_sim.parse_scenario)
-    if args.seed is not None:
-        try:
-            config = replace(config, seed=args.seed)
-        except eov_sim.ConfigInvalid as exc:  # only the seed changed, so only its check can fail
-            raise _Refused(PARSE_ERROR, f"--seed: {exc}") from None
     report = eov_sim.run_scenario(config)
     payload = report.to_json_bytes()
     if args.out:
@@ -189,14 +184,14 @@ def _parse_prob_flags(pairs: list[str]) -> dict[str, float]:
 _CAMPAIGN_FLAGS = {"fault_probabilities": "--prob", "n_runs": "--runs", "seed": "--seed"}
 
 
-def default_campaign_scenario(policy, *, seed: int = 0) -> "eov_sim.ScenarioConfig":
+def default_campaign_scenario(policy) -> "eov_sim.ScenarioConfig":
     """A small standalone base: one valid write and one guard-violating transfer."""
     valid = eov_sim.TxProposal("demo-valid", "client-1", 1, eov_sim.ChaincodeOp.set("asset", 1))
     invalid = eov_sim.TxProposal(
         "demo-invalid", "client-1", 2, eov_sim.ChaincodeOp.transfer("unfunded", "sink", 5, valid=False)
     )
     orderers = eov_sim.OrdererConfig(n=3, batch_size=8)
-    return eov_sim.standalone_scenario(policy, (valid, invalid), orderers=orderers, horizon=2, seed=seed)
+    return eov_sim.standalone_scenario(policy, (valid, invalid), orderers=orderers, horizon=2)
 
 
 def cmd_policy_campaign(args) -> int:
@@ -210,8 +205,8 @@ def cmd_policy_campaign(args) -> int:
             raise _Refused(PARSE_ERROR, f"--scenario: {args.scenario} sets endorser_behaviors for "
                                         f"{', '.join(sorted(base.endorser_behaviors))}; a campaign draws every "
                                         "endorser's behavior, so its base must leave them out")
-    else:  # the campaign refuses an out-of-range --seed, after --runs and --prob; the base takes 0 for it
-        base = default_campaign_scenario(policy, seed=args.seed if 0 <= args.seed <= MASK64 else 0)
+    else:
+        base = default_campaign_scenario(policy)
     if args.link:  # read and checked before the campaign runs, so a refused --link writes nothing
         cae_path, _, evidence_id = args.link.rpartition(":")
         if not cae_path or not evidence_id:
@@ -267,7 +262,6 @@ _COMMANDS = {
     ("risk", "coverage"): ("tie every risk to evidence or acceptance", [("registry", {}), ("cae", {})]),
     ("sim", "run"): ("run one scenario and write its report", [
         ("scenario", {}),
-        ("--seed", {"type": int, "default": None, "help": "override the scenario seed"}),
         ("--out", {"default": None, "help": "report path (stdout when omitted)"})]),
     ("policy", "tolerance"): ("exact fraud/censorship tolerances", [("policy", {})]),
     ("policy", "campaign"): ("sampled fault campaign with an evidence report", [

@@ -16,8 +16,9 @@ reports.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from ..determinism import canonical_json_bytes
@@ -256,12 +257,13 @@ class PeerDigest:
 
 @dataclass(frozen=True)
 class RunReport:
+    """One run's outcome. The run draws nothing at random, so ``config_digest`` fixes every field."""
+
     committed: tuple[CommittedTx, ...]
     endorsement_refusals: tuple[RefusalRecord, ...]
     feared_event_counts: dict[FearedEvent, int]
     per_peer_state_digest: tuple[PeerDigest, ...]
     liveness_lost_at: int | None
-    seed: int
     config_digest: str
 
     def to_dict(self) -> dict:
@@ -273,7 +275,6 @@ class RunReport:
             "feared_event_counts": {event.value: count for event, count in self.feared_event_counts.items()},
             "per_peer_state_digest": [[d.peer, d.block_height, d.digest] for d in self.per_peer_state_digest],
             "liveness_lost_at": self.liveness_lost_at,
-            "seed": self.seed,
             "config_digest": self.config_digest,
         }
 
@@ -296,7 +297,8 @@ def detect_feared_events(
     an accepted invalid; a ground-truth-valid proposal that never committed
     as valid counts as a rejected valid, wherever it died; and each pair of
     peers disagreeing on the state digest at an equal height counts once per
-    (height, pair).
+    (height, pair): the pairs of records at one height, less those that also
+    share a digest.
     """
     ground_truth = {p.tx_id: p.op.ground_truth_valid for p in proposals}
     committed_valid = {entry.tx_id for entry in committed if entry.valid}
@@ -308,16 +310,9 @@ def detect_feared_events(
         1 for p in proposals if p.op.ground_truth_valid and p.tx_id not in committed_valid
     )
 
-    by_height: dict[int, list[tuple[int, str]]] = {}
-    for record in per_peer_digests:
-        by_height.setdefault(record.block_height, []).append((record.peer, record.digest))
-    inconsistent = 0
-    for height in sorted(by_height):
-        peers = sorted(by_height[height])
-        for i in range(len(peers)):
-            for j in range(i + 1, len(peers)):
-                if peers[i][1] != peers[j][1]:
-                    inconsistent += 1
+    at_height = Counter(record.block_height for record in per_peer_digests)
+    with_digest = Counter((record.block_height, record.digest) for record in per_peer_digests)
+    inconsistent = sum(comb(n, 2) for n in at_height.values()) - sum(comb(n, 2) for n in with_digest.values())
 
     return {
         FearedEvent.INVALID_ACCEPTED: invalid_accepted,
@@ -432,7 +427,7 @@ class SimResult:
 
 
 def simulate(config: ScenarioConfig) -> SimResult:
-    """Run the ordering/commit stage, then replay its blocks on every peer."""
+    """Run the ordering/commit stage, then replay its blocks on every peer; no step of it is random."""
     run = run_pipeline(config)
 
     peer_states = [KvStore() for _ in range(config.peers)]
@@ -456,7 +451,6 @@ def simulate(config: ScenarioConfig) -> SimResult:
         feared_event_counts=detect_feared_events(run.committed, digests, config.proposals()),
         per_peer_state_digest=tuple(digests),
         liveness_lost_at=run.liveness_lost_at,
-        seed=config.seed,
         config_digest=scenario_digest(config),
     )
     return SimResult(report=report, run=run, peer_states=tuple(peer_states))

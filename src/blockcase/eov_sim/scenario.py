@@ -5,7 +5,8 @@ it and ``scenario_from_dict`` reads it, checking every field's JSON type, so
 no other code reads or writes scenario JSON. A scenario file is a JSON
 document with sorted keys; its canonical bytes feed the config digest echoed
 in every run report, so a report can always be traced back to the exact
-configuration that produced it.
+configuration that produced it. A run is deterministic, so a scenario holds no
+seed; an older document's ``seed`` key is ignored like any other unknown key.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from ..determinism import MASK64, canonical_json_bytes, sha256_hex
+from ..determinism import canonical_json_bytes, sha256_hex
 from ..policy import EndorsementPolicy, identities, parse_policy, serialize_policy
 from .state import NOOP, SET, TRANSFER, ChaincodeOp
 
@@ -76,7 +77,8 @@ class OrdererConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A run's whole configuration, valid once built: every construction, ``replace``
-    and ``with_behaviors`` goes through ``validate_config``."""
+    and ``with_behaviors`` goes through ``validate_config``. It fixes the run
+    completely, so it takes no seed."""
 
     msp_emitters: frozenset[str]
     msp_endorsers: frozenset[str]
@@ -87,7 +89,6 @@ class ScenarioConfig:
     skip_v7_peers: frozenset[int] = frozenset()
     workload: tuple[tuple[int, TxProposal], ...] = ()
     horizon: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         validate_config(self)
@@ -101,8 +102,6 @@ class ScenarioConfig:
 
 def validate_config(config: ScenarioConfig) -> None:
     """Raise ``ConfigInvalid`` on the first structural violation."""
-    if not 0 <= config.seed <= MASK64:
-        raise ConfigInvalid("seed must be an unsigned 64-bit integer")
     if not 1 <= config.peers <= MAX_PEERS:
         raise ConfigInvalid(f"peer count must lie in 1..{MAX_PEERS}")
     if not 1 <= config.orderers.n <= MAX_ORDERERS:
@@ -157,7 +156,6 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
             for step, p in config.workload
         ],
         "horizon": config.horizon,
-        "seed": config.seed,
     }
 
 
@@ -187,7 +185,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             skip_v7_peers=frozenset(_items(peers, "skip_v7", peers_at, int, [])),
             workload=tuple(_read_step(*_field(workload, i, workload_at, list, size=2)) for i in range(len(workload))),
             horizon=_get(data, "horizon", "", int),
-            seed=_get(data, "seed", "", int, 0),
         )
     except ConfigInvalid:
         raise
@@ -264,6 +261,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"scenario is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer longer than Python's limit on int conversion
+        raise ConfigInvalid(f"scenario cannot be read: {exc}") from exc
     except RecursionError as exc:
         raise ConfigInvalid("scenario nests too deeply to read") from exc
     if not isinstance(data, dict):
@@ -278,7 +277,6 @@ def standalone_scenario(
     *,
     orderers: OrdererConfig = OrdererConfig(n=1, batch_size=4),
     horizon: int = 1,
-    seed: int = 0,
 ) -> ScenarioConfig:
     """A scenario around a policy: its identities endorse, one peer validates, every proposal comes at step 0."""
     return ScenarioConfig(
@@ -290,13 +288,10 @@ def standalone_scenario(
         peers=1,
         workload=tuple((0, p) for p in proposals),
         horizon=horizon,
-        seed=seed,
     )
 
 
-def fraud_probe_scenario(
-    policy: EndorsementPolicy, labeling: Mapping[str, str], *, seed: int = 0
-) -> ScenarioConfig:
+def fraud_probe_scenario(policy: EndorsementPolicy, labeling: Mapping[str, str]) -> ScenarioConfig:
     """Single invalid transaction under the given fault labeling.
 
     The transaction overdraws an unfunded account, so honest endorsers refuse
@@ -308,12 +303,10 @@ def fraud_probe_scenario(
     proposal = TxProposal(
         "probe-invalid", "probe-client", 1, ChaincodeOp.transfer("unfunded", "sink", 5, valid=False)
     )
-    return standalone_scenario(policy, (proposal,), behaviors, seed=seed)
+    return standalone_scenario(policy, (proposal,), behaviors)
 
 
-def censorship_probe_scenario(
-    policy: EndorsementPolicy, labeling: Mapping[str, str], *, seed: int = 0
-) -> ScenarioConfig:
+def censorship_probe_scenario(policy: EndorsementPolicy, labeling: Mapping[str, str]) -> ScenarioConfig:
     """Single valid transaction under the given fault labeling.
 
     Identities labeled fraudulent withhold their signature here (the worst
@@ -325,4 +318,4 @@ def censorship_probe_scenario(
             continue
         behaviors[endorser] = EndorserBehavior(CENSORING if mode == FRAUDULENT else mode)
     proposal = TxProposal("probe-valid", "probe-client", 1, ChaincodeOp.set("k", 1))
-    return standalone_scenario(policy, (proposal,), behaviors, seed=seed)
+    return standalone_scenario(policy, (proposal,), behaviors)

@@ -176,6 +176,10 @@ def parse_policy(text: str) -> EndorsementPolicy:
                 k_text = ident()
                 if not k_text.isdigit():
                     raise PolicyError(f"outof needs an integer threshold, got {k_text!r}")
+                try:
+                    k = int(k_text)
+                except ValueError:  # more digits than Python converts to an int
+                    raise PolicyError(f"outof threshold at offset {pos - len(k_text)} has too many digits") from None
                 expect(",")
             args = [expr(depth + 1)]
             skip_ws()
@@ -185,7 +189,7 @@ def parse_policy(text: str) -> EndorsementPolicy:
                 skip_ws()
             expect(")")
             if word == "outof":
-                return OutOf(int(k_text), tuple(args))
+                return OutOf(k, tuple(args))
             if word in ("all", "any") and len(args) == 1:
                 return args[0]  # sugar forms collapse a singleton
             if word in ("and", "all"):

@@ -97,7 +97,6 @@ def random_scenario(
         skip_v7_peers=frozenset(peer for peer in skip_v7 if peer < peers),
         workload=tuple(workload),
         horizon=horizon,
-        seed=seed,
     )
 
 

@@ -180,7 +180,6 @@ def test_criterion_05_consistency():
             (0, sim.TxProposal("t2", "c1", 2, sim.ChaincodeOp.set("k", 2))),
         ),
         horizon=2,
-        seed=0,
     )
     injected = sim.run_scenario(conflicting).feared_event_counts[FearedEvent.INCONSISTENT_READ]
     criterion(
@@ -221,7 +220,6 @@ def test_criterion_07_cft_ordering():
             peers=2,
             workload=workload([0, 1, 5, 7]),
             horizon=12,
-            seed=0,
         )
 
     two = sim.run_scenario(config(((2, 0), (4, 1))))

@@ -82,7 +82,7 @@ class TestCampaign:
                 monte_carlo_campaign(fraud_base(), probs, 10, seed=0)
         with pytest.raises(BadProbabilityError):
             monte_carlo_campaign(fraud_base(), {}, 0, seed=0)
-        for seed in (-1, 1 << 64):  # the base config's own seed is valid
+        for seed in (-1, 1 << 64):
             with pytest.raises(BadProbabilityError, match="seed must be an unsigned 64-bit integer"):
                 monte_carlo_campaign(fraud_base(), {}, 10, seed=seed)
 

@@ -43,7 +43,7 @@ def workdir(tmp_path):
         (["cae", "render"], ["file", "--out"]),
         (["cae", "status"], ["file"]),
         (["risk", "coverage"], ["registry", "cae"]),
-        (["sim", "run"], ["scenario", "--seed", "--out"]),
+        (["sim", "run"], ["scenario", "--out"]),
         (["policy", "tolerance"], ["policy"]),
         (["policy", "campaign"], ["policy", "--runs", "--seed", "--scenario", "--prob", "--out", "--link"]),
     ],
@@ -83,14 +83,14 @@ def test_each_level_lists_its_choices_in_help_and_usage_errors(capsys, argv, cho
 COMMANDS = [["cae", "check"], ["cae", "render"], ["cae", "status"], ["risk", "coverage"], ["sim", "run"],
             ["policy", "tolerance"], ["policy", "campaign"]]
 # command lines that argparse answers itself: each command's help, each command with a required argument
-# missing, and a --runs or --seed that is no integer
+# missing, an --out with no value, and a --runs or --seed that is no integer
 PARSER_EXITS = [
     *([*command, "--help"] for command in COMMANDS),
     *COMMANDS,
     ["cae", "render", "tree.cae"],
     ["risk", "coverage", "registry.risk"],
     ["policy", "campaign", "policy.txt"],
-    ["sim", "run", "scenario.json", "--seed", "x"],
+    ["sim", "run", "scenario.json", "--out"],
     ["policy", "campaign", "policy.txt", "--out", "r.json", "--runs", "x"],
     ["policy", "campaign", "policy.txt", "--out", "r.json", "--seed", "1.5"],
 ]
@@ -251,13 +251,18 @@ class TestSimRun:
         run(capsys, "sim", "run", str(path), "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_seed_override_changes_the_config_digest(self, capsys, tmp_path):
-        config = basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))])
-        path = self.scenario_file(tmp_path, config)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "sim", "run", str(path), "--out", str(a))
-        run(capsys, "sim", "run", str(path), "--seed", "99", "--out", str(b))
-        assert a.read_bytes() != b.read_bytes()
+    def test_a_documents_seed_key_is_ignored(self, capsys, tmp_path):
+        doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
+        assert "seed" not in doc
+        reports = []
+        for name, seed in (("none", None), ("seven", 7), ("negative", -1), ("text", "x")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc if seed is None else {**doc, "seed": seed}))
+            out = tmp_path / f"{name}-report.json"
+            assert run(capsys, "sim", "run", str(path), "--out", str(out))[0] == OK
+            reports.append(out.read_bytes())
+        assert b'"seed"' not in reports[0]
+        assert reports == [reports[0]] * 4
 
     def test_bad_scenario_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -601,6 +606,30 @@ def test_oversized_scenario_is_refused_before_any_simulation(capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["policy-tolerance", "policy-campaign", "sim-run", "campaign-scenario"])
+def test_an_integer_past_the_conversion_limit_is_a_parse_error_naming_its_file(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.setattr(sim, "run_pipeline", _no_simulation)
+    monkeypatch.setattr(sim, "run_scenario", _no_simulation)
+    digits = "1" * 5000  # past Python's default limit of 4,300 digits on converting text to an int
+    policy = tmp_path / "policy.txt"
+    policy.write_text(f"outof({digits},E1,E2)" if command.startswith("policy") else "any(E1,E2,E3)")
+    doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**doc, "horizon": "HORIZON"}).replace('"HORIZON"', digits))
+    out = tmp_path / "out.json"
+    argv, named = {
+        "policy-tolerance": (["policy", "tolerance", str(policy)], policy),
+        "policy-campaign": (["policy", "campaign", str(policy), "--runs", "20", "--out", str(out)], policy),
+        "sim-run": (["sim", "run", str(scenario), "--out", str(out)], scenario),
+        "campaign-scenario": (["policy", "campaign", str(policy), "--scenario", str(scenario), "--out", str(out)],
+                              scenario),
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (PARSE_ERROR, "")
+    assert err.startswith(f"{named}: ")
+    assert not out.exists()
+
+
 def test_scenario_at_the_size_bounds_is_accepted():
     doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
     doc.update(horizon=MAX_HORIZON)
@@ -742,18 +771,19 @@ def test_a_campaign_seed_out_of_range_is_a_parse_error(capsys, monkeypatch, tmp_
     policy.write_text("outof(2,E1,E2,E3)")
     out = tmp_path / "out.json"
     argv = ["policy", "campaign", str(policy), "--runs", "20", "--seed", seed, "--out", str(out)]
-    if with_scenario:  # the file's own seed is valid, so only the campaign's check sees the flag
+    if with_scenario:  # a campaign over a scenario file checks its seed alike
         argv += ["--scenario", str(one_tx_scenario(tmp_path / "scenario.json"))]
     assert run(capsys, *argv) == (PARSE_ERROR, "", "--seed: seed must be an unsigned 64-bit integer\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
-def test_a_sim_run_seed_out_of_range_names_the_flag(capsys, monkeypatch, tmp_path, seed):
+def test_sim_run_takes_no_seed_flag(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sim, "run_scenario", _no_simulation)
-    out = tmp_path / "out.json"
-    argv = ["sim", "run", str(one_tx_scenario(tmp_path / "scenario.json")), "--seed", seed, "--out", str(out)]
-    assert run(capsys, *argv) == (PARSE_ERROR, "", "--seed: seed must be an unsigned 64-bit integer\n")
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sim", "run", str(one_tx_scenario(tmp_path / "scenario.json")), "--seed", "7", "--out", str(out)])
+    assert exit_info.value.code == PARSE_ERROR
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ def proposal(tx_id, op, client="c1", nonce=None):
 
 
 def basic_config(workload, *, policy=None, behaviors=None, endorsers=E3, peers=1,
-                 skip=frozenset(), orderers=None, horizon=4, seed=0):
+                 skip=frozenset(), orderers=None, horizon=4):
     return sim.ScenarioConfig(
         msp_emitters=frozenset({"c1", "c2"}),
         msp_endorsers=frozenset(endorsers),
@@ -35,7 +35,6 @@ def basic_config(workload, *, policy=None, behaviors=None, endorsers=E3, peers=1
         skip_v7_peers=frozenset(skip),
         workload=tuple(workload),
         horizon=horizon,
-        seed=seed,
     )
 
 
@@ -353,6 +352,17 @@ class TestRunScenario:
             )
             assert recount == report.feared_event_counts
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(sim.PeerDigest, st.integers(0, 3), st.integers(0, 3), st.sampled_from("abc")),
+                    max_size=24))
+    def test_inconsistent_reads_by_digest_class_equal_the_pairwise_count(self, digests):
+        """Repeated peers and heights included: each pair of records at one height with different digests counts."""
+        pairwise = sum(
+            a.block_height == b.block_height and a.digest != b.digest
+            for i, a in enumerate(digests) for b in digests[i + 1:]
+        )
+        assert sim.detect_feared_events((), digests, ())[FearedEvent.INCONSISTENT_READ] == pairwise
+
     def test_skip_v7_peer_diverges_from_every_correct_peer(self):
         config = basic_config(
             [
@@ -668,7 +678,6 @@ class TestScenarioDocuments:
              "crash schedule entry (1, 3) is out of range"),
             ({"orderers": sim.OrdererConfig(n=3, crash_schedule=((-1, 0),))},
              "crash schedule entry (-1, 0) is out of range"),
-            ({"seed": -1}, "seed must be an unsigned 64-bit integer"),
         ):
             with pytest.raises(sim.ConfigInvalid) as caught:
                 replace(config, **changes)  # building the broken config raises

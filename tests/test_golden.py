@@ -25,14 +25,14 @@ from simgen import random_scenario
 from test_campaign import ALL_FAULTS, ORACLE_CASES, campaign_base
 
 RUN_REPORTS = {
-    0: "c7eb4891c1d4982543da64bf0174a34bb80c58c9c0881c7b45dd3a229e32c305",
-    1: "6e123bcd6b42a55e2893e76d9e6d735b227725c88aaaa0cfe3f1a38939acf21c",
-    2: "4bf722732d732af0d8ebac9107f939dd379ba59f8899f8bc5b783182a7531470",
+    0: "bb63687e4692bf605548a88ec6bbe33745ca661c0a2c81494ea509b539926340",
+    1: "fd60a32de31c92c011ce5f7241f2631b80c3de81ad42eb2e78bb8ad927654cbb",
+    2: "37a80f8f7f1e60d3aadd8d18eb6903f110c40cf244c3e08ac190c59272f30c46",
 }
 
 CAMPAIGN_REPORTS = {
-    ORACLE_CASES[0]: "919e5747872203f39933ee88002f2f8225a3c2edc2242d704575ea8e740d24ae",
-    ORACLE_CASES[1]: "af90bad976f10fe0bad2938a20d61026ae1e1528a1e2a198ae1b345807316f03",
+    ORACLE_CASES[0]: "90653e48dbfba2514b1821bf93d1425ccbdf7ea9a1f8e28d262a018007127543",
+    ORACLE_CASES[1]: "8748ee4b6fb064eda7751c62d1b500d0be9372b82458fe788bf07db06da52a5c",
 }
 
 
