@@ -70,42 +70,36 @@ def _answering_mode(behavior: EndorserBehavior, step: int) -> str | None:
 
 
 def endorse(
-    endorser_id: str,
-    behavior: EndorserBehavior,
+    mode: str,
     proposal: TxProposal,
     state: KvStore,
     seen_nonces: set[tuple[str, int]],
     msp_emitters: frozenset[str],
-    step: int,
-) -> Endorsement | RefusalRecord | None:
-    """One endorser's reaction to a proposal: it endorses, refuses or stays silent.
+) -> ReadWriteSet | tuple[str | None, str]:
+    """The answer every endorser answering a proposal in ``mode`` gives: the
+    read/write set it endorses, or the ``(criterion, reason)`` of its refusal.
 
     Honest endorsers check emitter legitimacy, replay freshness and a clean
-    chaincode execution, in that order, and return a ``RefusalRecord`` of
-    the first failure. Fraudulent endorsers skip the execution check and
-    endorse the claimed effects, but still refuse illegitimate emitters and
-    replays. Censoring endorsers refuse everything; crashed ones never
-    answer (``None``), and neither does an endorser inside its denial-of-
-    service window, which is honest outside it.
+    chaincode execution, in that order, and refuse on the first failure.
+    Fraudulent endorsers skip the execution check and endorse the claimed
+    effects, but still refuse illegitimate emitters and replays. Censoring
+    endorsers refuse everything, under no criterion. Crashed endorsers, and
+    DoS endorsers inside their window, never answer, so nothing asks them
+    (``_answering_mode``).
     """
-    mode = _answering_mode(behavior, step)
-    if mode is None:
-        return None
-    tx_id, client = proposal.tx_id, proposal.client_id
     if mode == CENSORING:
-        return RefusalRecord(tx_id, endorser_id, None, "censorship")
-
+        return None, "censorship"
+    client = proposal.client_id
     if client not in msp_emitters:
-        return RefusalRecord(tx_id, endorser_id, V1, f"emitter {client!r} is not registered with the MSP")
+        return V1, f"emitter {client!r} is not registered with the MSP"
     if (client, proposal.nonce) in seen_nonces:
-        return RefusalRecord(tx_id, endorser_id, V3, f"nonce {proposal.nonce} of {client!r} was already acknowledged")
+        return V3, f"nonce {proposal.nonce} of {client!r} was already acknowledged"
     if mode == FRAUDULENT:
-        return Endorsement(endorser_id, claimed_effects(state, proposal.op))
+        return claimed_effects(state, proposal.op)
     try:
-        rwset = execute_chaincode(state, proposal.op)
+        return execute_chaincode(state, proposal.op)
     except AppFailure as failure:
-        return RefusalRecord(tx_id, endorser_id, V2, f"chaincode execution failed: {failure}")
-    return Endorsement(endorser_id, rwset)
+        return V2, f"chaincode execution failed: {failure}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,13 +181,13 @@ def ordering_step(
 
 
 def validate_block(
-    peer_state: KvStore,
+    state: KvStore,
     block: Block,
     msp_endorsers: frozenset[str],
     holds: Verdicts,
     skip_v7: bool,
-) -> tuple[list[tuple[bool, str | None]], KvStore]:
-    """Validate and apply a block on a copy of the peer state.
+) -> list[tuple[bool, str | None]]:
+    """Validate a block and apply it to ``state`` itself; return the (valid, criterion) flags.
 
     Per transaction, in order: the endorsing set satisfies the policy
     (``holds``), the endorsers are legitimate with valid signatures, all
@@ -203,7 +197,6 @@ def validate_block(
     transactions in the same block see them. Reporting stops at the first
     failed criterion.
     """
-    state = peer_state.copy()
     flags: list[tuple[bool, str | None]] = []
     for index, submission in enumerate(block.submissions):
         endorsements = submission.endorsements
@@ -213,7 +206,7 @@ def validate_block(
             flags.append((True, None))
         else:
             flags.append((False, failed))
-    return flags, state
+    return flags
 
 
 def _failed_criterion(
@@ -336,21 +329,22 @@ class PipelineRun:
 def run_pipeline(config: ScenarioConfig) -> PipelineRun:
     """Endorse, order and commit steps 0..horizon against the canonical state.
 
-    Each proposal calls ``endorse`` once per answering mode (honest, which
-    includes a DoS endorser outside its window, fraudulent and censoring),
-    for the first endorser in sorted order that answers in it, and stamps
-    that outcome with every other such endorser's id, in sorted endorser
-    order. That equals calling ``endorse`` per endorser: between one
+    Each proposal asks ``endorse`` once per answering mode (honest, which
+    includes a DoS endorser outside its window, fraudulent and censoring)
+    and builds every answering endorser's ``Endorsement`` or
+    ``RefusalRecord`` from its mode's answer, in sorted endorser order. A
+    censoring answer is a refusal; crashed endorsers, and DoS endorsers
+    inside their window, never reach ``endorse``. That equals asking each
+    endorser, since ``endorse`` takes no endorser and between one
     proposal's endorsers the canonical state, the seen nonces and the MSP
-    emitters do not change, and the outcome reads the endorser only to
-    carry its id. One ``verdicts_of`` memo serves both the submission
+    emitters do not change. One ``verdicts_of`` memo serves both the submission
     check and V4. The steps stop early once the workload is exhausted,
     nothing is pending and no scheduled crash remains: no later step could
     cut a block or lose liveness. No peer runs here.
     """
     endorsers = [(e, config.endorser_behaviors.get(e, HONEST_BEHAVIOR)) for e in sorted(config.msp_endorsers)]
     holds = verdicts_of(config.policy)
-    msp_endorsers = config.msp_endorsers
+    msp_endorsers, msp_emitters = config.msp_endorsers, config.msp_emitters
     schedule = config.orderers.crash_schedule
 
     by_step: dict[int, list[TxProposal]] = {}
@@ -371,24 +365,17 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
     for step in range(config.horizon + 1):
         proposals = by_step.get(step, ())
         if proposals:  # who answers, and in which mode, holds for every proposal of the step
-            answering = [(e, b, mode) for e, b in endorsers if (mode := _answering_mode(b, step)) is not None]
+            answering = [(e, mode) for e, b in endorsers if (mode := _answering_mode(b, step)) is not None]
+            modes = dict.fromkeys(mode for _, mode in answering)
         for proposal in proposals:
+            answers = {mode: endorse(mode, proposal, canonical_state, seen_nonces, msp_emitters) for mode in modes}
             endorsements: list[Endorsement] = []
-            outcomes: dict[str, Endorsement | RefusalRecord] = {}  # answering mode -> its first outcome
-            for endorser_id, behavior, mode in answering:
-                outcome = outcomes.get(mode)
-                if outcome is None:
-                    outcome = outcomes[mode] = endorse(
-                        endorser_id, behavior, proposal, canonical_state, seen_nonces, config.msp_emitters, step
-                    )
-                elif isinstance(outcome, Endorsement):
-                    outcome = Endorsement(endorser_id, outcome.rwset, outcome.signature_valid)
+            for endorser_id, mode in answering:
+                answer = answers[mode]
+                if isinstance(answer, ReadWriteSet):
+                    endorsements.append(Endorsement(endorser_id, answer))
                 else:
-                    outcome = RefusalRecord(outcome.tx_id, endorser_id, outcome.failed_criterion, outcome.reason)
-                if isinstance(outcome, Endorsement):
-                    endorsements.append(outcome)
-                else:
-                    refusals.append(outcome)
+                    refusals.append(RefusalRecord(proposal.tx_id, endorser_id, *answer))
             seen_nonces.add((proposal.client_id, proposal.nonce))
             submission = assemble_submission(proposal, endorsements, holds)
             if submission is not None:
@@ -401,7 +388,7 @@ def run_pipeline(config: ScenarioConfig) -> PipelineRun:
 
         for block in cut:
             blocks_log.append(block)
-            flags, canonical_state = validate_block(canonical_state, block, msp_endorsers, holds, False)
+            flags = validate_block(canonical_state, block, msp_endorsers, holds, False)
             for (valid, failed), submission in zip(flags, block.submissions):
                 committed.append(CommittedTx(block.block_no, submission.proposal.tx_id, valid, failed))
         if step >= last_event and not pending:
@@ -434,15 +421,12 @@ def simulate(config: ScenarioConfig) -> SimResult:
     digests: list[PeerDigest] = []
     holds = verdicts_of(config.policy)
     for block in run.blocks:
-        for peer in range(config.peers):
-            _, updated = validate_block(
-                peer_states[peer], block, config.msp_endorsers, holds, peer in config.skip_v7_peers
-            )
+        for peer, state in enumerate(peer_states):
+            validate_block(state, block, config.msp_endorsers, holds, peer in config.skip_v7_peers)
             # the digest is a function of the entries alone, so a peer whose
             # state equals its predecessor's shares that peer's digest
-            if peer == 0 or updated != peer_states[peer - 1]:
-                state_digest = updated.digest()
-            peer_states[peer] = updated
+            if peer == 0 or state != peer_states[peer - 1]:
+                state_digest = state.digest()
             digests.append(PeerDigest(peer, block.block_no, state_digest))
 
     report = RunReport(

@@ -48,6 +48,8 @@ class EndorserBehavior:
         if self.mode == DOSED:
             if self.from_step is None or self.to_step is None or self.from_step > self.to_step:
                 raise ConfigInvalid("a denial-of-service window needs from_step <= to_step")
+            if self.from_step < 0:
+                raise ConfigInvalid("a denial-of-service window starts at step 0 or later")
         elif self.from_step is not None or self.to_step is not None:
             raise ConfigInvalid(f"behavior {self.mode!r} does not take a step window")
 

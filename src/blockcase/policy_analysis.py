@@ -284,8 +284,8 @@ def monte_carlo_campaign(
     simulating every run as drawn:
     - a silent endorser adds no ``Endorsement``: a crashed one and a DoS
       over the whole horizon (``dosed(0, horizon)``, within which
-      ``run_pipeline`` steps) return None, a censoring one a
-      ``RefusalRecord``, which neither bit reads;
+      ``run_pipeline`` steps) never reach ``endorse``, and a censoring
+      answer is a refusal, a ``RefusalRecord`` that neither bit reads;
     - for each proposal the endorsing set is A when execution succeeds, F
       when it fails (honest endorsers refuse with V2), and empty when the
       emitter is unregistered or the nonce replayed (V1, V3), since the

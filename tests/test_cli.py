@@ -512,6 +512,17 @@ def test_scenario_with_wrongly_typed_fields_is_a_parse_error(capsys, tmp_path, e
     assert err.startswith(f"{path}: ") and message in err
 
 
+def test_a_dos_window_that_starts_before_step_0_is_a_parse_error_naming_the_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sim, "run_scenario", _no_simulation)
+    doc = sim.scenario_to_dict(basic_config([(0, proposal("t1", sim.ChaincodeOp.set("a", 1), nonce=1))]))
+    doc["endorser_behaviors"] = {"E1": {"mode": "dosed", "from_step": -5, "to_step": -1}}
+    path, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "sim", "run", str(path), "--out", str(out))
+    assert (code, stdout, err) == (PARSE_ERROR, "", f"{path}: a denial-of-service window starts at step 0 or later\n")
+    assert not out.exists()
+
+
 def test_scenario_nested_too_deeply_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text('{"workload": ' + "[" * 100_000 + "]" * 100_000 + "}")

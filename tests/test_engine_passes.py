@@ -2,12 +2,16 @@
 
 ``ordering_step`` skips the crash scan when the schedule is empty and builds
 its clusters with the constructor, ``validate_block`` checks V5–V7 with
-plain loops, and the policy's verdicts come from ``verdicts_of``, one
-memo per signer set, where the references fill a dict of their own. The
-reference copies below are the versions they replaced, kept here
-unchanged, with the ``run_pipeline`` that called them. On every input each
-function must give what its reference gives: the same blocks, clusters,
-pending queue, flags, states and runs.
+plain loops and applies a block to the state it is given, ``endorse`` gives
+the answer of every endorser answering in one mode, and the policy's
+verdicts come from ``verdicts_of``, one memo per signer set, where the
+references fill a dict of their own. The reference copies below are the
+versions they replaced, kept here unchanged (the per-endorser ``endorse``
+returns a record built for the endorser it is given, or None when that
+endorser is silent, and ``validate_block`` works on a copy), with the
+``run_pipeline`` that called them. On every input each function must give
+what its reference gives: the same blocks, clusters, pending queue, flags,
+states and runs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockcase import eov_sim as sim
-from blockcase.eov_sim.engine import V4, V5, V6, V7, _answering_mode
+from blockcase.eov_sim.engine import V1, V2, V3, V4, V5, V6, V7
+from blockcase.eov_sim.state import AppFailure
 from blockcase.policy import eval_policy, verdicts_of
 from blockcase.policy_analysis import CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST, all_of, any_of
 from simgen import random_scenario
@@ -39,6 +44,38 @@ def _reference_satisfies(policy, endorsements, verdicts):
     if verdict is None:
         verdict = verdicts[signers] = eval_policy(policy, signers)
     return verdict
+
+
+def reference_answering_mode(behavior, step):
+    mode = behavior.mode
+    if mode == CRASHED:
+        return None
+    if mode == DOSED:
+        return None if behavior.from_step <= step <= behavior.to_step else HONEST
+    return mode
+
+
+def reference_endorse(endorser_id, behavior, proposal, state, seen_nonces, msp_emitters, step):
+    mode = reference_answering_mode(behavior, step)
+    if mode is None:
+        return None
+    tx_id, client = proposal.tx_id, proposal.client_id
+    if mode == CENSORING:
+        return sim.RefusalRecord(tx_id, endorser_id, None, "censorship")
+
+    if client not in msp_emitters:
+        return sim.RefusalRecord(tx_id, endorser_id, V1, f"emitter {client!r} is not registered with the MSP")
+    if (client, proposal.nonce) in seen_nonces:
+        return sim.RefusalRecord(
+            tx_id, endorser_id, V3, f"nonce {proposal.nonce} of {client!r} was already acknowledged"
+        )
+    if mode == FRAUDULENT:
+        return sim.Endorsement(endorser_id, sim.claimed_effects(state, proposal.op))
+    try:
+        rwset = sim.execute_chaincode(state, proposal.op)
+    except AppFailure as failure:
+        return sim.RefusalRecord(tx_id, endorser_id, V2, f"chaincode execution failed: {failure}")
+    return sim.Endorsement(endorser_id, rwset)
 
 
 def reference_assemble_submission(proposal, endorsements, policy, verdicts=None):
@@ -111,14 +148,14 @@ def reference_run_pipeline(config):
     for step in range(config.horizon + 1):
         proposals = by_step.get(step, ())
         if proposals:
-            answering = [(e, b, mode) for e, b in endorsers if (mode := _answering_mode(b, step)) is not None]
+            answering = [(e, b, mode) for e, b in endorsers if (mode := reference_answering_mode(b, step)) is not None]
         for proposal in proposals:
             endorsements = []
             outcomes = {}
             for endorser_id, behavior, mode in answering:
                 outcome = outcomes.get(mode)
                 if outcome is None:
-                    outcome = outcomes[mode] = sim.endorse(
+                    outcome = outcomes[mode] = reference_endorse(
                         endorser_id, behavior, proposal, canonical_state, seen_nonces, config.msp_emitters, step
                     )
                 elif isinstance(outcome, sim.Endorsement):
@@ -177,7 +214,7 @@ def assert_blocks_validate_alike(config, blocks):
     """Every peer, ``skip_v7`` or not, validates every block as the reference does."""
     for peer in range(config.peers):
         skip_v7 = peer in config.skip_v7_peers
-        state = reference_state = sim.KvStore()
+        state, reference_state = sim.KvStore(), sim.KvStore()
         holds, asked, reference_verdicts = verdicts_of(config.policy), {}, {}
 
         def recorded(signers):
@@ -185,7 +222,7 @@ def assert_blocks_validate_alike(config, blocks):
             return asked[signers]
 
         for block in blocks:
-            flags, state = sim.validate_block(state, block, config.msp_endorsers, recorded, skip_v7)
+            flags = sim.validate_block(state, block, config.msp_endorsers, recorded, skip_v7)
             expected, reference_state = reference_validate_block(
                 reference_state, block, config.msp_endorsers, config.policy, skip_v7, reference_verdicts
             )
@@ -200,6 +237,25 @@ def test_the_pipeline_and_its_validations_equal_the_reference(config):
     run = sim.run_pipeline(config)
     assert run == reference_run_pipeline(config)
     assert_blocks_validate_alike(config, run.blocks)
+
+
+@settings(deadline=None)
+@given(scenarios())
+@example(random_scenario(3, behavior_modes=ALL_MODES, skip_v7={0, 2}))
+def test_validate_block_applies_exactly_the_valid_writes_to_the_state_it_is_given(config):
+    holds, msp_endorsers = verdicts_of(config.policy), config.msp_endorsers
+    for skip_v7 in (False, True):
+        state = sim.KvStore()
+        for block in sim.run_pipeline(config).blocks:
+            before = sim.KvStore(state.entries)
+            flags = sim.validate_block(state, block, msp_endorsers, holds, skip_v7)
+            assert (flags, state) == reference_validate_block(before, block, msp_endorsers, config.policy, skip_v7)
+            written = dict(before.entries)
+            for index, ((valid, _), submission) in enumerate(zip(flags, block.submissions)):
+                if valid:
+                    version = (block.block_no, index)
+                    written.update((key, (value, version)) for key, value in submission.endorsements[0].rwset.writes)
+            assert state.entries == written
 
 
 def test_the_scenarios_reach_every_mode_crash_schedules_and_skip_v7_peers():
@@ -291,8 +347,8 @@ def test_a_block_failing_one_criterion_validates_as_the_reference(case, skip_v7)
     block = sim.Block(2, (submission("t0", [valid], 1), submission("t1", endorsements, 2),
                           submission("t2", [valid], 3)))
     start = sim.KvStore({"k": (1, (1, 0))})
-    flags, state = sim.validate_block(start, block, frozenset(E3), verdicts_of(policy), skip_v7)
+    state = sim.KvStore(start.entries)
+    flags = sim.validate_block(state, block, frozenset(E3), verdicts_of(policy), skip_v7)
     assert (flags, state) == reference_validate_block(start, block, frozenset(E3), policy, skip_v7)
     expected = None if criterion == V7 and skip_v7 else criterion  # a skip_v7 peer lets a stale read commit
     assert flags[1] == (expected is None, expected)
-    assert start == sim.KvStore({"k": (1, (1, 0))})

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcase import eov_sim as sim
+from blockcase.eov_sim import engine
 from blockcase.policy_analysis import (
     CENSORING, CRASHED, DOSED, FRAUDULENT, HONEST, all_of, any_of, eval_policy, verdicts_of,
 )
 from blockcase.risk_ledger import FearedEvent
 from simgen import random_scenario, replay_committed
+from test_engine_passes import reference_answering_mode
 from test_policy_analysis import nested_policies
 
 E3 = ["E1", "E2", "E3"]
@@ -81,56 +83,43 @@ class TestExecuteChaincode:
 
 
 class TestEndorse:
-    def endorse(self, behavior, prop, *, state=None, seen=frozenset(), step=0):
-        return sim.endorse(
-            "E1", behavior, prop, state or sim.KvStore(), set(seen), frozenset({"c1"}), step
-        )
+    def endorse(self, mode, prop, *, state=None, seen=frozenset()):
+        return sim.endorse(mode, prop, state or sim.KvStore(), set(seen), frozenset({"c1"}))
 
     def test_unknown_emitter_refused_first(self):
-        outcome = self.endorse(sim.HONEST_BEHAVIOR, proposal("t", sim.ChaincodeOp.noop(), client="mallory"))
-        assert isinstance(outcome, sim.RefusalRecord) and outcome.failed_criterion == sim.V1
+        criterion, _ = self.endorse(HONEST, proposal("t", sim.ChaincodeOp.noop(), client="mallory"))
+        assert criterion == sim.V1
 
     def test_replayed_nonce_refused(self):
         prop = proposal("t", sim.ChaincodeOp.noop(), nonce=9)
-        outcome = self.endorse(sim.HONEST_BEHAVIOR, prop, seen={("c1", 9)})
-        assert isinstance(outcome, sim.RefusalRecord) and outcome.failed_criterion == sim.V3
+        assert self.endorse(HONEST, prop, seen={("c1", 9)}) == (sim.V3, "nonce 9 of 'c1' was already acknowledged")
 
     def test_replay_by_an_illegitimate_emitter_reports_the_earlier_criterion(self):
         prop = proposal("t", sim.ChaincodeOp.noop(), client="mallory", nonce=9)
-        outcome = self.endorse(sim.HONEST_BEHAVIOR, prop, seen={("mallory", 9)})
-        assert outcome.failed_criterion == sim.V1
+        criterion, _ = self.endorse(HONEST, prop, seen={("mallory", 9)})
+        assert criterion == sim.V1
 
     def test_failed_execution_refused(self):
-        outcome = self.endorse(sim.HONEST_BEHAVIOR, proposal("t", sim.ChaincodeOp.transfer("a", "b", 5)))
-        assert isinstance(outcome, sim.RefusalRecord) and outcome.failed_criterion == sim.V2
+        criterion, reason = self.endorse(HONEST, proposal("t", sim.ChaincodeOp.transfer("a", "b", 5)))
+        assert criterion == sim.V2 and reason.startswith("chaincode execution failed: ")
+
+    def test_honest_endorses_the_executed_effects(self):
+        op = sim.ChaincodeOp.set("k", 3)
+        assert self.endorse(HONEST, proposal("t", op)) == sim.execute_chaincode(sim.KvStore(), op)
 
     def test_fraudulent_endorses_a_guard_violating_op(self):
-        behavior = sim.EndorserBehavior(FRAUDULENT)
         op = sim.ChaincodeOp.transfer("a", "b", 5, valid=False)
-        outcome = self.endorse(behavior, proposal("t", op))
-        assert isinstance(outcome, sim.Endorsement)
+        assert self.endorse(FRAUDULENT, proposal("t", op)) == sim.claimed_effects(sim.KvStore(), op)
 
     def test_fraudulent_still_refuses_identity_and_replay_failures(self):
-        behavior = sim.EndorserBehavior(FRAUDULENT)
-        refusal = self.endorse(behavior, proposal("t", sim.ChaincodeOp.noop(), client="mallory"))
-        assert refusal.failed_criterion == sim.V1
-        replay = self.endorse(behavior, proposal("t", sim.ChaincodeOp.noop(), nonce=3), seen={("c1", 3)})
-        assert replay.failed_criterion == sim.V3
+        refusal = self.endorse(FRAUDULENT, proposal("t", sim.ChaincodeOp.noop(), client="mallory"))
+        assert refusal[0] == sim.V1
+        replay = self.endorse(FRAUDULENT, proposal("t", sim.ChaincodeOp.noop(), nonce=3), seen={("c1", 3)})
+        assert replay[0] == sim.V3
 
     def test_censoring_refuses_everything(self):
-        outcome = self.endorse(sim.EndorserBehavior(CENSORING), proposal("t", sim.ChaincodeOp.noop()))
-        assert isinstance(outcome, sim.RefusalRecord)
-        assert outcome.failed_criterion is None and outcome.reason == "censorship"
-
-    def test_crashed_never_answers(self):
-        outcome = self.endorse(sim.EndorserBehavior(CRASHED), proposal("t", sim.ChaincodeOp.noop()))
-        assert outcome is None
-
-    def test_dos_window(self):
-        behavior = sim.dosed(2, 4)
-        prop = proposal("t", sim.ChaincodeOp.noop())
-        assert self.endorse(behavior, prop, step=3) is None
-        assert isinstance(self.endorse(behavior, prop, step=5), sim.Endorsement)
+        for client in ("c1", "mallory"):
+            assert self.endorse(CENSORING, proposal("t", sim.ChaincodeOp.noop(), client=client)) == (None, "censorship")
 
 
 class TestAssembleSubmission:
@@ -212,9 +201,9 @@ def endorsed_submission(tx_id, reads, writes, endorsers=("E1",), nonce=None, rws
 
 class TestValidateBlock:
     def validate(self, block, *, state=None, policy=None, skip=False, endorsers=E3):
-        return sim.validate_block(
-            state or sim.KvStore(), block, frozenset(endorsers), verdicts_of(policy or any_of(E3)), skip
-        )
+        state = sim.KvStore() if state is None else state
+        flags = sim.validate_block(state, block, frozenset(endorsers), verdicts_of(policy or any_of(E3)), skip)
+        return flags, state
 
     def test_same_key_conflict_invalidates_the_second_tx(self):
         block = sim.Block(1, (
@@ -283,11 +272,12 @@ class TestValidateBlock:
         assert flags == [(True, None), (True, None)]
         assert state.entries["k"] == (2, (1, 1))
 
-    def test_input_state_is_not_mutated(self):
-        state = sim.KvStore({"k": (5, (1, 0))})
-        block = sim.Block(2, (endorsed_submission("t1", [("k", (1, 0))], [("k", 9)], nonce=1),))
-        self.validate(block, state=state)
-        assert state.entries["k"] == (5, (1, 0))
+    def test_the_block_is_applied_to_the_state_it_is_given(self):
+        state = sim.KvStore({"k": (5, (1, 0)), "j": (1, (1, 1))})
+        block = sim.Block(2, (endorsed_submission("t1", [("k", (1, 0))], [("k", 9)], nonce=1),
+                              endorsed_submission("t2", [("j", (9, 9))], [("j", 7)], nonce=2)))
+        assert self.validate(block, state=state) == ([(True, None), (False, sim.V7)], state)
+        assert state.entries == {"k": (9, (2, 0)), "j": (1, (1, 1))}
 
 
 class TestRunScenario:
@@ -407,7 +397,7 @@ def own_digests(config, result):
     for peer in range(config.peers):
         state = sim.KvStore()
         for block in result.run.blocks:
-            _, state = sim.validate_block(state, block, config.msp_endorsers, holds, peer in config.skip_v7_peers)
+            sim.validate_block(state, block, config.msp_endorsers, holds, peer in config.skip_v7_peers)
             digests[peer, block.block_no] = state.digest()
     return digests
 
@@ -461,6 +451,14 @@ class TestPipelineStage:
         assert run.liveness_lost_at == result.report.liveness_lost_at
         assert run == result.run
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_peer_state_is_a_store_of_its_own(self, seed):
+        """Equal peers hold equal stores, never one shared store: ``validate_block`` updates the store it is given."""
+        config = random_scenario(seed, behavior_modes=ALL_MODES, peers_range=(3, 4), skip_v7=frozenset({seed % 3}))
+        result = sim.simulate(config)
+        stores = [*result.peer_states, result.run.canonical_state]
+        assert len({id(store) for store in stores}) == len(stores)
+
 
 def reference_ordering_step(cluster, pending, step, crash_schedule):
     """``ordering_step`` as it was before an idle step returned its cluster unchanged."""
@@ -482,7 +480,8 @@ def reference_ordering_step(cluster, pending, step, crash_schedule):
 def per_endorser_pipeline(config):
     """The ordering/commit stage as a plain loop, the reference ``run_pipeline`` must equal.
 
-    It calls ``endorse`` once per endorser per proposal, evaluates the
+    It asks ``endorse`` once per answering endorser per proposal, with no
+    memo, builds that endorser's record from the answer, evaluates the
     policy afresh at submission and at V4, and steps through every step
     0..horizon.
     """
@@ -499,14 +498,15 @@ def per_endorser_pipeline(config):
         for tx in by_step.get(step, ()):
             endorsements = []
             for endorser_id in endorser_order:
-                behavior = config.endorser_behaviors.get(endorser_id, sim.HONEST_BEHAVIOR)
-                outcome = sim.endorse(
-                    endorser_id, behavior, tx, canonical_state, seen_nonces, config.msp_emitters, step
-                )
-                if isinstance(outcome, sim.Endorsement):
-                    endorsements.append(outcome)
-                elif outcome is not None:
-                    refusals.append(outcome)
+                mode = reference_answering_mode(config.endorser_behaviors.get(endorser_id, sim.HONEST_BEHAVIOR), step)
+                if mode is None:
+                    continue
+                answer = sim.endorse(mode, tx, canonical_state, seen_nonces, config.msp_emitters)
+                if isinstance(answer, sim.ReadWriteSet):
+                    endorsements.append(sim.Endorsement(endorser_id, answer))
+                else:
+                    criterion, reason = answer
+                    refusals.append(sim.RefusalRecord(tx.tx_id, endorser_id, criterion, reason))
             seen_nonces.add((tx.client_id, tx.nonce))
             submission = sim.assemble_submission(tx, endorsements, fresh)
             if submission is not None:
@@ -517,7 +517,7 @@ def per_endorser_pipeline(config):
             liveness_lost_at = step
         for block in cut:
             blocks_log.append(block)
-            flags, canonical_state = sim.validate_block(canonical_state, block, config.msp_endorsers, fresh, False)
+            flags = sim.validate_block(canonical_state, block, config.msp_endorsers, fresh, False)
             for (valid, failed), submission in zip(flags, block.submissions):
                 committed.append(sim.CommittedTx(block.block_no, submission.proposal.tx_id, valid, failed))
     return sim.PipelineRun(tuple(committed), tuple(refusals), tuple(blocks_log), canonical_state,
@@ -564,6 +564,52 @@ class TestRunPipelineMatchesThePerEndorserLoop:
                               orderers=sim.OrdererConfig(n=3, batch_size=1, crash_schedule=((1, 0),)))
         run = self.assert_equal_runs(config)
         assert len(run.blocks) == 4 and run.liveness_lost_at is None  # cut at steps 0, 2, 3 and 4
+
+    def test_a_dos_endorser_is_silent_inside_its_window_and_honest_outside_it(self):
+        workload = [(step, proposal(f"t{step}", sim.ChaincodeOp.noop(), nonce=step)) for step in range(1, 6)]
+        run = self.assert_equal_runs(basic_config(workload, behaviors={"E1": sim.dosed(2, 4)}, horizon=5))
+        signers = {s.proposal.tx_id: {e.endorser_id for e in s.endorsements} for b in run.blocks for s in b.submissions}
+        assert signers == {"t1": set(E3), "t2": {"E2", "E3"}, "t3": {"E2", "E3"}, "t4": {"E2", "E3"}, "t5": set(E3)}
+        assert run.refusals == ()
+
+    def test_a_crashed_endorser_leaves_no_record(self):
+        workload = [(0, proposal("t0", sim.ChaincodeOp.set("a", 1), nonce=1)),
+                    (0, proposal("t1", sim.ChaincodeOp.transfer("a", "b", 5), nonce=2))]
+        run = self.assert_equal_runs(basic_config(workload, behaviors={"E2": sim.EndorserBehavior(CRASHED)}))
+        assert [e.endorser_id for b in run.blocks for s in b.submissions for e in s.endorsements] == ["E1", "E3"]
+        assert [(r.tx_id, r.endorser_id, r.failed_criterion) for r in run.refusals] == [("t1", "E1", sim.V2),
+                                                                                         ("t1", "E3", sim.V2)]
+
+    @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+    def test_endorse_is_asked_once_per_answering_mode_and_every_record_carries_its_answer(self, monkeypatch, seed):
+        config = random_scenario(seed, behavior_modes=ALL_MODES)
+        asked, real = {}, engine.endorse
+
+        def endorse(mode, tx, *args):
+            assert (tx.tx_id, mode) not in asked
+            asked[tx.tx_id, mode] = real(mode, tx, *args)
+            return asked[tx.tx_id, mode]
+
+        monkeypatch.setattr(engine, "endorse", endorse)
+        run = sim.run_pipeline(config)
+        modes = {}  # (tx_id, endorser_id) -> the mode that endorser answers the proposal in
+        for step, tx in config.workload:
+            for endorser_id in config.msp_endorsers:
+                mode = reference_answering_mode(config.endorser_behaviors.get(endorser_id, sim.HONEST_BEHAVIOR), step)
+                if mode is not None:
+                    modes[tx.tx_id, endorser_id] = mode
+        assert set(asked) == {(tx_id, mode) for (tx_id, _), mode in modes.items()}
+        answers = {(tx_id, e): asked[tx_id, mode] for (tx_id, e), mode in modes.items()}
+        refused = {key: answer for key, answer in answers.items() if not isinstance(answer, sim.ReadWriteSet)}
+        assert len(run.refusals) == len(refused)
+        assert {(r.tx_id, r.endorser_id): (r.failed_criterion, r.reason) for r in run.refusals} == refused
+        for block in run.blocks:
+            for submission in block.submissions:
+                tx_id = submission.proposal.tx_id
+                assert submission.endorsements == tuple(
+                    sim.Endorsement(e, answers[tx_id, e])
+                    for e in sorted(config.msp_endorsers) if (tx_id, e) in answers and (tx_id, e) not in refused
+                )
 
 
 @st.composite
@@ -690,6 +736,7 @@ class TestScenarioDocuments:
         [
             (DOSED, (5, 2), "a denial-of-service window needs from_step <= to_step"),
             (DOSED, (None, 2), "a denial-of-service window needs from_step <= to_step"),
+            (DOSED, (-5, -1), "a denial-of-service window starts at step 0 or later"),
             (HONEST, (1, 2), "behavior 'honest' does not take a step window"),
         ],
     )
